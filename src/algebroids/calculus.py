@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from fractions import Fraction
 from typing import Literal
 
 from .connection import (
@@ -41,8 +40,9 @@ from .core import (
     wedge,
 )
 from .errors import AdmissibilityError, ProjectorRequiredError, ShapeError
+from .fixtures import random_scalar
 from .reports import CheckReport, report_from_residuals
-from .scalars import Poly, Scalar
+from .scalars import Scalar
 
 DerivativeKind = Literal["modified", "projected"]
 BracketKind = Literal["original", "modified", "projected"]
@@ -213,21 +213,9 @@ def seeded_sections(
     for _ in range(count):
         comp = []
         for _ in range(A.rank):
-            comp.append(_random_poly_scalar(rng, A.dim, degree))
+            comp.append(random_scalar(rng, A.dim, degree, terms=3))
         out.append(Section(tuple(comp)))
     return out
-
-
-def _random_poly_scalar(rng: random.Random, nvars: int, degree: int) -> Scalar:
-    poly = Poly.zero(nvars)
-    for _ in range(rng.randint(1, 3)):
-        exps = [0] * nvars
-        for _ in range(rng.randint(0, degree)):
-            exps[rng.randrange(nvars)] += 1
-        c = rng.randint(-3, 3)
-        if c:
-            poly = poly + Poly(nvars, {tuple(exps): Fraction(c)})
-    return Scalar(poly)
 
 
 def seeded_forms(
@@ -238,7 +226,7 @@ def seeded_forms(
     for _ in range(count):
         comp: SparseArray = {}
         for idx in itertools.combinations(range(A.rank), degree):
-            s = _random_poly_scalar(rng, A.dim, max_poly_degree)
+            s = random_scalar(rng, A.dim, max_poly_degree, terms=3)
             if not s.is_zero():
                 comp[idx] = s
         out.append(EForm(degree, A.rank, A.dim, comp))
@@ -726,7 +714,10 @@ def check_magic_and_derivations(
     rng_forms1 = seeded_forms(A, seed + 1, samples, 1, degree)
     rng_forms2 = seeded_forms(A, seed + 2, samples, min(2, A.rank), degree)
     sections = seeded_sections(A, seed + 3, 2 * samples, degree)
-    fs = [_random_poly_scalar(random.Random(seed + 4 + i), A.dim, degree) for i in range(samples)]
+    fs = [
+        random_scalar(random.Random(seed + 4 + i), A.dim, degree, terms=3)
+        for i in range(samples)
+    ]
 
     def add_form_residual(tag: tuple, form: EForm):
         for idx, v in form.comp.items():
@@ -851,7 +842,7 @@ def check_square_laws(
     residuals: dict[tuple, Scalar] = {}
     rng = random.Random(seed)
     for k in range(samples):
-        f = _random_poly_scalar(rng, A.dim, degree)
+        f = random_scalar(rng, A.dim, degree, terms=3)
         df = e_exterior_derivative(A, conn, f, "projected")
         ddf = e_exterior_derivative(A, conn, df, "projected")
         for idx, v in ddf.comp.items():

@@ -25,6 +25,10 @@ class BudgetError(AlgebroidError):
     """A computation exceeded the configured term budget."""
 
 
+class InexactDivisionError(AlgebroidError, ValueError):
+    """An exact polynomial division whose divisor does not divide."""
+
+
 class ShapeError(AlgebroidError):
     """Mismatched dimensions, ranks or index ranges."""
 

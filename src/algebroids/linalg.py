@@ -42,10 +42,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def mat_vec(a: Matrix, v: list[Scalar]) -> list[Scalar]:
-    return [row[0] for row in mat_mul(a, [[x] for x in v])]
-
-
 def _pivot_quality(s: Scalar) -> tuple:
     # Prefer constants, then fewer terms.
     return (0 if s.is_constant() else 1, s.term_count())
@@ -103,7 +99,7 @@ class LinearSolution:
 
 
 def _poly_quality(p: Poly) -> tuple:
-    return (0 if p.is_constant() else 1, len(p.terms), p.total_degree())
+    return (0 if p.is_constant() else 1, p.term_count(), p.total_degree())
 
 
 def _clear_row(

@@ -1,31 +1,61 @@
 """Exact arithmetic in the field of rational functions of the chart coordinates.
 
-A polynomial is a dict mapping exponent tuples (one non-negative int per
-coordinate) to rational coefficients (``Fraction``), with zero coefficients
-never stored.  A scalar is a quotient num/den of two such polynomials with
-den not identically zero.  Equality of scalars is decided by
-cross-multiplication (a/b = c/d iff a*d - c*b expands to the zero
-polynomial), so reduction to lowest terms is never needed for correctness.
+A polynomial is stored as a rational content n/d times a primitive integer
+polynomial: integer coefficients with gcd 1 and a positive leading
+coefficient.  That form is unique, so equality of polynomials is
+structural.  By Gauss's lemma the product of two primitive polynomials is
+primitive with a positive leading coefficient, so a product multiplies the
+contents and the integer parts and needs no gcd; sums, derivatives and
+constructors divide out the gcd of their integer coefficients.
 
-A cheap normalization keeps representatives small and canonical enough for
-reproducible serialization: common monomial factors of num and den are
-cancelled and den is rescaled to be monic in the fixed graded-lexicographic
-term order.  Full multivariate GCD reduction is deliberately not attempted.
+Monomials are packed into one int: a 16-bit field per coordinate, the
+first coordinate most significant, and the total degree in a field above
+them all.  The top bit of every field is a guard that stays clear, so a
+monomial product is one integer addition, monomial divisibility is one
+borrow-free subtraction, and the graded-lexicographic term order (higher
+total degree first, then the lexicographically larger exponent vector) is
+integer order.  Exponents and total degrees must stay below 2**15; an
+operation that would pass that limit raises ``BudgetError`` rather than
+wrap.  ``Poly.terms`` shows the terms as ``{exponent tuple: Fraction}``.
+
+Exact division (``Poly.divide_exact``) divides the integer parts with
+``divmod``, taking the largest remaining term from a max-heap (Monagan and
+Pearce, "Sparse polynomial division using a heap", JSC 2011); a
+non-integral quotient coefficient or an indivisible leading monomial
+proves the division inexact and raises ``InexactDivisionError``.
+
+A scalar is a quotient num/den of two polynomials with den not
+identically zero.  Equality of scalars is decided by cross-multiplication
+(a/b = c/d iff a*d - c*b expands to the zero polynomial), so reduction to
+lowest terms is never needed for correctness.  A cheap normalization keeps
+representatives small and canonical enough for reproducible
+serialization: common monomial factors of num and den are cancelled and
+den is rescaled to be monic in the graded-lexicographic term order.  Full
+multivariate GCD reduction is deliberately not attempted.
 
 All values are immutable after construction and all operations are pure.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping as _MappingABC
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from heapq import heapify, heappop, heappush
+from math import gcd
+from typing import Mapping, Sequence
 
-from .errors import BudgetError, DivisionByZeroError, PoleError, ShapeError
+from .errors import (
+    BudgetError,
+    DivisionByZeroError,
+    InexactDivisionError,
+    PoleError,
+    ShapeError,
+)
 
 Exponents = tuple[int, ...]
 
-# Abort threshold on len(num.terms) + len(den.terms) of any constructed
+# Abort threshold on the term count of num plus den of any constructed
 # scalar.  Guards against fraction-field swell in elimination.
 _DEFAULT_TERM_BUDGET = 100_000
 _term_budget = _DEFAULT_TERM_BUDGET
@@ -43,26 +73,156 @@ def get_term_budget() -> int:
     return _term_budget
 
 
-def _grlex_key(exps: Exponents) -> tuple:
-    # Sort DESCENDING by this key: higher total degree first, then
-    # lexicographically larger exponent vector first.
-    return (sum(exps), exps)
+# -- packed monomials ---------------------------------------------------
+
+_FIELD_BITS = 16
+_FIELD_MASK = (1 << (_FIELD_BITS - 1)) - 1
+MAX_DEGREE = _FIELD_MASK  # largest exponent and total degree a monomial may have
+
+
+class _Layout:
+    """Field positions of the packed monomials of ``nvars`` coordinates."""
+
+    __slots__ = ("shifts", "top", "guard", "units")
+
+    def __init__(self, nvars: int):
+        self.shifts = tuple(_FIELD_BITS * (nvars - 1 - i) for i in range(nvars))
+        self.top = _FIELD_BITS * nvars  # shift of the total-degree field
+        self.guard = sum(
+            1 << (_FIELD_BITS * i + _FIELD_BITS - 1) for i in range(nvars + 1)
+        )
+        # the packed monomial of each coordinate: x_i, total degree 1
+        self.units = tuple((1 << s) | (1 << self.top) for s in self.shifts)
+
+    def pack(self, exps: Sequence[int]) -> int:
+        if len(exps) != len(self.shifts):
+            raise ShapeError(f"exponent vector {tuple(exps)} has the wrong length")
+        key = 0
+        for k, s in zip(exps, self.shifts):
+            if k < 0:
+                raise ShapeError(f"exponent vector {tuple(exps)} has a negative entry")
+            if k > MAX_DEGREE:
+                raise _degree_error("Poly", f"exponent {k}")
+            key |= k << s
+        degree = sum(exps)
+        if degree > MAX_DEGREE:
+            raise _degree_error("Poly", f"total degree {degree}")
+        return key | (degree << self.top)
+
+    def unpack(self, key: int) -> Exponents:
+        return tuple((key >> s) & _FIELD_MASK for s in self.shifts)
+
+
+_LAYOUTS: dict[int, _Layout] = {}
+
+
+def _layout(nvars: int) -> _Layout:
+    layout = _LAYOUTS.get(nvars)
+    if layout is None:
+        layout = _LAYOUTS[nvars] = _Layout(nvars)
+    return layout
+
+
+def _degree_error(operation: str, what: str) -> BudgetError:
+    return BudgetError(
+        f"{operation}: {what} exceeds the exponent limit {MAX_DEGREE} "
+        f"of packed monomials"
+    )
+
+
+def _check_degrees(lead_a: int, lead_b: int, nvars: int) -> None:
+    """Raise unless the product of monomials with these leading keys keeps
+    its total degree, and so every exponent, within its field."""
+    top = _FIELD_BITS * nvars
+    if (lead_a + lead_b) >> top > MAX_DEGREE:
+        raise _degree_error(
+            "Poly.__mul__", f"product of degrees {lead_a >> top} and {lead_b >> top}"
+        )
+
+
+def _primitive(nvars: int, num: int, den: int, t: dict[int, int]) -> Poly:
+    """The polynomial (num/den) * t for a nonzero integer dict t with no
+    zero values, made primitive with a positive leading coefficient."""
+    g = gcd(*t.values())
+    if t[max(t)] < 0:
+        g = -g
+    if g != 1:
+        t = {k: c // g for k, c in t.items()}
+        num *= g
+    h = gcd(num, den)
+    if h != 1:
+        num //= h
+        den //= h
+    return _make(nvars, num, den, t)
+
+
+def _make(nvars: int, num: int, den: int, t: dict[int, int]) -> Poly:
+    p = object.__new__(Poly)
+    p.nvars = nvars
+    p._num = num
+    p._den = den
+    p._t = t
+    p._diff_cache = None
+    return p
+
+
+_UNIT: dict[int, int] = {0: 1}  # the primitive part of every nonzero constant
+
+
+class _TermsView(_MappingABC):
+    """Read-only ``{exponent tuple: Fraction}`` view of a polynomial."""
+
+    __slots__ = ("_poly",)
+
+    def __init__(self, poly: Poly):
+        self._poly = poly
+
+    def __len__(self) -> int:
+        return len(self._poly._t)
+
+    def __iter__(self):
+        unpack = _layout(self._poly.nvars).unpack
+        return (unpack(k) for k in self._poly._t)
+
+    def __getitem__(self, exps: Exponents) -> Fraction:
+        p = self._poly
+        try:
+            c = p._t[_layout(p.nvars).pack(exps)]
+        except (KeyError, ShapeError, BudgetError):
+            raise KeyError(exps) from None
+        return Fraction(p._num * c, p._den)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
 
 
 class Poly:
     """Sparse multivariate polynomial over the rationals."""
 
-    __slots__ = ("nvars", "terms", "_diff_cache")
+    __slots__ = ("nvars", "_num", "_den", "_t", "_diff_cache")
 
     def __init__(self, nvars: int, terms: Mapping[Exponents, Fraction] | None = None):
         self.nvars = nvars
-        if terms:
-            self.terms: dict[Exponents, Fraction] = {
-                e: c for e, c in terms.items() if c != 0
-            }
-        else:
-            self.terms = {}
         self._diff_cache: dict[int, Poly] | None = None
+        self._num, self._den, self._t = 0, 1, {}
+        if not terms:
+            return
+        pack = _layout(nvars).pack
+        values = {pack(e): Fraction(c) for e, c in terms.items() if c != 0}
+        if not values:
+            return
+        if len(values) == 1:
+            (k, c), = values.items()
+            self._num, self._den, self._t = c.numerator, c.denominator, {k: 1}
+            return
+        den = 1
+        for c in values.values():
+            den = den * c.denominator // gcd(den, c.denominator)
+        p = _primitive(
+            nvars, 1, den,
+            {k: c.numerator * (den // c.denominator) for k, c in values.items()},
+        )
+        self._num, self._den, self._t = p._num, p._den, p._t
 
     # -- constructors -------------------------------------------------
 
@@ -77,7 +237,7 @@ class Poly:
     def one(cls, nvars: int) -> Poly:
         cached = _POLY_ONE.get(nvars)
         if cached is None:
-            cached = _POLY_ONE[nvars] = cls(nvars, {(0,) * nvars: Fraction(1)})
+            cached = _POLY_ONE[nvars] = _make(nvars, 1, 1, _UNIT)
         return cached
 
     @classmethod
@@ -85,113 +245,137 @@ class Poly:
         c = Fraction(value)
         if c == 0:
             return cls(nvars)
-        return cls(nvars, {(0,) * nvars: c})
+        return _make(nvars, c.numerator, c.denominator, _UNIT)
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> Poly:
         if not 0 <= index < nvars:
             raise ShapeError(f"variable index {index} out of range for {nvars} coordinates")
-        e = [0] * nvars
-        e[index] = 1
-        return cls(nvars, {tuple(e): Fraction(1)})
+        return _make(nvars, 1, 1, {_layout(nvars).units[index]: 1})
 
     # -- predicates ---------------------------------------------------
 
+    @property
+    def terms(self) -> Mapping[Exponents, Fraction]:
+        return _TermsView(self)
+
+    def term_count(self) -> int:
+        return len(self._t)
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._t
 
     def is_one(self) -> bool:
-        return len(self.terms) == 1 and self.terms.get((0,) * self.nvars) == 1
+        return self._t == _UNIT and self._num == 1 and self._den == 1
 
     def is_constant(self) -> bool:
-        return not self.terms or (
-            len(self.terms) == 1 and (0,) * self.nvars in self.terms
-        )
+        t = self._t
+        return not t or (len(t) == 1 and 0 in t)
 
     def constant_value(self) -> Fraction | None:
         """The value of a constant polynomial, else None."""
-        if not self.terms:
-            return Fraction(0)
         if self.is_constant():
-            return self.terms[(0,) * self.nvars]
+            return Fraction(self._num, self._den)
         return None
 
     def total_degree(self) -> int:
-        if not self.terms:
+        if not self._t:
             return 0
-        return max(sum(e) for e in self.terms)
+        return max(self._t) >> (_FIELD_BITS * self.nvars)
 
     def leading(self) -> tuple[Exponents, Fraction]:
         """Leading term in graded-lex order.  Undefined on the zero polynomial."""
-        e = max(self.terms, key=_grlex_key)
-        return e, self.terms[e]
+        key = max(self._t)
+        coeff = Fraction(self._num * self._t[key], self._den)
+        return _layout(self.nvars).unpack(key), coeff
 
     def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
-        return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
+        unpack = _layout(self.nvars).unpack
+        num, den, t = self._num, self._den, self._t
+        return [(unpack(k), Fraction(num * t[k], den)) for k in sorted(t, reverse=True)]
 
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: Poly) -> Poly:
-        if not self.terms:
+        if not self._t:
             return other
-        if not other.terms:
+        if not other._t:
             return self
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            if s is None:
-                out[e] = c
-            else:
-                s = s + c
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        p = Poly(self.nvars)
-        p.terms = out
-        return p
+        n1, d1, n2, d2 = self._num, self._den, other._num, other._den
+        if d1 == d2:
+            den = d1
+        else:
+            g = gcd(d1, d2)
+            den = d1 // g * d2
+            n1 *= d2 // g
+            n2 *= d1 // g
+        # self + other = (g/den) * (a*P1 + b*P2)
+        g = gcd(n1, n2)
+        a, b = n1 // g, n2 // g
+        if a == 1:
+            out = dict(self._t)
+        else:
+            out = {k: a * c for k, c in self._t.items()}
+        get = out.get
+        for k, c in other._t.items():
+            out[k] = get(k, 0) + b * c
+        if 0 in out.values():
+            out = {k: c for k, c in out.items() if c}
+            if not out:
+                return Poly.zero(self.nvars)
+        return _primitive(self.nvars, g, den, out)
 
     def __neg__(self) -> Poly:
-        p = Poly(self.nvars)
-        p.terms = {e: -c for e, c in self.terms.items()}
-        return p
+        return _make(self.nvars, -self._num, self._den, self._t)
 
     def __sub__(self, other: Poly) -> Poly:
-        if not other.terms:
+        if not other._t:
             return self
         return self + (-other)
 
     def __mul__(self, other: Poly) -> Poly:
-        if not self.terms or not other.terms:
-            return Poly(self.nvars)
-        out: dict[Exponents, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                s = out.get(e)
-                if s is None:
-                    out[e] = c
-                else:
-                    s = s + c
-                    if s:
-                        out[e] = s
-                    else:
-                        del out[e]
+        if not self._t or not other._t:
+            return Poly.zero(self.nvars)
+        n1, d1, n2, d2 = self._num, self._den, other._num, other._den
+        small, large = (self, other) if len(self._t) <= len(other._t) else (other, self)
+        a, b = small._t, large._t
+        if len(a) == 1:
+            (ka, ca), = a.items()
+            if not ka:  # a constant: its primitive part is 1
+                if small._num == 1 and small._den == 1 and len(b) <= _term_budget:
+                    return large
+                out = b
+            else:
+                _check_degrees(ka, max(b), self.nvars)
+                out = {ka + kb: ca * cb for kb, cb in b.items()}
+        else:
+            _check_degrees(max(a), max(b), self.nvars)
+            out = {}
+            get = out.get
+            bitems = list(b.items())
+            for ka, ca in a.items():
+                for kb, cb in bitems:
+                    k = ka + kb
+                    out[k] = get(k, 0) + ca * cb
+            if 0 in out.values():
+                out = {k: c for k, c in out.items() if c}
         if len(out) > _term_budget:
             raise BudgetError(
                 f"polynomial with {len(out)} terms exceeds budget {_term_budget}"
             )
-        p = Poly(self.nvars)
-        p.terms = out
-        return p
+        # Gauss's lemma: the product of the primitive parts is primitive
+        if d1 == 1 and d2 == 1:
+            return _make(self.nvars, n1 * n2, 1, out)
+        g, h = gcd(n1, d2), gcd(n2, d1)
+        return _make(self.nvars, (n1 // g) * (n2 // h), (d1 // h) * (d2 // g), out)
 
     def scale(self, factor: Fraction) -> Poly:
-        if factor == 0:
+        f = Fraction(factor)
+        if f == 0 or not self._t:
             return Poly(self.nvars)
-        p = Poly(self.nvars)
-        p.terms = {e: c * factor for e, c in self.terms.items()}
-        return p
+        num, den = self._num * f.numerator, self._den * f.denominator
+        g = gcd(num, den)
+        return _make(self.nvars, num // g, den // g, self._t)
 
     def __pow__(self, power: int) -> Poly:
         if power < 0:
@@ -210,42 +394,70 @@ class Poly:
         return (
             isinstance(other, Poly)
             and self.nvars == other.nvars
-            and self.terms == other.terms
+            and self._num == other._num
+            and self._den == other._den
+            and self._t == other._t
         )
 
     __hash__ = None  # mutable dict inside; equality is structural
 
     def divide_exact(self, divisor: Poly) -> Poly:
         """Quotient self / divisor when the division is exact (used by
-        fraction-free elimination, where exactness is guaranteed)."""
-        if divisor.is_zero():
+        fraction-free elimination, where exactness is guaranteed).  Raises
+        ``InexactDivisionError`` when it is not."""
+        dt = divisor._t
+        if not dt:
             raise ZeroDivisionError("exact division by the zero polynomial")
         if divisor.is_one():
             return self
-        dc = divisor.constant_value()
-        if dc is not None:
-            return self.scale(1 / dc)
-        quotient: dict[Exponents, Fraction] = {}
-        rest = dict(self.terms)
-        lead_e, lead_c = divisor.leading()
-        while rest:
-            e = max(rest, key=_grlex_key)
-            c = rest[e]
-            diff = tuple(a - b for a, b in zip(e, lead_e))
-            if any(d < 0 for d in diff):
-                raise ValueError("division is not exact")
-            q = c / lead_c
-            quotient[diff] = q
-            for de, dcoef in divisor.terms.items():
-                key = tuple(a + b for a, b in zip(diff, de))
-                acc = rest.get(key, Fraction(0)) - q * dcoef
-                if acc:
-                    rest[key] = acc
+        n1, d1, n2, d2 = self._num, self._den, divisor._num, divisor._den
+        num, den = n1 * d2, d1 * n2
+        if den < 0:
+            num, den = -num, -den
+        g = gcd(num, den)
+        num //= g
+        den //= g
+        if divisor.is_constant() or not self._t:
+            return _make(self.nvars, num, den, self._t)
+        # Gauss's lemma: the quotient of the primitive parts is an integer
+        # polynomial, primitive with a positive leading coefficient
+        lead = max(dt)
+        lead_c = dt[lead]
+        tail = [(k - lead, c) for k, c in dt.items() if k != lead]
+        guard = _layout(self.nvars).guard
+        rest = dict(self._t)
+        heap = [-k for k in rest]
+        heapify(heap)
+        quotient: dict[int, int] = {}
+        get = rest.get
+        while heap:
+            e = -heappop(heap)
+            c = rest.pop(e, None)
+            if c is None:
+                continue  # a stale key: the term cancelled after it was pushed
+            if ((e | guard) - lead) & guard != guard:
+                raise InexactDivisionError(
+                    "division is not exact: the leading monomial does not divide"
+                )
+            q, r = divmod(c, lead_c)
+            if r:
+                raise InexactDivisionError(
+                    "division is not exact: a quotient coefficient is not integral"
+                )
+            quotient[e - lead] = q
+            for off, dc in tail:
+                k = e + off
+                v = get(k)
+                if v is None:
+                    rest[k] = -q * dc
+                    heappush(heap, -k)
                 else:
-                    rest.pop(key, None)
-        p = Poly(self.nvars)
-        p.terms = quotient
-        return p
+                    v -= q * dc
+                    if v:
+                        rest[k] = v
+                    else:
+                        del rest[k]
+        return _make(self.nvars, num, den, quotient)
 
     # -- calculus -----------------------------------------------------
 
@@ -260,29 +472,31 @@ class Poly:
         hit = cache.get(index)
         if hit is not None:
             return hit
-        out: dict[Exponents, Fraction] = {}
-        for e, c in self.terms.items():
-            k = e[index]
-            if k == 0:
-                continue
-            e2 = e[:index] + (k - 1,) + e[index + 1 :]
-            out[e2] = out.get(e2, Fraction(0)) + c * k
-        p = Poly(self.nvars)
-        p.terms = {e: c for e, c in out.items() if c}
+        layout = _layout(self.nvars)
+        shift = layout.shifts[index]
+        unit = layout.units[index]
+        # distinct monomials have distinct derivatives, so nothing collects
+        out = {}
+        for k, c in self._t.items():
+            e = (k >> shift) & _FIELD_MASK
+            if e:
+                out[k - unit] = c * e
+        p = _primitive(self.nvars, self._num, self._den, out) if out else Poly(self.nvars)
         cache[index] = p
         return p
 
     def eval_at(self, coords: Sequence[Fraction]) -> Fraction:
         if len(coords) != self.nvars:
             raise ShapeError("point dimension does not match coordinate count")
+        unpack = _layout(self.nvars).unpack
         total = Fraction(0)
-        for e, c in self.terms.items():
-            v = c
-            for x, k in zip(coords, e):
-                if k:
-                    v *= x**k
+        for k, c in self._t.items():
+            v = Fraction(c)
+            for x, e in zip(coords, unpack(k)):
+                if e:
+                    v *= x**e
             total += v
-        return total
+        return total * self._num / self._den
 
     def __repr__(self) -> str:
         return f"Poly(nvars={self.nvars}, terms={dict(self.sorted_terms())!r})"
@@ -294,27 +508,21 @@ _SCALAR_ZERO: dict[int, "Scalar"] = {}
 _SCALAR_ONE: dict[int, "Scalar"] = {}
 
 
-def _monomial_gcd(polys: Iterable[Poly], nvars: int) -> Exponents | None:
-    mins: list[int] | None = None
-    for p in polys:
-        for e in p.terms:
-            if mins is None:
-                mins = list(e)
-            else:
-                mins = [min(a, b) for a, b in zip(mins, e)]
-            if not any(mins):
-                return None
-    if mins is None or not any(mins):
-        return None
-    return tuple(mins)
+def _monomial_gcd(a: dict[int, int], b: dict[int, int], nvars: int) -> int:
+    """The packed monomial gcd of the keys of a and b, 0 when it is 1."""
+    if 0 in a or 0 in b:
+        return 0
+    layout = _layout(nvars)
+    shift = degree = 0
+    for s in layout.shifts:
+        m = min((k >> s) & _FIELD_MASK for t in (a, b) for k in t)
+        shift |= m << s
+        degree += m
+    return shift | degree << layout.top
 
 
-def _shift_down(p: Poly, shift: Exponents) -> Poly:
-    q = Poly(p.nvars)
-    q.terms = {
-        tuple(a - b for a, b in zip(e, shift)): c for e, c in p.terms.items()
-    }
-    return q
+def _shift_down(p: Poly, shift: int) -> Poly:
+    return _make(p.nvars, p._num, p._den, {k - shift: c for k, c in p._t.items()})
 
 
 class Scalar:
@@ -323,38 +531,42 @@ class Scalar:
     __slots__ = ("num", "den")
 
     def __init__(self, num: Poly, den: Poly | None = None):
-        if den is None or den.is_one():
+        if den is None or (den._t == _UNIT and den._num == 1 and den._den == 1):
             # polynomial fast path: nothing to cancel or rescale
-            den = Poly.one(num.nvars)
-            if len(num.terms) > _term_budget:
+            den = _POLY_ONE.get(num.nvars) or Poly.one(num.nvars)
+            if len(num._t) > _term_budget:
                 raise BudgetError(
-                    f"scalar with {len(num.terms)} terms exceeds budget {_term_budget}"
+                    f"scalar with {len(num._t)} terms exceeds budget {_term_budget}"
                 )
             self.num = num
             self.den = den
             return
-        if den.is_zero():
+        if not den._t:
             raise DivisionByZeroError("denominator is the zero polynomial")
         if num.nvars != den.nvars:
             raise ShapeError("numerator and denominator disagree on coordinate count")
-        if num.is_zero():
+        if not num._t:
             den = Poly.one(num.nvars)
         else:
-            shift = _monomial_gcd((num, den), num.nvars)
-            if shift is not None:
+            shift = _monomial_gcd(num._t, den._t, num.nvars)
+            if shift:
                 num = _shift_down(num, shift)
                 den = _shift_down(den, shift)
-            _, lead = den.leading()
-            if lead != 1:
-                inv = 1 / lead
-                num = num.scale(inv)
-                den = den.scale(inv)
+            lead = den._t[max(den._t)]
+            if den._num != 1 or den._den != lead:
+                # rescale num and den by 1/(leading coefficient of den)
+                n, d = num._num * den._den, num._den * den._num * lead
+                if d < 0:
+                    n, d = -n, -d
+                g = gcd(n, d)
+                num = _make(num.nvars, n // g, d // g, num._t)
+                den = _make(den.nvars, 1, lead, den._t)
             if den.is_constant():
                 # a constant denominator is folded into the numerator
                 den = Poly.one(num.nvars)
-        if len(num.terms) + len(den.terms) > _term_budget:
+        if len(num._t) + len(den._t) > _term_budget:
             raise BudgetError(
-                f"scalar with {len(num.terms) + len(den.terms)} terms "
+                f"scalar with {len(num._t) + len(den._t)} terms "
                 f"exceeds budget {_term_budget}"
             )
         self.num = num
@@ -391,7 +603,7 @@ class Scalar:
         return self.num.nvars
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.num._t
 
     def is_one(self) -> bool:
         return self.num == self.den
@@ -407,16 +619,16 @@ class Scalar:
         return self.num.constant_value() / self.den.constant_value()
 
     def term_count(self) -> int:
-        return len(self.num.terms) + len(self.den.terms)
+        return len(self.num._t) + len(self.den._t)
 
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: Scalar) -> Scalar:
-        if other.is_zero():
+        if not other.num._t:
             return self
-        if self.is_zero():
+        if not self.num._t:
             return other
-        if self.den == other.den:
+        if self.den is other.den or self.den == other.den:
             return Scalar(self.num + other.num, self.den)
         return Scalar(
             self.num * other.den + other.num * self.den, self.den * other.den
@@ -429,13 +641,13 @@ class Scalar:
         return s
 
     def __sub__(self, other: Scalar) -> Scalar:
-        if other.is_zero():
+        if not other.num._t:
             return self
         return self + (-other)
 
     def __mul__(self, other: Scalar) -> Scalar:
-        if self.is_zero() or other.is_zero():
-            return Scalar.zero(self.nvars)
+        if not self.num._t or not other.num._t:
+            return Scalar.zero(self.num.nvars)
         return Scalar(self.num * other.num, self.den * other.den)
 
     def __truediv__(self, other: Scalar) -> Scalar:
@@ -463,7 +675,7 @@ class Scalar:
 
     def equals(self, other: Scalar) -> bool:
         """Exact equality by cross-multiplication."""
-        if self.den == other.den:
+        if self.den is other.den or self.den == other.den:
             return self.num == other.num
         return (self.num * other.den - other.num * self.den).is_zero()
 

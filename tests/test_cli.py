@@ -1,13 +1,16 @@
 """Command line front end: subcommands, exit codes, reproducibility."""
 
 import json
+import random
 import subprocess
 import sys
 
 import pytest
 
-from algebroids import Connection, Metric, dump_document, make_example
+from algebroids import Connection, Metric, dump_document, get_term_budget, make_example
+from algebroids.cli import main as cli_main
 from algebroids.documents import AlgebroidDocument
+from algebroids.fixtures import random_anticommutable, random_constant_metric
 
 from conftest import scal
 
@@ -248,3 +251,28 @@ def test_budget_exceeded_exit_4(tmp_path):
     out = run_cli("compute", str(path), "levicivita", "--budget", "2")
     assert out.returncode == 4
     assert "budget" in out.stderr
+
+
+def test_budget_restored_after_in_process_run(tmp_path):
+    A = make_example("tangent_lie", n=2).algebroid
+    names = A.coords
+    metric = Metric([[scal("1 + x1^2", names), A.zero()], [A.zero(), A.one()]])
+    path = tmp_path / "binomial.json"
+    dump_document(AlgebroidDocument(A, metric, None), str(path))
+    before = get_term_budget()
+    assert cli_main(["compute", str(path), "levicivita", "--budget", "2"]) == 4
+    assert get_term_budget() == before
+
+
+def test_general_bianchi_line_never_gates(tmp_path):
+    # this fixture's only failing line is the non-gating general Bianchi pair
+    fx = random_anticommutable(1, dim=1, rank=3)
+    metric = random_constant_metric(random.Random(1), 1, 3)
+    path = tmp_path / "fixture1.json"
+    dump_document(AlgebroidDocument(fx.algebroid, metric, fx.connection), str(path))
+    out = run_cli("check", str(path), "--suite", "all", "--seed", "11", "--samples", "4")
+    assert out.returncode == 0
+    lines = [json.loads(line) for line in out.stdout.splitlines()]
+    failing = [obj for obj in lines if obj.get("pass") is False]
+    assert [obj["identity"] for obj in failing] == ["bianchi-algebraic-general"]
+    assert failing[0]["residuals"]

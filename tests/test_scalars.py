@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from algebroids import (
     BudgetError,
     DivisionByZeroError,
+    InexactDivisionError,
     ParseError,
     Point,
     Poly,
@@ -216,3 +217,131 @@ def test_evaluation_is_a_homomorphism(a, b):
 def test_parse_serialize_roundtrip(a):
     text = scalar_to_text(a, NAMES)
     assert parse_scalar(text, NAMES).equals(a)
+
+
+# -- kernel against a reference -------------------------------------------
+#
+# The reference is the plain algorithm over {exponent tuple: Fraction}
+# dicts; the kernel must agree with it term for term.
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_neg(a):
+    return {e: -c for e, c in a.items()}
+
+
+def ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_diff(a, index):
+    out = {}
+    for e, c in a.items():
+        k = e[index]
+        if k:
+            e2 = e[:index] + (k - 1,) + e[index + 1 :]
+            out[e2] = out.get(e2, Fraction(0)) + c * k
+    return {e: c for e, c in out.items() if c}
+
+
+wide_rationals = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+wide_exponents = st.tuples(*[st.integers(0, 4)] * 3)
+WIDE_NAMES = ["x1", "x2", "x3"]
+
+
+@st.composite
+def wide_polys(draw):
+    terms = draw(st.dictionaries(wide_exponents, wide_rationals, max_size=6))
+    return Poly(3, terms)
+
+
+@given(wide_polys(), wide_polys())
+@settings(max_examples=60, deadline=None)
+def test_kernel_matches_reference(p, q):
+    a, b = dict(p.terms), dict(q.terms)
+    assert dict((p + q).terms) == ref_add(a, b)
+    assert dict((p - q).terms) == ref_add(a, ref_neg(b))
+    assert dict((p * q).terms) == ref_mul(a, b)
+    for i in range(3):
+        assert dict(p.diff(i).terms) == ref_diff(a, i)
+
+
+@given(wide_polys(), wide_polys().filter(lambda q: not q.is_zero()))
+@settings(max_examples=60, deadline=None)
+def test_divide_exact_inverts_product(p, q):
+    assert (p * q).divide_exact(q) == p
+
+
+@given(wide_polys(), wide_polys(), wide_polys())
+@settings(max_examples=60, deadline=None)
+def test_equal_values_have_one_form(p, q, r):
+    pairs = [
+        ((p + q) * r, p * r + q * r),
+        (p - q + q, p),
+        (p.scale(Fraction(-6, 7)).scale(Fraction(7, 3)), p.scale(-2)),
+        ((p * p - q * q), (p + q) * (p - q)),
+        (-p, Poly(3, {e: -c for e, c in p.terms.items()})),
+    ]
+    for lhs, rhs in pairs:
+        assert lhs == rhs
+        assert poly_to_text(lhs, WIDE_NAMES) == poly_to_text(rhs, WIDE_NAMES)
+
+
+def test_terms_is_a_read_only_view():
+    v = s("x1^2 - 2/3*x2")
+    assert len(v.num.terms) == 2
+    with pytest.raises(TypeError):
+        v.num.terms[(0, 0)] = Fraction(1)
+
+
+def test_inexact_division_raises_typed_error():
+    x1, x2 = Poly.variable(2, 0), Poly.variable(2, 1)
+    one = Poly.one(2)
+    with pytest.raises(InexactDivisionError):
+        (x1 * x1 + one).divide_exact(x1 + one)  # nonzero remainder
+    with pytest.raises(InexactDivisionError):
+        x1.divide_exact(x2)  # leading monomial does not divide
+    with pytest.raises(ValueError):  # callers catching ValueError still do
+        (x1 + one.scale(2)).divide_exact(x1.scale(2) + one)
+
+
+def test_exponent_overflow_raises_budget_error():
+    x = Poly.variable(1, 0)
+    half = x ** (2**14)
+    assert half.total_degree() == 2**14
+    with pytest.raises(BudgetError) as err:
+        _ = half * half
+    assert "Poly.__mul__" in str(err.value)
+    assert "16384" in str(err.value)
+    with pytest.raises(BudgetError):
+        Poly(1, {(2**15,): Fraction(1)})
+
+
+@given(wide_polys(), wide_polys().filter(lambda q: not q.is_zero()))
+@settings(max_examples=30, deadline=None)
+def test_against_sympy(p, q):
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.symbols(WIDE_NAMES)
+
+    def to_sympy(poly):
+        return sympy.Poly(
+            sum(sympy.Rational(c.numerator, c.denominator) * sympy.prod(
+                x**k for x, k in zip(xs, e)) for e, c in poly.terms.items()),
+            *xs,
+            domain="QQ",
+        )
+
+    product = p * q
+    assert to_sympy(product) == to_sympy(p) * to_sympy(q)
+    assert to_sympy(product.divide_exact(q)) == to_sympy(p)
