@@ -8,6 +8,11 @@ function-multilinear identities exactly, and adds a deterministic seeded
 sample of polynomial sections for identities that differentiate section
 components.  All verdicts are exact: a check passes iff every residual is
 the zero scalar.
+
+Each public verifier and derivative builds one ``GeometryContext`` for its
+(algebroid, connection) and passes it down, so the admissibility gate, the
+anholonomies, torsions, curvature and frame brackets are computed once per
+call; the context is dropped when the call returns.
 """
 
 from __future__ import annotations
@@ -18,13 +23,12 @@ from typing import Literal
 
 from .connection import (
     Connection,
-    bracket_of_kind,
-    check_admissible,
+    GeometryContext,
+    _frame_covariants,
+    _locality_correction,
     covariant_derivative,
-    curvature,
-    modified_anholonomy,
+    frame_covariant_tensor,
     modified_bracket,
-    torsion,
 )
 from .core import (
     AlgebroidData,
@@ -32,7 +36,6 @@ from .core import (
     ETensor,
     Section,
     SparseArray,
-    bracket,
     coboundary,
     interior_product,
     project_section,
@@ -48,22 +51,16 @@ DerivativeKind = Literal["modified", "projected"]
 BracketKind = Literal["original", "modified", "projected"]
 
 
-def _require_admissible(A: AlgebroidData, conn: Connection) -> None:
-    report = check_admissible(A, conn)
+def _require_admissible(ctx: GeometryContext) -> None:
+    report = ctx.admissibility()
     if not report.passed:
         raise AdmissibilityError(
             "connection is not admissible", residuals=report.residuals
         )
 
 
-def _gamma_of_kind(
-    A: AlgebroidData, conn: Connection | None, kind: BracketKind
-) -> SparseArray:
-    if kind == "original":
-        return dict(A.gamma)
-    if conn is None:
-        raise ShapeError("modified brackets need a connection")
-    return modified_anholonomy(A, conn, kind)  # type: ignore[arg-type]
+def _gamma_of_kind(ctx: GeometryContext, kind: BracketKind) -> SparseArray:
+    return ctx.A.gamma if kind == "original" else ctx.anholonomy(kind)  # type: ignore
 
 
 def exterior_derivative_raw(
@@ -75,14 +72,14 @@ def exterior_derivative_raw(
     """The alternating-sum formula evaluated literally on every ordered
     frame tuple, with no antisymmetry assumed.  Diagnostic: for an
     admissible connection the result is antisymmetric, otherwise not."""
-    gk = _gamma_of_kind(A, conn, kind)
-    p = omega.degree
-    out: SparseArray = {}
-    for idx in itertools.product(range(A.rank), repeat=p + 1):
-        v = _exterior_component(A, gk, omega, idx)
-        if not v.is_zero():
-            out[idx] = v
-    return out
+    gk = _gamma_of_kind(GeometryContext(A, conn), kind)
+    indices = itertools.product(range(A.rank), repeat=omega.degree + 1)
+    return _exterior_array(A, gk, omega, indices)
+
+
+def _exterior_array(A: AlgebroidData, gk: SparseArray, omega: EForm, indices):
+    values = ((idx, _exterior_component(A, gk, omega, idx)) for idx in indices)
+    return {idx: v for idx, v in values if not v.is_zero()}
 
 
 def _exterior_component(
@@ -123,19 +120,22 @@ def e_exterior_derivative(
     modified) bracket.  Admissibility is required: without it the raw
     alternating sum is not antisymmetric and does not define a form.  On
     scalars both kinds reduce to the coboundary."""
+    return _e_exterior(GeometryContext(A, conn), omega, kind)
+
+
+def _e_exterior(
+    ctx: GeometryContext, omega: EForm | Scalar, kind: DerivativeKind
+) -> EForm:
+    A = ctx.A
     if isinstance(omega, Scalar):
         omega = EForm.from_scalar(A, omega)
     if kind == "projected" and A.proj is None:
         raise ProjectorRequiredError("projected derivative requires a projector")
-    _require_admissible(A, conn)
+    _require_admissible(ctx)
     if omega.degree == 0:
         return coboundary(A, omega.comp.get((), A.zero()))
-    gk = _gamma_of_kind(A, conn, kind)
-    out: SparseArray = {}
-    for idx in itertools.combinations(range(A.rank), omega.degree + 1):
-        v = _exterior_component(A, gk, omega, idx)
-        if not v.is_zero():
-            out[idx] = v
+    indices = itertools.combinations(range(A.rank), omega.degree + 1)
+    out = _exterior_array(A, _gamma_of_kind(ctx, kind), omega, indices)
     return EForm(omega.degree + 1, A.rank, A.dim, out)
 
 
@@ -152,21 +152,23 @@ def leibniz_derivative(
     Forms: duality, (L_v W)(u_1..u_p) = rho(v)(W(u_1..u_p))
     - sum_i W(u_1, .., [v, u_i], .., u_p).
     """
+    return _leibniz(GeometryContext(A, conn), v, target, kind)
+
+
+def _leibniz(ctx: GeometryContext, v: Section, target, kind: BracketKind):
+    A = ctx.A
     if kind == "projected" and A.proj is None:
         raise ProjectorRequiredError("projected derivative requires a projector")
     if isinstance(target, Scalar):
         return A.section_derive(v, target)
     if isinstance(target, Section):
-        return bracket_of_kind(A, conn, v, target, kind)
+        return ctx.bracket(v, target, kind)
     if isinstance(target, EForm):
         p = target.degree
         if p == 0:
             f = target.comp.get((), A.zero())
             return EForm.from_scalar(A, A.section_derive(v, f))
-        frame_brackets = [
-            bracket_of_kind(A, conn, v, Section.frame(A, a), kind)
-            for a in range(A.rank)
-        ]
+        frame_brackets = ctx.frame_brackets(v, kind)
         out: SparseArray = {}
         for idx in itertools.combinations(range(A.rank), p):
             acc = A.section_derive(v, target.at(idx))
@@ -194,9 +196,14 @@ def associator(
 ) -> Section:
     """Leibniz-identity defect [u,[v,w]] - [[u,v],w] - [v,[u,w]] of the
     chosen bracket."""
+    return _associator(GeometryContext(A, conn), kind, u, v, w)
 
+
+def _associator(
+    ctx: GeometryContext, kind: BracketKind, u: Section, v: Section, w: Section
+) -> Section:
     def br(x, y):
-        return bracket_of_kind(A, conn, x, y, kind)
+        return ctx.bracket(x, y, kind)
 
     return br(u, br(v, w)).sub(br(br(u, v), w)).sub(br(v, br(u, w)))
 
@@ -242,8 +249,6 @@ def covariant_tensor_array(
 ) -> SparseArray:
     """All-frame covariant derivative of a (q, s) component array: index
     (b, *tensor index) holds the X_b derivative."""
-    from .connection import frame_covariant_tensor
-
     tensor = ETensor(q, s, A.rank, A.dim, sparse_clean(comp))
     out: SparseArray = {}
     for b in range(A.rank):
@@ -259,19 +264,20 @@ def covariant_tensor_array(
 def check_cartan_structure(A: AlgebroidData, conn: Connection) -> CheckReport:
     """Residuals of the first (plain and projected) and second structure
     equations on all frame pairs."""
-    _require_admissible(A, conn)
+    ctx = GeometryContext(A, conn)
+    _require_admissible(ctx)
     if A.proj is None:
         raise ProjectorRequiredError("second structure equation needs a projector")
     residuals: dict[tuple, Scalar] = {}
     r = A.rank
-    tor = torsion(A, conn, "modified")
-    tor_hat = torsion(A, conn, "projected")
-    curv = curvature(A, conn)
+    tor = ctx.torsion("modified")
+    tor_hat = ctx.torsion("projected")
+    curv = ctx.curvature()
     omegas = [[conn.omega(A, a, b) for b in range(r)] for a in range(r)]
     coframes = [EForm.coframe(A, a) for a in range(r)]
     for a in range(r):
-        de = e_exterior_derivative(A, conn, coframes[a], "modified")
-        de_hat = e_exterior_derivative(A, conn, coframes[a], "projected")
+        de = _e_exterior(ctx, coframes[a], "modified")
+        de_hat = _e_exterior(ctx, coframes[a], "projected")
         rhs = de
         rhs_hat = de_hat
         for b in range(r):
@@ -288,7 +294,7 @@ def check_cartan_structure(A: AlgebroidData, conn: Connection) -> CheckReport:
                 ) - rhs_hat.at((b, c))
     for a in range(r):
         for b in range(r):
-            rhs = e_exterior_derivative(A, conn, omegas[a][b], "projected")
+            rhs = _e_exterior(ctx, omegas[a][b], "projected")
             for c in range(r):
                 rhs = rhs.add(wedge(omegas[a][c], omegas[c][b]))
             for c in range(r):
@@ -316,12 +322,13 @@ def check_bianchi_algebraic(
     pattern as printed, so its residuals are reported under an assumption
     note and acceptance never gates on them.
     """
-    _require_admissible(A, conn)
+    ctx = GeometryContext(A, conn)
+    _require_admissible(ctx)
     if A.proj is None:
         raise ProjectorRequiredError("Bianchi identities need a projector")
     if form == "projected":
-        return _bianchi_projected(A, conn, seed, samples, degree)
-    return _bianchi_general(A, conn)
+        return _bianchi_projected(ctx, seed, samples, degree)
+    return _bianchi_general(ctx)
 
 
 def _cyclic(items: tuple) -> list[tuple]:
@@ -329,19 +336,20 @@ def _cyclic(items: tuple) -> list[tuple]:
 
 
 def _bianchi_projected(
-    A: AlgebroidData, conn: Connection, seed: int, samples: int, degree: int
+    ctx: GeometryContext, seed: int, samples: int, degree: int
 ) -> CheckReport:
+    A, conn = ctx.A, ctx.conn
     r = A.rank
     residuals: dict[tuple, Scalar] = {}
-    curv = curvature(A, conn)
-    tor_hat = torsion(A, conn, "projected")
+    curv = ctx.curvature()
+    tor_hat = ctx.torsion("projected")
     nabla_t = covariant_tensor_array(A, conn, tor_hat, 1, 2)
     frames = [Section.frame(A, a) for a in range(r)]
 
     # nested bracket tables over the projected modified bracket:
     # outer_left[(b, c, d)] = [[X_b, X_c], X_d] and
     # outer_right[(b, c, d)] = [X_b, [X_c, X_d]]
-    anhol = modified_anholonomy(A, conn, "projected")
+    anhol = ctx.anholonomy("projected")
     inner_sections = {
         (b, c): Section(tuple(anhol.get((e, b, c), A.zero()) for e in range(r)))
         for b in range(r)
@@ -351,10 +359,9 @@ def _bianchi_projected(
     outer_right: dict[tuple[int, int, int], Section] = {}
     for b in range(r):
         for c in range(r):
+            left = ctx.frame_brackets(inner_sections[(b, c)], "projected")
             for d in range(r):
-                outer_left[(b, c, d)] = modified_bracket(
-                    A, conn, inner_sections[(b, c)], frames[d], "projected"
-                )
+                outer_left[(b, c, d)] = left[d]
                 outer_right[(b, c, d)] = modified_bracket(
                     A, conn, frames[b], inner_sections[(c, d)], "projected"
                 )
@@ -412,34 +419,34 @@ def _bianchi_projected(
     )
 
 
-def _bianchi_general(A: AlgebroidData, conn: Connection) -> CheckReport:
+def _complement_locality(ctx: GeometryContext, u: Section, v: Section) -> Section:
+    """(1 - P) L(e^d, D_{X_d} u, v)."""
+    lsec = _locality_correction(ctx.A, _frame_covariants(ctx.A, ctx.conn, u), v)
+    return lsec.sub(project_section(ctx.A, lsec))
+
+
+def _bianchi_general(ctx: GeometryContext) -> CheckReport:
     """Literal transcription of the unprojected algebraic Bianchi pair."""
+    A, conn = ctx.A, ctx.conn
     r = A.rank
     residuals: dict[tuple, Scalar] = {}
-    curv = curvature(A, conn)
-    tor = torsion(A, conn, "modified")
+    curv = ctx.curvature()
+    tor = ctx.torsion("modified")
     nabla_t = covariant_tensor_array(A, conn, tor, 1, 2)
     frames = [Section.frame(A, a) for a in range(r)]
-    anhol = modified_anholonomy(A, conn, "modified")
-
-    def complement_locality(u: int, v: int) -> Section:
-        # (1 - P) L(e^a, D_{X_a} u, v) on frame arguments
-        total = [A.zero() for _ in range(r)]
-        for (c, d, e, bb), lv in A.loc.items():
-            if bb != v:
-                continue
-            g = conn.coeff.get((e, d, u))
-            if g is not None:
-                total[c] = total[c] + g * lv
-        sec = Section(tuple(total))
-        return sec.sub(project_section(A, sec))
-
-    double: dict[tuple[int, int, int], Section] = {}
+    anhol = ctx.anholonomy("modified")
+    complement = {
+        (u, v): _complement_locality(ctx, frames[u], frames[v])
+        for u in range(r)
+        for v in range(r)
+    }
+    inners, double = {}, {}
     for b in range(r):
         for c in range(r):
             inner = Section(tuple(anhol.get((e, b, c), A.zero()) for e in range(r)))
-            for d in range(r):
-                double[(b, c, d)] = modified_bracket(A, conn, inner, frames[d], "modified")
+            inners[(b, c)] = inner
+            for d, br in enumerate(ctx.frame_brackets(inner, "modified")):
+                double[(b, c, d)] = br
 
     for b in range(r):
         for c in range(r):
@@ -456,9 +463,8 @@ def _bianchi_general(A: AlgebroidData, conn: Connection) -> CheckReport:
                                 t2 = tor.get((a, e, w))
                                 if t2 is not None:
                                     rhs = rhs + t1 * t2
-                        comp = complement_locality(u, v)
                         rhs = rhs + covariant_derivative(
-                            A, conn, comp, frames[w]
+                            A, conn, complement[(u, v)], frames[w]
                         ).comp[a]
                         rhs = rhs + double[(u, v, w)].comp[a]
                     val = lhs - rhs
@@ -481,7 +487,7 @@ def _bianchi_general(A: AlgebroidData, conn: Connection) -> CheckReport:
                                     t2 = curv.get((a, u, f, e2))
                                     if t2 is not None:
                                         rhs = rhs + t1 * t2
-                            comp = complement_locality(u, v)
+                            comp = complement[(u, v)]
                             # D_u D_comp w' - D_comp D_u w'
                             term = covariant_derivative(
                                 A, conn, frames[u],
@@ -493,11 +499,7 @@ def _bianchi_general(A: AlgebroidData, conn: Connection) -> CheckReport:
                             ).comp[a]
                             rhs = rhs + term
                             # - D_{(1-P) L(e^a, D_{X_a}[v,w]^mod, u)} w'
-                            inner = Section(
-                                tuple(anhol.get((g2, v, w), A.zero()) for g2 in range(r))
-                            )
-                            lsec = _general_locality_of_section(A, conn, inner, frames[u])
-                            lsec = lsec.sub(project_section(A, lsec))
+                            lsec = _complement_locality(ctx, inners[(v, w)], frames[u])
                             rhs = rhs - covariant_derivative(
                                 A, conn, lsec, frames[e2]
                             ).comp[a]
@@ -520,42 +522,17 @@ def _bianchi_general(A: AlgebroidData, conn: Connection) -> CheckReport:
     )
 
 
-def _general_locality_of_section(
-    A: AlgebroidData, conn: Connection, u: Section, v: Section
-) -> Section:
-    """L(e^d, D_{X_d} u, v) for section arguments."""
-    r = A.rank
-    deriv: dict[tuple[int, int], Scalar] = {}
-    for d in range(r):
-        for e in range(r):
-            acc = A.frame_derive(d, u.comp[e])
-            for f in range(r):
-                g = conn.coeff.get((e, d, f))
-                if g is not None and not u.comp[f].is_zero():
-                    acc = acc + g * u.comp[f]
-            if not acc.is_zero():
-                deriv[(d, e)] = acc
-    out = [A.zero() for _ in range(r)]
-    for (c, d, e, b), lv in A.loc.items():
-        w = deriv.get((d, e))
-        if w is None:
-            continue
-        t = w * v.comp[b]
-        if not t.is_zero():
-            out[c] = out[c] + t * lv
-    return Section(tuple(out))
-
-
 def check_bianchi_differential(A: AlgebroidData, conn: Connection) -> CheckReport:
     """Differential Bianchi identities in form language, with the explicit
     square-of-the-derivative anomaly terms."""
-    _require_admissible(A, conn)
+    ctx = GeometryContext(A, conn)
+    _require_admissible(ctx)
     if A.proj is None:
         raise ProjectorRequiredError("differential Bianchi needs a projector")
     r = A.rank
     residuals: dict[tuple, Scalar] = {}
-    tor_hat = torsion(A, conn, "projected")
-    curv = curvature(A, conn)
+    tor_hat = ctx.torsion("projected")
+    curv = ctx.curvature()
     coframes = [EForm.coframe(A, a) for a in range(r)]
     omegas = [[conn.omega(A, a, b) for b in range(r)] for a in range(r)]
     t_forms = []
@@ -579,16 +556,13 @@ def check_bianchi_differential(A: AlgebroidData, conn: Connection) -> CheckRepor
             r_forms[a][b] = EForm(2, r, A.dim, comp)
 
     for a in range(r):
-        lhs = e_exterior_derivative(A, conn, t_forms[a], "projected")
+        lhs = _e_exterior(ctx, t_forms[a], "projected")
         for b in range(r):
             lhs = lhs.add(wedge(omegas[a][b], t_forms[b]))
         rhs = EForm.zero(A, 3)
         for b in range(r):
             rhs = rhs.add(wedge(r_forms[a][b], coframes[b]))
-        dd = e_exterior_derivative(
-            A, conn, e_exterior_derivative(A, conn, coframes[a], "projected"),
-            "projected",
-        )
+        dd = _e_exterior(ctx, _e_exterior(ctx, coframes[a], "projected"), "projected")
         rhs = rhs.add(dd)
         diff = lhs.sub(rhs)
         for idx, v in diff.comp.items():
@@ -596,15 +570,14 @@ def check_bianchi_differential(A: AlgebroidData, conn: Connection) -> CheckRepor
 
     for a in range(r):
         for b in range(r):
-            lhs = e_exterior_derivative(A, conn, r_forms[a][b], "projected")
+            lhs = _e_exterior(ctx, r_forms[a][b], "projected")
             for c in range(r):
                 lhs = lhs.add(wedge(omegas[a][c], r_forms[c][b]))
             rhs = EForm.zero(A, 3)
             for c in range(r):
                 rhs = rhs.add(wedge(r_forms[a][c], omegas[c][b]))
-            dd = e_exterior_derivative(
-                A, conn, e_exterior_derivative(A, conn, omegas[a][b], "projected"),
-                "projected",
+            dd = _e_exterior(
+                ctx, _e_exterior(ctx, omegas[a][b], "projected"), "projected"
             )
             rhs = rhs.add(dd)
             diff = lhs.sub(rhs)
@@ -659,9 +632,10 @@ def check_ricci(
     required); a projector must be present for the curvature operator."""
     if A.proj is None:
         raise ProjectorRequiredError("Ricci identity needs a projector")
+    ctx = GeometryContext(A, conn)
     residuals: dict[tuple, Scalar] = {}
-    curv = curvature(A, conn)
-    tor = torsion(A, conn, "modified")
+    curv = ctx.curvature()
+    tor = ctx.torsion("modified")
     frames = [Section.frame(A, a) for a in range(A.rank)]
 
     def residual(u: Section, v: Section, w: Section) -> Section:
@@ -672,8 +646,7 @@ def check_ricci(
         rhs = rhs.sub(
             covariant_derivative(A, conn, torsion_apply(A, tor, u, v), w)
         )
-        lsec = _general_locality_of_section(A, conn, u, v)
-        lsec = lsec.sub(project_section(A, lsec))
+        lsec = _complement_locality(ctx, u, v)
         rhs = rhs.add(covariant_derivative(A, conn, lsec, w))
         return lhs.sub(rhs)
 
@@ -706,7 +679,8 @@ def check_magic_and_derivations(
     """Cartan magic formulas, the rescaling corollary, the derivation
     commutators, graded Leibniz rules of the exterior derivatives, and,
     gated on a vanishing associator, the derivative-commutation pair."""
-    _require_admissible(A, conn)
+    ctx = GeometryContext(A, conn)
+    _require_admissible(ctx)
     if A.proj is None:
         raise ProjectorRequiredError("derivation suite needs a projector")
     residuals: dict[tuple, Scalar] = {}
@@ -727,42 +701,43 @@ def check_magic_and_derivations(
         u = sections[2 * k]
         v = sections[2 * k + 1]
         f = fs[k]
+        fv = v.scale(f)
         for kind in ("modified", "projected"):
             dk: DerivativeKind = kind  # type: ignore[assignment]
             for label, omega in (("p1", rng_forms1[k]), ("p2", rng_forms2[k])):
                 # magic formula
-                lie = leibniz_derivative(A, conn, v, omega, kind)
-                d_iv = e_exterior_derivative(A, conn, interior_product(omega, v), dk) \
+                lie = _leibniz(ctx, v, omega, kind)
+                d_iv = _e_exterior(ctx, interior_product(omega, v), dk) \
                     if omega.degree >= 1 else EForm.zero(A, 1)
-                iv_d = interior_product(e_exterior_derivative(A, conn, omega, dk), v)
+                iv_d = interior_product(_e_exterior(ctx, omega, dk), v)
                 add_form_residual(("magic", kind, label, k), lie.sub(d_iv.add(iv_d)))
                 # rescaling corollary
-                lie_fv = leibniz_derivative(A, conn, v.scale(f), omega, kind)
+                lie_fv = _leibniz(ctx, fv, omega, kind)
                 rhs = lie.scale(f).add(
-                    wedge(e_exterior_derivative(A, conn, f, dk), interior_product(omega, v))
+                    wedge(_e_exterior(ctx, f, dk), interior_product(omega, v))
                 ) if omega.degree >= 1 else lie.scale(f)
                 add_form_residual(("rescale", kind, label, k), lie_fv.sub(rhs))
             # commutator with the same section vanishes for admissible conn
             om2 = rng_forms2[k]
             if om2.degree >= 1:
-                lhs = leibniz_derivative(A, conn, v, interior_product(om2, v), kind)
-                rhs = interior_product(leibniz_derivative(A, conn, v, om2, kind), v)
+                lhs = _leibniz(ctx, v, interior_product(om2, v), kind)
+                rhs = interior_product(_leibniz(ctx, v, om2, kind), v)
                 add_form_residual(("self-commute", kind, k), lhs.sub(rhs))
         # derivation commutator with the original bracket, all three kinds
         for kind in ("original", "modified", "projected"):
             om2 = rng_forms2[k]
             if om2.degree >= 1:
-                lhs = leibniz_derivative(A, conn, u, interior_product(om2, v), kind)
-                rhs = interior_product(leibniz_derivative(A, conn, u, om2, kind), v)
-                uv = bracket_of_kind(A, conn, u, v, kind)
+                lhs = _leibniz(ctx, u, interior_product(om2, v), kind)
+                rhs = interior_product(_leibniz(ctx, u, om2, kind), v)
+                uv = ctx.bracket(u, v, kind)
                 rhs = rhs.add(interior_product(om2, uv))
                 add_form_residual(("commutator", kind, k), lhs.sub(rhs))
             # Leibniz rule of the derivative over wedges
             omA = rng_forms1[k]
             omB = rng_forms1[(k + 1) % samples]
-            lw = leibniz_derivative(A, conn, v, wedge(omA, omB), kind)
-            rhs = wedge(leibniz_derivative(A, conn, v, omA, kind), omB).add(
-                wedge(omA, leibniz_derivative(A, conn, v, omB, kind))
+            lw = _leibniz(ctx, v, wedge(omA, omB), kind)
+            rhs = wedge(_leibniz(ctx, v, omA, kind), omB).add(
+                wedge(omA, _leibniz(ctx, v, omB, kind))
             )
             add_form_residual(("wedge-leibniz", kind, k), lw.sub(rhs))
         # graded Leibniz of both exterior derivatives
@@ -770,9 +745,9 @@ def check_magic_and_derivations(
         omB = rng_forms1[(k + 1) % samples]
         for kind in ("modified", "projected"):
             dk = kind  # type: ignore[assignment]
-            lhs = e_exterior_derivative(A, conn, wedge(omA, omB), dk)
-            rhs = wedge(e_exterior_derivative(A, conn, omA, dk), omB).sub(
-                wedge(omA, e_exterior_derivative(A, conn, omB, dk))
+            lhs = _e_exterior(ctx, wedge(omA, omB), dk)
+            rhs = wedge(_e_exterior(ctx, omA, dk), omB).sub(
+                wedge(omA, _e_exterior(ctx, omB, dk))
             )
             add_form_residual(("graded-leibniz", kind, k), lhs.sub(rhs))
 
@@ -788,7 +763,7 @@ def check_magic_and_derivations(
             for d in range(A.rank)
         ] + [tuple(gate_sections[3 * i : 3 * i + 3]) for i in range(2)]
         for (su, sv, sw) in triples:
-            if not associator(A, kind, su, sv, sw, conn).is_zero():
+            if not _associator(ctx, kind, su, sv, sw).is_zero():
                 assoc_zero = False
                 break
         if not assoc_zero:
@@ -801,23 +776,15 @@ def check_magic_and_derivations(
             u = sections[2 * k]
             v = sections[2 * k + 1]
             om1 = rng_forms1[k]
-            lhs = leibniz_derivative(
-                A, conn, u, leibniz_derivative(A, conn, v, om1, kind), kind
-            )
-            rhs = leibniz_derivative(
-                A, conn, v, leibniz_derivative(A, conn, u, om1, kind), kind
-            )
-            uv = bracket_of_kind(A, conn, u, v, kind)
-            rhs = rhs.add(leibniz_derivative(A, conn, uv, om1, kind))
+            lhs = _leibniz(ctx, u, _leibniz(ctx, v, om1, kind), kind)
+            rhs = _leibniz(ctx, v, _leibniz(ctx, u, om1, kind), kind)
+            uv = ctx.bracket(u, v, kind)
+            rhs = rhs.add(_leibniz(ctx, uv, om1, kind))
             for idx, val in lhs.sub(rhs).comp.items():
                 residuals[("lie-commutator", kind, k) + idx] = val
             if kind == "projected":
-                dlie = e_exterior_derivative(
-                    A, conn, leibniz_derivative(A, conn, v, om1, kind), "projected"
-                )
-                lied = leibniz_derivative(
-                    A, conn, v, e_exterior_derivative(A, conn, om1, "projected"), kind
-                )
+                dlie = _e_exterior(ctx, _leibniz(ctx, v, om1, kind), "projected")
+                lied = _leibniz(ctx, v, _e_exterior(ctx, om1, "projected"), kind)
                 for idx, val in dlie.sub(lied).comp.items():
                     residuals[("d-commute", kind, k) + idx] = val
     return report_from_residuals("magic-and-derivations", residuals, assumptions)
@@ -836,27 +803,25 @@ def check_square_laws(
     With the alternating-sum convention used here and the standard
     associator, one checks exactly d^2 W (u, v, w) = -W(Assoc(u, v, w)).
     """
-    _require_admissible(A, conn)
+    ctx = GeometryContext(A, conn)
+    _require_admissible(ctx)
     if A.proj is None:
         raise ProjectorRequiredError("square laws need a projector")
     residuals: dict[tuple, Scalar] = {}
     rng = random.Random(seed)
     for k in range(samples):
         f = random_scalar(rng, A.dim, degree, terms=3)
-        df = e_exterior_derivative(A, conn, f, "projected")
-        ddf = e_exterior_derivative(A, conn, df, "projected")
+        ddf = _e_exterior(ctx, _e_exterior(ctx, f, "projected"), "projected")
         for idx, v in ddf.comp.items():
             residuals[("ddf", k) + idx] = v
     forms = seeded_forms(A, seed + 1, samples, 1, degree)
     sections = seeded_sections(A, seed + 2, 3 * samples, degree)
     for k in range(samples):
         omega = forms[k]
-        dd = e_exterior_derivative(
-            A, conn, e_exterior_derivative(A, conn, omega, "projected"), "projected"
-        )
+        dd = _e_exterior(ctx, _e_exterior(ctx, omega, "projected"), "projected")
         u, v, w = sections[3 * k : 3 * k + 3]
         lhs = dd.apply([u, v, w]) if dd.degree <= A.rank else A.zero()
-        assoc = associator(A, "projected", u, v, w, conn)
+        assoc = _associator(ctx, "projected", u, v, w)
         rhs = -omega.apply([assoc])
         val = lhs - rhs
         if not val.is_zero():

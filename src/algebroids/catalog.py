@@ -403,16 +403,14 @@ def specialized_admissibility(bundle: ExampleBundle, conn: Connection) -> CheckR
     if bundle.kind in ("tangent_lie", "twisted_frame_lie"):
         specific_pass = True
         assumptions.append("vanishing locality operator: every connection is admissible")
-    elif bundle.kind in ("courant_standard", "courant_h_twisted", "metric_algebroid"):
-        q = non_metricity(A, conn, bundle.metric)
+    elif bundle.kind in (
+        "courant_standard", "courant_h_twisted", "metric_algebroid", "conformal_courant"
+    ):
+        q = non_metricity(A, conn, bundle.metric, bundle.theta)
         specific_pass = not q
+        label = "nonmetricity" if bundle.theta is None else "scale-nonmetricity"
         for idx, v in q.items():
-            residuals[("nonmetricity",) + idx] = v
-    elif bundle.kind == "conformal_courant":
-        q = _theta_non_metricity(A, conn, bundle.metric, bundle.theta)
-        specific_pass = not q
-        for idx, v in q.items():
-            residuals[("scale-nonmetricity",) + idx] = v
+            residuals[(label,) + idx] = v
     elif bundle.kind == "higher_courant":
         q = higher_compatibility_residual(bundle, conn)
         specific_pass = not q
@@ -441,31 +439,6 @@ def specialized_admissibility(bundle: ExampleBundle, conn: Connection) -> CheckR
         f"generic={generic.passed} specific={specific_pass} agree={agree}"
     )
     return report
-
-
-def _theta_non_metricity(
-    A: AlgebroidData, conn: Connection, metric: Metric, theta: Sequence[Scalar]
-) -> SparseArray:
-    """Residual of the scale-covariant compatibility
-    rho_a(g_bc) + theta_a g_bc - Gamma^d_ab g_dc - Gamma^d_ac g_bd = 0."""
-    r = A.rank
-    out: SparseArray = {}
-    for a in range(r):
-        for b in range(r):
-            for c in range(b, r):
-                acc = A.frame_derive(a, metric.at(b, c)) + theta[a] * metric.at(b, c)
-                for d in range(r):
-                    g1 = conn.coeff.get((d, a, b))
-                    if g1 is not None:
-                        acc = acc - g1 * metric.at(d, c)
-                    g2 = conn.coeff.get((d, a, c))
-                    if g2 is not None:
-                        acc = acc - metric.at(b, d) * g2
-                if not acc.is_zero():
-                    out[(a, b, c)] = acc
-                    if b != c:
-                        out[(a, c, b)] = acc
-    return out
 
 
 def higher_compatibility_residual(
@@ -533,28 +506,12 @@ def higher_compatibility_residual(
 
 def check_conformal_compatibility(bundle: ExampleBundle) -> CheckReport:
     """The bracket-compatibility half of the conformal structure:
-    theta-shifted derivative of the pairing along the bracket arguments.
-    Exposed separately; the constructor does not enforce it."""
+    theta-shifted derivative of the pairing along the bracket arguments,
+    which is the theta-shifted non-metricity of the structure functions
+    taken as connection coefficients.  Exposed separately; the constructor
+    does not enforce it."""
     if bundle.kind != "conformal_courant":
         raise ShapeError("conformal compatibility applies to conformal entries")
     A = bundle.algebroid
-    g = bundle.metric
-    theta = bundle.theta
-    residuals: dict[tuple, Scalar] = {}
-    r = A.rank
-    for a in range(r):
-        for b in range(r):
-            for c in range(r):
-                lhs = A.frame_derive(a, g.at(b, c)) + theta[a] * g.at(b, c)
-                rhs = Scalar.zero(A.dim)
-                for e in range(r):
-                    g1 = A.gamma.get((e, a, b))
-                    if g1 is not None:
-                        rhs = rhs + g1 * g.at(e, c)
-                    g2 = A.gamma.get((e, a, c))
-                    if g2 is not None:
-                        rhs = rhs + g.at(b, e) * g2
-                val = lhs - rhs
-                if not val.is_zero():
-                    residuals[(a, b, c)] = val
-    return report_from_residuals("conformal-bracket-compatibility", residuals)
+    q = non_metricity(A, Connection(A.rank, A.gamma), bundle.metric, bundle.theta)
+    return report_from_residuals("conformal-bracket-compatibility", dict(sorted(q.items())))

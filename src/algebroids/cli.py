@@ -28,6 +28,7 @@ from .calculus import (
 from .catalog import make_example
 from .connection import (
     Connection,
+    Metric,
     check_admissible,
     curvature,
     non_metricity,
@@ -36,6 +37,8 @@ from .connection import (
 from .core import FrameChange, change_frame, check_locality_projector, classify
 from .documents import (
     AlgebroidDocument,
+    _parse_entries,
+    _parse_matrix,
     document_to_obj,
     dump_document,
     load_document,
@@ -56,7 +59,7 @@ from .levicivita import (
 )
 from .parsing import parse_scalar
 from .reports import CheckReport
-from .scalars import get_term_budget, scalar_to_text, set_term_budget
+from .scalars import Scalar, get_term_budget, scalar_to_text, set_term_budget
 
 EXIT_OK = 0
 EXIT_IDENTITY_FAILED = 1
@@ -336,14 +339,18 @@ def cmd_compute(args: argparse.Namespace) -> int:
     return emitter.flush()
 
 
-def _parse_sparse_arg(text: str, names, arity: int, rank: int, what: str):
-    from .documents import _parse_entries
-
+def _json_arg(text: str, what: str):
     try:
-        raw = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"invalid JSON for {what}: {exc}") from exc
-    return _parse_entries(raw, names, arity, rank, what)
+
+
+def _matrix_arg(text: str, names, size: int):
+    raw = _json_arg(text, "--matrix")
+    if not isinstance(raw, list) or not all(isinstance(row, list) for row in raw):
+        raise DocumentError("--matrix must be a JSON list of lists")
+    return _parse_matrix(raw, names, size, size, "--matrix")
 
 
 def cmd_example(args: argparse.Namespace) -> int:
@@ -358,35 +365,33 @@ def cmd_example(args: argparse.Namespace) -> int:
     elif kind == "twisted_frame_lie":
         if not args.matrix:
             raise DocumentError("twisted_frame_lie needs --matrix")
-        rows = json.loads(args.matrix)
-        frame = [[parse_scalar(str(e), names) for e in row] for row in rows]
-        params = {"n": args.n, "frame": frame}
+        params = {"n": args.n, "frame": _matrix_arg(args.matrix, names, args.n)}
     elif kind == "courant_h_twisted":
         if not args.h:
             raise DocumentError("courant_h_twisted needs --h")
-        h = _parse_sparse_arg(args.h, names, 3, args.n, "h")
+        h = _parse_entries(_json_arg(args.h, "h"), names, 3, args.n, "h")
         params = {"n": args.n, "h": h}
     elif kind in ("metric_algebroid", "conformal_courant"):
         if not args.params:
             raise DocumentError(f"{kind} needs --params JSON")
-        raw = json.loads(args.params)
-        r = int(raw["rank"])
-        from .connection import Metric
-        from .scalars import Scalar
-
+        raw = _json_arg(args.params, "--params")
+        if not isinstance(raw, dict) or not isinstance(raw.get("rank"), int) or (
+            not isinstance(raw.get("metric"), list)
+        ):
+            raise DocumentError("--params must hold an integer rank and a metric list")
+        r = raw["rank"]
         zero = Scalar.zero(args.n)
         g = [[zero for _ in range(r)] for _ in range(r)]
-        for item in raw["metric"]:
-            a, b = (int(k) - 1 for k in item["idx"])
-            g[a][b] = parse_scalar(str(item["val"]), names)
+        for (a, b), val in _parse_entries(raw["metric"], names, 2, r, "metric").items():
+            g[a][b] = val
         metric = Metric(g)
-        gamma_antisym = _parse_sparse_arg(
-            json.dumps(raw.get("gamma_antisym", [])), names, 3, r, "gamma_antisym"
+        gamma_antisym = _parse_entries(
+            raw.get("gamma_antisym", []), names, 3, r, "gamma_antisym"
         )
         params = {"n": args.n, "gamma_antisym": gamma_antisym, "metric": metric}
         if kind == "conformal_courant":
             params["theta"] = tuple(
-                parse_scalar(str(t), names) for t in raw["theta"]
+                parse_scalar(str(t), names) for t in raw.get("theta", ())
             )
     else:
         raise DocumentError(f"unknown example kind {kind!r}")
@@ -424,14 +429,10 @@ def cmd_frame_change(args: argparse.Namespace) -> int:
     config = _config_from(args)
     doc = load_document(args.input)
     A = doc.algebroid
-    rows = json.loads(args.matrix)
-    frame = [[parse_scalar(str(e), A.coords) for e in row] for row in rows]
-    F = FrameChange.of(frame)
+    F = FrameChange.of(_matrix_arg(args.matrix, A.coords, A.rank))
     conn = doc.connection.coeff if doc.connection else None
     metric = doc.metric.g if doc.metric else None
     A2, conn2, metric2 = change_frame(A, F, conn, metric)
-    from .connection import Metric
-
     doc2 = AlgebroidDocument(
         algebroid=A2,
         metric=Metric(metric2) if metric2 is not None else None,

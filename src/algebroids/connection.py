@@ -6,12 +6,19 @@ Connection coefficients follow Gamma^a_bc = <e^a, D_{X_b} X_c>: the first
 lower index is the differentiation direction.  The connection one-form view
 omega^a_b with (omega^a_b)_c = Gamma^a_cb is an accessor, never a stored
 duplicate.
+
+``GeometryContext`` holds the values that depend only on one (algebroid,
+connection) pair: the admissibility report, the anholonomies, both
+torsions, the curvature and the brackets of a section with every frame
+element.  Each is computed on first use.  A public function builds a
+context when it is called and drops it when it returns, so no value
+outlives the call that computed it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Union
+from typing import Literal, Sequence, Union
 
 from .core import (
     AlgebroidData,
@@ -242,29 +249,30 @@ def modified_bracket(
     base = bracket(A, u, v)
     if not A.loc:
         return base
-    correction = _locality_correction(A, conn, u, v)
+    correction = _locality_correction(A, _frame_covariants(A, conn, u), v)
     if kind == "projected":
         correction = project_section(A, correction)
     return base.sub(correction)
 
 
+def _frame_covariants(
+    A: AlgebroidData, conn: Connection, u: Section
+) -> dict[tuple[int, int], Scalar]:
+    """The nonzero (D_{X_d} u)^e, keyed (d, e)."""
+    return {
+        (d, e): x
+        for d in range(A.rank)
+        for e, x in enumerate(covariant_derivative(A, conn, Section.frame(A, d), u).comp)
+        if not x.is_zero()
+    }
+
+
 def _locality_correction(
-    A: AlgebroidData, conn: Connection, u: Section, v: Section
+    A: AlgebroidData, deriv: dict[tuple[int, int], Scalar], v: Section
 ) -> Section:
-    """L(e^d, D_{X_d} u, v) summed over the frame index d."""
-    r = A.rank
-    # (D_{X_d} u)^e = rho^i_d d_i u^e + Gamma^e_df u^f
-    deriv: dict[tuple[int, int], Scalar] = {}
-    for d in range(r):
-        for e in range(r):
-            acc = A.frame_derive(d, u.comp[e])
-            for f in range(r):
-                g = conn.coeff.get((e, d, f))
-                if g is not None and not u.comp[f].is_zero():
-                    acc = acc + g * u.comp[f]
-            if not acc.is_zero():
-                deriv[(d, e)] = acc
-    out = [A.zero() for _ in range(r)]
+    """L(e^d, D_{X_d} u, v) summed over the frame index d, from the table
+    ``deriv = _frame_covariants(A, conn, u)``."""
+    out = [A.zero() for _ in range(A.rank)]
     for (c, d, e, b), lv in A.loc.items():
         w = deriv.get((d, e))
         if w is None:
@@ -275,38 +283,13 @@ def _locality_correction(
     return Section(tuple(out))
 
 
-def bracket_of_kind(
-    A: AlgebroidData,
-    conn: Connection | None,
-    u: Section,
-    v: Section,
-    kind: BracketKind,
-) -> Section:
-    if kind == "original":
-        return bracket(A, u, v)
-    if conn is None:
-        raise ShapeError("modified brackets need a connection")
-    return modified_bracket(A, conn, u, v, kind)  # type: ignore[arg-type]
-
-
 def torsion(
     A: AlgebroidData,
     conn: Connection,
     kind: Literal["modified", "projected"] = "modified",
 ) -> SparseArray:
     """Torsion components Gamma^a_bc - Gamma^a_cb - gamma(kind)^a_bc."""
-    anhol = modified_anholonomy(A, conn, kind)
-    out: SparseArray = {}
-    r = A.rank
-    for a in range(r):
-        for b in range(r):
-            for c in range(r):
-                v = conn.at(a, b, c, A.dim) - conn.at(a, c, b, A.dim) - anhol.get(
-                    (a, b, c), A.zero()
-                )
-                if not v.is_zero():
-                    out[(a, b, c)] = v
-    return out
+    return GeometryContext(A, conn).torsion(kind)
 
 
 def curvature(A: AlgebroidData, conn: Connection) -> SparseArray:
@@ -316,46 +299,26 @@ def curvature(A: AlgebroidData, conn: Connection) -> SparseArray:
     makes this operator tensorial, and defaulting to the identity would
     silently hide modelling errors.
     """
-    if A.proj is None:
-        raise ProjectorRequiredError("curvature requires a locality projector")
-    anhol = modified_anholonomy(A, conn, "projected")
-    r = A.rank
-    out: SparseArray = {}
-    for a in range(r):
-        for b in range(r):
-            for c in range(r):
-                for d in range(r):
-                    acc = A.frame_derive(b, conn.at(a, c, d, A.dim))
-                    acc = acc - A.frame_derive(c, conn.at(a, b, d, A.dim))
-                    for e in range(r):
-                        g_cd = conn.coeff.get((e, c, d))
-                        if g_cd is not None:
-                            t = conn.coeff.get((a, b, e))
-                            if t is not None:
-                                acc = acc + g_cd * t
-                        g_bd = conn.coeff.get((e, b, d))
-                        if g_bd is not None:
-                            t = conn.coeff.get((a, c, e))
-                            if t is not None:
-                                acc = acc - g_bd * t
-                        an = anhol.get((e, b, c))
-                        if an is not None:
-                            t = conn.coeff.get((a, e, d))
-                            if t is not None:
-                                acc = acc - an * t
-                    if not acc.is_zero():
-                        out[(a, b, c, d)] = acc
-    return out
+    return GeometryContext(A, conn).curvature()
 
 
-def non_metricity(A: AlgebroidData, conn: Connection, metric: Metric) -> SparseArray:
-    """Q_abc = rho(X_a)(g_bc) - Gamma^d_ab g_dc - Gamma^d_ac g_bd."""
+def non_metricity(
+    A: AlgebroidData,
+    conn: Connection,
+    metric: Metric,
+    theta: Sequence[Scalar] | None = None,
+) -> SparseArray:
+    """Q_abc = rho(X_a)(g_bc) - Gamma^d_ab g_dc - Gamma^d_ac g_bd, plus
+    theta_a g_bc when a scale one-form ``theta`` is given (the
+    scale-covariant compatibility of conformal Courant algebroids)."""
     r = A.rank
     out: SparseArray = {}
     for a in range(r):
         for b in range(r):
             for c in range(b, r):
                 acc = A.frame_derive(a, metric.at(b, c))
+                if theta is not None:
+                    acc = acc + theta[a] * metric.at(b, c)
                 for d in range(r):
                     g1 = conn.coeff.get((d, a, b))
                     if g1 is not None:
@@ -415,6 +378,119 @@ def check_admissible(A: AlgebroidData, conn: Connection) -> CheckReport:
 
 def is_admissible(A: AlgebroidData, conn: Connection) -> bool:
     return check_admissible(A, conn).passed
+
+
+class GeometryContext:
+    """Values of one (A, conn) pair, each computed on first use and kept
+    for the life of the context, one public call.  A memo keyed by a
+    section's id holds that section, so the id stays unique.  Returned
+    values are shared between callers and must not be mutated."""
+
+    def __init__(self, A: AlgebroidData, conn: Connection | None):
+        self.A = A
+        self.conn = conn
+        self._memo: dict = {}
+
+    def _need_conn(self) -> Connection:
+        if self.conn is None:
+            raise ShapeError("modified brackets need a connection")
+        return self.conn
+
+    def _cached(self, key, build, *held):
+        # held: the sections whose ids the key contains, kept alive with it
+        if key not in self._memo:
+            self._memo[key] = (build(), held)
+        return self._memo[key][0]
+
+    def admissibility(self) -> CheckReport:
+        return self._cached("admissible", lambda: check_admissible(self.A, self.conn))
+
+    def anholonomy(self, kind: AnholonomyKind) -> SparseArray:
+        return self._cached(
+            kind, lambda: modified_anholonomy(self.A, self._need_conn(), kind)
+        )
+
+    def torsion(self, kind: Literal["modified", "projected"]) -> SparseArray:
+        return self._cached(("torsion", kind), lambda: self._torsion(kind))
+
+    def curvature(self) -> SparseArray:
+        return self._cached("curvature", self._curvature)
+
+    def bracket(self, u: Section, v: Section, kind: BracketKind) -> Section:
+        """The original, modified or projected bracket of u and v."""
+        return self._cached((id(u), id(v), kind), lambda: self._bracket(u, v, kind), u, v)
+
+    def frame_brackets(self, v: Section, kind: BracketKind) -> list[Section]:
+        """[v, X_a] of the given kind for every frame index a."""
+        return self._cached((id(v), kind), lambda: self._frame_brackets(v, kind), v)
+
+    def _bracket(self, u: Section, v: Section, kind: BracketKind) -> Section:
+        if kind == "original":
+            return bracket(self.A, u, v)
+        return modified_bracket(self.A, self._need_conn(), u, v, kind)
+
+    def _frame_brackets(self, v: Section, kind: BracketKind) -> list[Section]:
+        # as modified_bracket builds each, with one D_{X_d} v table for all
+        A = self.A
+        frames = [Section.frame(A, a) for a in range(A.rank)]
+        out = [bracket(A, v, x) for x in frames]
+        if kind == "original" or not A.loc:
+            return out
+        deriv = _frame_covariants(A, self._need_conn(), v)
+        for a, x in enumerate(frames):
+            correction = _locality_correction(A, deriv, x)
+            if kind == "projected":
+                correction = project_section(A, correction)
+            out[a] = out[a].sub(correction)
+        return out
+
+    def _torsion(self, kind: Literal["modified", "projected"]) -> SparseArray:
+        A, conn = self.A, self.conn
+        anhol = self.anholonomy(kind)
+        out: SparseArray = {}
+        r = A.rank
+        for a in range(r):
+            for b in range(r):
+                for c in range(r):
+                    v = conn.at(a, b, c, A.dim) - conn.at(a, c, b, A.dim) - anhol.get(
+                        (a, b, c), A.zero()
+                    )
+                    if not v.is_zero():
+                        out[(a, b, c)] = v
+        return out
+
+    def _curvature(self) -> SparseArray:
+        A, conn = self.A, self.conn
+        if A.proj is None:
+            raise ProjectorRequiredError("curvature requires a locality projector")
+        anhol = self.anholonomy("projected")
+        r = A.rank
+        out: SparseArray = {}
+        for a in range(r):
+            for b in range(r):
+                for c in range(r):
+                    for d in range(r):
+                        acc = A.frame_derive(b, conn.at(a, c, d, A.dim))
+                        acc = acc - A.frame_derive(c, conn.at(a, b, d, A.dim))
+                        for e in range(r):
+                            g_cd = conn.coeff.get((e, c, d))
+                            if g_cd is not None:
+                                t = conn.coeff.get((a, b, e))
+                                if t is not None:
+                                    acc = acc + g_cd * t
+                            g_bd = conn.coeff.get((e, b, d))
+                            if g_bd is not None:
+                                t = conn.coeff.get((a, c, e))
+                                if t is not None:
+                                    acc = acc - g_bd * t
+                            an = anhol.get((e, b, c))
+                            if an is not None:
+                                t = conn.coeff.get((a, e, d))
+                                if t is not None:
+                                    acc = acc - an * t
+                        if not acc.is_zero():
+                            out[(a, b, c, d)] = acc
+        return out
 
 
 def difference_tensor(conn1: Connection, conn2: Connection, nvars: int) -> SparseArray:

@@ -25,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ShapeError
+from .errors import PoleError, ShapeError
 from .linalg import invert_matrix, kernel_basis, mat_mul
 from .reports import CheckReport, report_from_residuals
 from .scalars import Point, Scalar
@@ -561,7 +561,7 @@ def check_locality_projector(
             numeric = [
                 [entry.eval_at(pt) for entry in row] for row in A.anchor
             ]
-        except Exception:
+        except PoleError:
             continue  # pole at this sample, draw again
         checked += 1
         if _numeric_rank(numeric) != symbolic_rank:

@@ -16,9 +16,9 @@ from fractions import Fraction
 
 from .connection import (
     Connection,
+    GeometryContext,
     Metric,
     check_admissible,
-    modified_anholonomy,
     non_metricity,
     torsion,
 )
@@ -268,15 +268,15 @@ def decompose_connection(
 
     Returns (levi_civita_part, torsion_part, nonmetricity_part, report).
     """
-    adm = check_admissible(A, conn)
+    ctx = GeometryContext(A, conn)
+    adm = ctx.admissibility()
     if not adm.passed:
         raise AdmissibilityError(
             "decomposition requires an admissible connection", adm.residuals
         )
     r = A.rank
-    anhol = modified_anholonomy(A, conn, "modified")
-    lc = levicivita_frame(A, anhol, metric)
-    tor = torsion(A, conn, "modified")
+    lc = levicivita_frame(A, ctx.anholonomy("modified"), metric)
+    tor = ctx.torsion("modified")
     q = non_metricity(A, conn, metric)
     half = A.const(1) / A.const(2)
     contortion: SparseArray = {}

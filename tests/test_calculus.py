@@ -15,6 +15,7 @@ from algebroids import (
     Section,
     associator,
     bracket,
+    check_admissible,
     check_bianchi_algebraic,
     check_bianchi_differential,
     check_cartan_structure,
@@ -34,7 +35,7 @@ from algebroids import (
     wedge,
 )
 from algebroids.calculus import curvature_apply, second_covariant, seeded_sections
-from algebroids.connection import modified_bracket
+from algebroids.connection import _frame_covariants, _locality_correction, modified_bracket
 from algebroids.core import project_section
 from algebroids.fixtures import random_anticommutable, random_scalar, random_section
 
@@ -364,9 +365,7 @@ def test_curvature_from_second_covariant_for_torsion_free():
     for (u, v, w) in [tuple(sections), (frames[0], frames[1], frames[0])]:
         lhs = curvature_apply(A, curv, u, v, w)
         rhs = second_covariant(A, conn, u, v, w).sub(second_covariant(A, conn, v, u, w))
-        from algebroids.calculus import _general_locality_of_section
-
-        lsec = _general_locality_of_section(A, conn, u, v)
+        lsec = _locality_correction(A, _frame_covariants(A, conn, u), v)
         lsec = lsec.sub(project_section(A, lsec))
         rhs = rhs.sub(covariant_derivative(A, conn, lsec, w))
         assert lhs.sub(rhs).is_zero()
@@ -400,3 +399,57 @@ def test_magic_non_jacobi_skips_conditional_pair():
 def test_square_laws_random_fixture():
     fx = random_anticommutable(37, dim=2, rank=3)
     assert check_square_laws(fx.algebroid, fx.connection, samples=2).passed
+
+
+# -- the per-call geometry context ---------------------------------------------
+
+GATED_SUITES = {
+    "cartan": lambda A, conn: check_cartan_structure(A, conn),
+    "bianchi-projected": lambda A, conn: check_bianchi_algebraic(A, conn, "projected"),
+    "bianchi-general": lambda A, conn: check_bianchi_algebraic(A, conn, "general"),
+    "bianchi-differential": lambda A, conn: check_bianchi_differential(A, conn),
+    "magic": lambda A, conn: check_magic_and_derivations(A, conn, samples=2),
+    "square-laws": lambda A, conn: check_square_laws(A, conn, samples=2),
+}
+
+
+def pushed_off(A, conn):
+    """The connection with 1 added to the first coefficient, among those
+    that meet the locality operator, that breaks admissibility."""
+    for (c, d, e, b) in sorted(A.loc):
+        for a in range(A.rank):
+            coeff = dict(conn.coeff)
+            coeff[(e, d, a)] = coeff.get((e, d, a), A.zero()) + A.one()
+            bad = Connection.of(A.rank, coeff)
+            if not check_admissible(A, bad).passed:
+                return bad
+    raise AssertionError("no perturbation leaves admissibility")
+
+
+@pytest.mark.parametrize("suite", sorted(GATED_SUITES))
+def test_gated_suite_checks_admissibility_once(suite, monkeypatch):
+    import algebroids.connection as connection_module
+
+    fx = random_anticommutable(6, dim=1, rank=2)
+    assert fx.algebroid.loc
+    calls = []
+    original = connection_module.check_admissible
+
+    def counting(A, conn):
+        calls.append(conn)
+        return original(A, conn)
+
+    monkeypatch.setattr(connection_module, "check_admissible", counting)
+    GATED_SUITES[suite](fx.algebroid, fx.connection)
+    assert calls == [fx.connection]
+
+
+@pytest.mark.parametrize("suite", sorted(GATED_SUITES))
+def test_gated_suite_refuses_a_connection_pushed_off_admissibility(suite):
+    fx = random_anticommutable(6, dim=1, rank=2)
+    A = fx.algebroid
+    # nothing carries over from a call on the admissible connection
+    GATED_SUITES[suite](A, fx.connection)
+    with pytest.raises(AdmissibilityError) as err:
+        GATED_SUITES[suite](A, pushed_off(A, fx.connection))
+    assert err.value.residuals

@@ -19,6 +19,7 @@ from algebroids import (
     classify,
     make_example,
     non_metricity,
+    scalar_to_text,
     specialized_admissibility,
 )
 from algebroids.catalog import check_conformal_compatibility, higher_compatibility_residual
@@ -363,3 +364,47 @@ def test_courant_full_identity_suite(courant1):
     assert check_bianchi_differential(A, conn).passed
     assert check_ricci(A, conn, samples=2).passed
     assert check_magic_and_derivations(A, conn, samples=2).passed
+
+
+def theta_compatibility_reference(A, coeff, g, theta):
+    """rho_a(g_bc) + theta_a g_bc - C^e_ab g_ec - C^e_ac g_be on every
+    frame triple, written out independently of ``non_metricity``."""
+    out = {}
+    for a, b, c in itertools.product(range(A.rank), repeat=3):
+        val = A.frame_derive(a, g.at(b, c)) + theta[a] * g.at(b, c)
+        for e in range(A.rank):
+            val = val - coeff.get((e, a, b), A.zero()) * g.at(e, c)
+            val = val - coeff.get((e, a, c), A.zero()) * g.at(b, e)
+        if not val.is_zero():
+            out[(a, b, c)] = scalar_to_text(val, A.coords)
+    return out
+
+
+def test_conformal_reports_follow_the_theta_shifted_non_metricity():
+    names = ("x1", "x2")
+    zero = Scalar.zero(2)
+    g = Metric([[scal("1", names), zero], [zero, scal("1 + x2^2", names)]])
+    theta = (scal("x1", names), scal("2", names))
+    bundle = make_example(
+        "conformal_courant", n=2, gamma_antisym={(0, 0, 1): scal("x2", names)},
+        metric=g, theta=theta,
+    )
+    A = bundle.algebroid
+    conn = Connection.of(
+        2, {(0, 0, 1): scal("x1*x2", names), (1, 1, 0): scal("3", names)}
+    )
+    report = specialized_admissibility(bundle, conn)
+    got = {
+        at[1:]: scalar_to_text(v, names)
+        for at, v in report.residuals
+        if at[0] == "scale-nonmetricity"
+    }
+    want = theta_compatibility_reference(A, conn.coeff, g, theta)
+    assert want and got == want
+    assert "specific=False" in report.assumptions[-1]
+
+    report = check_conformal_compatibility(bundle)
+    got = [(at, scalar_to_text(v, names)) for at, v in report.residuals]
+    want = theta_compatibility_reference(A, A.gamma, g, theta)
+    assert want and got == list(want.items())
+    assert not report.passed

@@ -276,3 +276,26 @@ def test_general_bianchi_line_never_gates(tmp_path):
     failing = [obj for obj in lines if obj.get("pass") is False]
     assert [obj["identity"] for obj in failing] == ["bianchi-algebraic-general"]
     assert failing[0]["residuals"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("example", "twisted_frame_lie", "--matrix", "[[1,0],[0"),
+        ("example", "twisted_frame_lie", "--matrix", "[1, 0]"),
+        ("example", "twisted_frame_lie", "--matrix", '{"a": 1}'),
+        ("example", "twisted_frame_lie", "--matrix", "[[1, 0]]"),
+        ("example", "metric_algebroid", "--params", '{"rank": 2'),
+        ("example", "metric_algebroid", "--params", "[]"),
+        ("example", "metric_algebroid", "--params", '{"rank": 2}'),
+        ("example", "conformal_courant", "--params", '{"metric": []}'),
+        ("frame-change", "HALFPLANE", "--matrix", "[[1,0],[0"),
+        ("frame-change", "HALFPLANE", "--matrix", '"x1"'),
+    ],
+)
+def test_malformed_json_argument_exit_2(args, halfplane_doc, capsys):
+    args = [halfplane_doc if a == "HALFPLANE" else a for a in args]
+    assert cli_main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err

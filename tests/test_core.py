@@ -1,6 +1,7 @@
 """Bracket engine, form algebra, classification, projector and frame changes."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,6 +10,7 @@ from algebroids import (
     Connection,
     EForm,
     FrameChange,
+    PoleError,
     Scalar,
     Section,
     ShapeError,
@@ -347,3 +349,28 @@ def test_torsion_tensorial_anholonomy_not(tangent2):
                 if not A2.gamma_at(a, b, c).equals(want_g):
                     violations += 1
     assert violations > 0
+
+
+def test_projector_sampling_skips_an_anchor_pole(monkeypatch):
+    # the first sample point is a pole of the anchor; it is drawn again
+    rng = random.Random(0)
+    first = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+    names = ("x1",)
+    anchor = scal(f"1/(x1 - ({first}))", names)
+    A = AlgebroidData(
+        dim=1, rank=1, coords=names, anchor=((anchor,),),
+        gamma={}, loc={}, proj=((Scalar.one(1),),),
+    )
+    with pytest.raises(PoleError):
+        anchor.eval_at((first,))
+    report = check_locality_projector(A, seed=0)
+    assert report.passed
+    assert not any("differs" in a for a in report.assumptions)
+
+    # an evaluation that fails for another reason is not a pole
+    def broken(self, point):
+        raise ZeroDivisionError("not a pole")
+
+    monkeypatch.setattr(Scalar, "eval_at", broken)
+    with pytest.raises(ZeroDivisionError):
+        check_locality_projector(A, seed=0)
