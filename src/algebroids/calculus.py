@@ -11,8 +11,10 @@ the zero scalar.
 
 Each public verifier and derivative builds one ``GeometryContext`` for its
 (algebroid, connection) and passes it down, so the admissibility gate, the
-anholonomies, torsions, curvature and frame brackets are computed once per
-call; the context is dropped when the call returns.
+anholonomies, torsions, curvature, brackets and the D_{X_d} u table of each
+section are computed once per call; the context is dropped when the call
+returns.  Every modified or projected bracket and every locality correction
+here comes from the context.
 """
 
 from __future__ import annotations
@@ -24,11 +26,8 @@ from typing import Literal
 from .connection import (
     Connection,
     GeometryContext,
-    _frame_covariants,
-    _locality_correction,
     covariant_derivative,
     frame_covariant_tensor,
-    modified_bracket,
 )
 from .core import (
     AlgebroidData,
@@ -344,27 +343,14 @@ def _bianchi_projected(
     curv = ctx.curvature()
     tor_hat = ctx.torsion("projected")
     nabla_t = covariant_tensor_array(A, conn, tor_hat, 1, 2)
-    frames = [Section.frame(A, a) for a in range(r)]
-
     # nested bracket tables over the projected modified bracket:
     # outer_left[(b, c, d)] = [[X_b, X_c], X_d] and
     # outer_right[(b, c, d)] = [X_b, [X_c, X_d]]
-    anhol = ctx.anholonomy("projected")
-    inner_sections = {
-        (b, c): Section(tuple(anhol.get((e, b, c), A.zero()) for e in range(r)))
-        for b in range(r)
-        for c in range(r)
+    inner_sections, outer_left = _nested_brackets(ctx, "projected")
+    outer_right = {
+        (b, c, d): ctx.bracket(ctx.frames[b], inner_sections[(c, d)], "projected")
+        for (b, c, d) in itertools.product(range(r), repeat=3)
     }
-    outer_left: dict[tuple[int, int, int], Section] = {}
-    outer_right: dict[tuple[int, int, int], Section] = {}
-    for b in range(r):
-        for c in range(r):
-            left = ctx.frame_brackets(inner_sections[(b, c)], "projected")
-            for d in range(r):
-                outer_left[(b, c, d)] = left[d]
-                outer_right[(b, c, d)] = modified_bracket(
-                    A, conn, frames[b], inner_sections[(c, d)], "projected"
-                )
 
     # first identity; the nested-bracket term is the cyclic sum of
     # [u, [v, w]], the combination the direct expansion produces
@@ -419,9 +405,26 @@ def _bianchi_projected(
     )
 
 
+def _nested_brackets(ctx: GeometryContext, kind: DerivativeKind):
+    """[X_b, X_c] of the given kind, read off its anholonomy and keyed
+    (b, c), and [[X_b, X_c], X_d], keyed (b, c, d)."""
+    A, r = ctx.A, ctx.A.rank
+    anhol = ctx.anholonomy(kind)
+    inners = {
+        (b, c): Section(tuple(anhol.get((e, b, c), A.zero()) for e in range(r)))
+        for b in range(r)
+        for c in range(r)
+    }
+    outer = {
+        (b, c, d): ctx.frame_brackets(inners[(b, c)], kind)[d]
+        for (b, c, d) in itertools.product(range(r), repeat=3)
+    }
+    return inners, outer
+
+
 def _complement_locality(ctx: GeometryContext, u: Section, v: Section) -> Section:
     """(1 - P) L(e^d, D_{X_d} u, v)."""
-    lsec = _locality_correction(ctx.A, _frame_covariants(ctx.A, ctx.conn, u), v)
+    lsec = ctx.correction(u, v)
     return lsec.sub(project_section(ctx.A, lsec))
 
 
@@ -433,20 +436,36 @@ def _bianchi_general(ctx: GeometryContext) -> CheckReport:
     curv = ctx.curvature()
     tor = ctx.torsion("modified")
     nabla_t = covariant_tensor_array(A, conn, tor, 1, 2)
-    frames = [Section.frame(A, a) for a in range(r)]
-    anhol = ctx.anholonomy("modified")
+    frames = ctx.frames
+    triples = list(itertools.product(range(r), repeat=3))
     complement = {
         (u, v): _complement_locality(ctx, frames[u], frames[v])
         for u in range(r)
         for v in range(r)
     }
-    inners, double = {}, {}
-    for b in range(r):
-        for c in range(r):
-            inner = Section(tuple(anhol.get((e, b, c), A.zero()) for e in range(r)))
-            inners[(b, c)] = inner
-            for d, br in enumerate(ctx.frame_brackets(inner, "modified")):
-                double[(b, c, d)] = br
+    inners, double = _nested_brackets(ctx, "modified")
+    # sections whose a-th components the identities read: D_comp X_w with
+    # comp = complement[(u, v)], keyed (u, v, w)
+    along = {
+        (u, v, w): covariant_derivative(A, conn, complement[(u, v)], frames[w])
+        for (u, v, w) in triples
+    }
+    # D_u D_comp w' - D_comp D_u w', keyed (u, v, e2)
+    swapped = {
+        (u, v, e2): covariant_derivative(A, conn, frames[u], along[(u, v, e2)]).sub(
+            covariant_derivative(
+                A, conn, complement[(u, v)],
+                covariant_derivative(A, conn, frames[u], frames[e2]),
+            )
+        )
+        for (u, v, e2) in triples
+    }
+    # D_{(1-P) L(e^a, D_{X_a}[v,w]^mod, u)} w', keyed (u, v, w, e2)
+    shifted = {}
+    for u, v, w in triples:
+        lsec = _complement_locality(ctx, inners[(v, w)], frames[u])
+        for e2 in range(r):
+            shifted[(u, v, w, e2)] = covariant_derivative(A, conn, lsec, frames[e2])
 
     for b in range(r):
         for c in range(r):
@@ -463,9 +482,7 @@ def _bianchi_general(ctx: GeometryContext) -> CheckReport:
                                 t2 = tor.get((a, e, w))
                                 if t2 is not None:
                                     rhs = rhs + t1 * t2
-                        rhs = rhs + covariant_derivative(
-                            A, conn, complement[(u, v)], frames[w]
-                        ).comp[a]
+                        rhs = rhs + along[(u, v, w)].comp[a]
                         rhs = rhs + double[(u, v, w)].comp[a]
                     val = lhs - rhs
                     if not val.is_zero():
@@ -487,22 +504,8 @@ def _bianchi_general(ctx: GeometryContext) -> CheckReport:
                                     t2 = curv.get((a, u, f, e2))
                                     if t2 is not None:
                                         rhs = rhs + t1 * t2
-                            comp = complement[(u, v)]
-                            # D_u D_comp w' - D_comp D_u w'
-                            term = covariant_derivative(
-                                A, conn, frames[u],
-                                covariant_derivative(A, conn, comp, frames[e2]),
-                            ).comp[a]
-                            term = term - covariant_derivative(
-                                A, conn, comp,
-                                covariant_derivative(A, conn, frames[u], frames[e2]),
-                            ).comp[a]
-                            rhs = rhs + term
-                            # - D_{(1-P) L(e^a, D_{X_a}[v,w]^mod, u)} w'
-                            lsec = _complement_locality(ctx, inners[(v, w)], frames[u])
-                            rhs = rhs - covariant_derivative(
-                                A, conn, lsec, frames[e2]
-                            ).comp[a]
+                            rhs = rhs + swapped[(u, v, e2)].comp[a]
+                            rhs = rhs - shifted[(u, v, w, e2)].comp[a]
                             for f in range(r):
                                 db = double[(u, v, w)].comp[f]
                                 if not db.is_zero():
@@ -636,7 +639,7 @@ def check_ricci(
     residuals: dict[tuple, Scalar] = {}
     curv = ctx.curvature()
     tor = ctx.torsion("modified")
-    frames = [Section.frame(A, a) for a in range(A.rank)]
+    frames = ctx.frames
 
     def residual(u: Section, v: Section, w: Section) -> Section:
         lhs = second_covariant(A, conn, u, v, w).sub(
@@ -752,7 +755,7 @@ def check_magic_and_derivations(
             add_form_residual(("graded-leibniz", kind, k), lhs.sub(rhs))
 
     # conditional pair: only valid when the bracket's associator vanishes
-    frames = [Section.frame(A, a) for a in range(A.rank)]
+    frames = ctx.frames
     gate_sections = seeded_sections(A, seed + 9, 6, degree)
     for kind in ("original", "modified", "projected"):
         assoc_zero = True

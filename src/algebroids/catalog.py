@@ -211,6 +211,48 @@ def make_courant_h_twisted(n: int, h: SparseArray) -> ExampleBundle:
     return ExampleBundle(kind="courant_h_twisted", algebroid=A2, metric=base.metric)
 
 
+def _pairing_algebroid(
+    n: int,
+    gamma_antisym: SparseArray,
+    metric: Metric,
+    anchor: tuple[tuple[Scalar, ...], ...] | None,
+    theta: Sequence[Scalar] | None = None,
+) -> AlgebroidData:
+    """The pairing algebroid whose bracket has the given antisymmetric part
+    and the symmetric part gamma^c_(ab) = (1/2) g^{cd} (rho_d(g_ab)
+    + theta_d g_ab), with no theta term when ``theta`` is None."""
+    r = metric.rank
+    if anchor is None:
+        anchor = _projection_anchor(n, r, min(n, r))
+    A0 = AlgebroidData(
+        dim=n, rank=r, coords=_chart(n), anchor=anchor, gamma={}, loc={}
+    )
+    half = Scalar.constant(n, Fraction(1, 2))
+    gamma: SparseArray = dict(sparse_clean(gamma_antisym))
+    for a in range(r):
+        for b in range(r):
+            gab = metric.at(a, b)
+            for c in range(r):
+                sym = Scalar.zero(n)
+                for d in range(r):
+                    gi = metric.inv_at(c, d)
+                    if gi.is_zero():
+                        continue
+                    dg = A0.frame_derive(d, gab)
+                    if theta is not None:
+                        dg = dg + theta[d] * gab
+                    sym = sym + gi * dg
+                sym = half * sym
+                if not sym.is_zero():
+                    key = (c, a, b)
+                    s = gamma.get(key)
+                    gamma[key] = sym if s is None else s + sym
+    return AlgebroidData(
+        dim=n, rank=r, coords=_chart(n), anchor=anchor,
+        gamma=sparse_clean(gamma), loc=pairing_locality(metric, n), proj=None,
+    )
+
+
 def make_metric_algebroid(
     n: int,
     gamma_antisym: SparseArray,
@@ -219,33 +261,7 @@ def make_metric_algebroid(
 ) -> ExampleBundle:
     """Bracket whose symmetric part is forced by the metric:
     gamma^c_(ab) = (1/2) g^{cd} rho_d(g_ab)."""
-    r = metric.rank
-    if anchor is None:
-        anchor = _projection_anchor(n, r, min(n, r))
-    A0 = AlgebroidData(
-        dim=n, rank=r, coords=_chart(n), anchor=anchor, gamma={}, loc={}
-    )
-    half = Scalar.constant(n, Fraction(1, 2))
-    gamma: SparseArray = {}
-    for (c, a, b), v in sparse_clean(gamma_antisym).items():
-        gamma[(c, a, b)] = v
-    for a in range(r):
-        for b in range(r):
-            for c in range(r):
-                sym = Scalar.zero(n)
-                for d in range(r):
-                    gi = metric.inv_at(c, d)
-                    if not gi.is_zero():
-                        sym = sym + gi * A0.frame_derive(d, metric.at(a, b))
-                sym = half * sym
-                if not sym.is_zero():
-                    key = (c, a, b)
-                    s = gamma.get(key)
-                    gamma[key] = sym if s is None else s + sym
-    A = AlgebroidData(
-        dim=n, rank=r, coords=_chart(n), anchor=anchor,
-        gamma=sparse_clean(gamma), loc=pairing_locality(metric, n), proj=None,
-    )
+    A = _pairing_algebroid(n, gamma_antisym, metric, anchor)
     return ExampleBundle(kind="metric_algebroid", algebroid=A, metric=metric)
 
 
@@ -333,35 +349,9 @@ def make_conformal_courant(
     """Line-bundle-valued pairing on a trivialized line bundle: the scale
     connection is the component list theta_a, and the bracket's symmetric
     part is gamma^c_(ab) = (1/2) g^{cd} (rho_d(g_ab) + theta_d g_ab)."""
-    r = metric.rank
-    if len(theta) != r:
+    if len(theta) != metric.rank:
         raise ShapeError("theta must have one component per frame slot")
-    if anchor is None:
-        anchor = _projection_anchor(n, r, min(n, r))
-    A0 = AlgebroidData(
-        dim=n, rank=r, coords=_chart(n), anchor=anchor, gamma={}, loc={}
-    )
-    half = Scalar.constant(n, Fraction(1, 2))
-    gamma: SparseArray = dict(sparse_clean(gamma_antisym))
-    for a in range(r):
-        for b in range(r):
-            gab = metric.at(a, b)
-            for c in range(r):
-                sym = Scalar.zero(n)
-                for d in range(r):
-                    gi = metric.inv_at(c, d)
-                    if gi.is_zero():
-                        continue
-                    sym = sym + gi * (A0.frame_derive(d, gab) + theta[d] * gab)
-                sym = half * sym
-                if not sym.is_zero():
-                    key = (c, a, b)
-                    s = gamma.get(key)
-                    gamma[key] = sym if s is None else s + sym
-    A = AlgebroidData(
-        dim=n, rank=r, coords=_chart(n), anchor=anchor,
-        gamma=sparse_clean(gamma), loc=pairing_locality(metric, n), proj=None,
-    )
+    A = _pairing_algebroid(n, gamma_antisym, metric, anchor, theta)
     return ExampleBundle(
         kind="conformal_courant", algebroid=A, metric=metric, theta=tuple(theta)
     )

@@ -348,7 +348,7 @@ def _json_arg(text: str, what: str):
 
 def _matrix_arg(text: str, names, size: int):
     raw = _json_arg(text, "--matrix")
-    if not isinstance(raw, list) or not all(isinstance(row, list) for row in raw):
+    if raw is None:
         raise DocumentError("--matrix must be a JSON list of lists")
     return _parse_matrix(raw, names, size, size, "--matrix")
 
@@ -390,9 +390,10 @@ def cmd_example(args: argparse.Namespace) -> int:
         )
         params = {"n": args.n, "gamma_antisym": gamma_antisym, "metric": metric}
         if kind == "conformal_courant":
-            params["theta"] = tuple(
-                parse_scalar(str(t), names) for t in raw.get("theta", ())
-            )
+            theta = raw.get("theta", [])
+            if not isinstance(theta, list):
+                raise DocumentError(f"theta must be a list, got {theta!r}")
+            params["theta"] = tuple(parse_scalar(str(t), names) for t in theta)
     else:
         raise DocumentError(f"unknown example kind {kind!r}")
     bundle = make_example(kind, **params)

@@ -7,12 +7,18 @@ lower index is the differentiation direction.  The connection one-form view
 omega^a_b with (omega^a_b)_c = Gamma^a_cb is an accessor, never a stored
 duplicate.
 
+The Gamma.L contraction is one loop, ``_contract``: ``locality_contraction``
+over ``A.loc``, and ``modified_anholonomy`` is gamma minus it over the
+kind's locality array.
+
 ``GeometryContext`` holds the values that depend only on one (algebroid,
 connection) pair: the admissibility report, the anholonomies, both
-torsions, the curvature and the brackets of a section with every frame
-element.  Each is computed on first use.  A public function builds a
-context when it is called and drops it when it returns, so no value
-outlives the call that computed it.
+torsions, the curvature, each section's D_{X_d} u table and brackets of
+sections, each computed on first use.  It is the one place that builds a
+modified or projected bracket: the bracket minus ``core._locality_correction``
+of the D_{X_d} u table, projected for the projected kind.  A public
+function builds a context when it is called and drops it when it returns,
+so no value outlives the call that computed it.
 """
 
 from __future__ import annotations
@@ -26,8 +32,10 @@ from .core import (
     ETensor,
     Section,
     SparseArray,
+    _locality_correction,
     bracket,
     project_section,
+    projected_locality,
     sparse_clean,
 )
 from .errors import ProjectorRequiredError, ShapeError, SingularMatrixError
@@ -196,46 +204,16 @@ def frame_covariant_tensor(
     return sparse_clean(out)
 
 
-def projected_locality(A: AlgebroidData) -> SparseArray:
-    """The locality array with the projector applied to the output slot."""
-    if A.proj is None:
-        raise ProjectorRequiredError("locality projector required")
-    out: SparseArray = {}
-    for (a1, d, e, c), lv in A.loc.items():
-        for a in range(A.rank):
-            p = A.proj[a][a1]
-            if p.is_zero():
-                continue
-            t = p * lv
-            if t.is_zero():
-                continue
-            key = (a, d, e, c)
-            s = out.get(key)
-            out[key] = t if s is None else s + t
-    return sparse_clean(out)
-
-
 def modified_anholonomy(
     A: AlgebroidData, conn: Connection, kind: AnholonomyKind = "modified"
 ) -> SparseArray:
     """Anholonomy of the (projected) modified bracket:
-    gamma^a_bc - Gamma^e_db Lhat^{a d}_{e c}."""
+    gamma^a_bc - Gamma^e_db Lhat^{a d}_{e c}, gamma minus the locality
+    contraction over A.loc or, for "projected", the projected locality."""
     if kind == "plain":
         return dict(A.gamma)
     loc = A.loc if kind == "modified" else projected_locality(A)
-    out = dict(A.gamma)
-    for (a, d, e, c), lv in loc.items():
-        for b in range(A.rank):
-            g = conn.coeff.get((e, d, b))
-            if g is None:
-                continue
-            t = g * lv
-            if t.is_zero():
-                continue
-            key = (a, b, c)
-            s = out.get(key)
-            out[key] = -t if s is None else s - t
-    return sparse_clean(out)
+    return _contract(loc, conn, A.rank, A.gamma)
 
 
 def modified_bracket(
@@ -246,13 +224,7 @@ def modified_bracket(
     kind: Literal["modified", "projected"] = "modified",
 ) -> Section:
     """[u, v] minus the locality correction L(e^a, D_{X_a} u, v)."""
-    base = bracket(A, u, v)
-    if not A.loc:
-        return base
-    correction = _locality_correction(A, _frame_covariants(A, conn, u), v)
-    if kind == "projected":
-        correction = project_section(A, correction)
-    return base.sub(correction)
+    return GeometryContext(A, conn).bracket(u, v, kind)
 
 
 def _frame_covariants(
@@ -265,22 +237,6 @@ def _frame_covariants(
         for e, x in enumerate(covariant_derivative(A, conn, Section.frame(A, d), u).comp)
         if not x.is_zero()
     }
-
-
-def _locality_correction(
-    A: AlgebroidData, deriv: dict[tuple[int, int], Scalar], v: Section
-) -> Section:
-    """L(e^d, D_{X_d} u, v) summed over the frame index d, from the table
-    ``deriv = _frame_covariants(A, conn, u)``."""
-    out = [A.zero() for _ in range(A.rank)]
-    for (c, d, e, b), lv in A.loc.items():
-        w = deriv.get((d, e))
-        if w is None:
-            continue
-        t = w * v.comp[b]
-        if not t.is_zero():
-            out[c] = out[c] + t * lv
-    return Section(tuple(out))
 
 
 def torsion(
@@ -336,15 +292,25 @@ def non_metricity(
 def locality_contraction(A: AlgebroidData, conn: Connection) -> SparseArray:
     """Frame components of L(e^d, D_{X_d} u, v): the map A(u, v) that turns
     a connection into an anti-commutable bracket."""
-    out: SparseArray = {}
-    for (c, d, e, b), lv in A.loc.items():
-        for a in range(A.rank):
+    return _contract(A.loc, conn, A.rank)
+
+
+def _contract(
+    loc: SparseArray, conn: Connection, rank: int, minuend: SparseArray | None = None
+) -> SparseArray:
+    """Gamma^e_da L^{c d}_{e b} at (c, a, b), summed over d and e; given a
+    minuend, the minuend minus that contraction, one term at a time."""
+    out = dict(minuend or {})
+    for (c, d, e, b), lv in loc.items():
+        for a in range(rank):
             g = conn.coeff.get((e, d, a))
             if g is None:
                 continue
             t = g * lv
             if t.is_zero():
                 continue
+            if minuend is not None:
+                t = -t
             key = (c, a, b)
             s = out.get(key)
             out[key] = t if s is None else s + t
@@ -389,6 +355,7 @@ class GeometryContext:
     def __init__(self, A: AlgebroidData, conn: Connection | None):
         self.A = A
         self.conn = conn
+        self.frames = [Section.frame(A, a) for a in range(A.rank)]
         self._memo: dict = {}
 
     def _need_conn(self) -> Connection:
@@ -422,27 +389,28 @@ class GeometryContext:
 
     def frame_brackets(self, v: Section, kind: BracketKind) -> list[Section]:
         """[v, X_a] of the given kind for every frame index a."""
-        return self._cached((id(v), kind), lambda: self._frame_brackets(v, kind), v)
+        return self._cached(
+            (id(v), kind), lambda: [self.bracket(v, x, kind) for x in self.frames], v
+        )
+
+    def _covariants(self, u: Section) -> dict[tuple[int, int], Scalar]:
+        """The nonzero (D_{X_d} u)^e, keyed (d, e), built once per section."""
+        return self._cached(
+            ("D", id(u)), lambda: _frame_covariants(self.A, self._need_conn(), u), u
+        )
+
+    def correction(self, u: Section, v: Section) -> Section:
+        """The modified bracket's locality correction L(e^d, D_{X_d} u, v)."""
+        return _locality_correction(self.A, self._covariants(u), v)
 
     def _bracket(self, u: Section, v: Section, kind: BracketKind) -> Section:
-        if kind == "original":
-            return bracket(self.A, u, v)
-        return modified_bracket(self.A, self._need_conn(), u, v, kind)
-
-    def _frame_brackets(self, v: Section, kind: BracketKind) -> list[Section]:
-        # as modified_bracket builds each, with one D_{X_d} v table for all
-        A = self.A
-        frames = [Section.frame(A, a) for a in range(A.rank)]
-        out = [bracket(A, v, x) for x in frames]
-        if kind == "original" or not A.loc:
-            return out
-        deriv = _frame_covariants(A, self._need_conn(), v)
-        for a, x in enumerate(frames):
-            correction = _locality_correction(A, deriv, x)
-            if kind == "projected":
-                correction = project_section(A, correction)
-            out[a] = out[a].sub(correction)
-        return out
+        base = bracket(self.A, u, v)
+        if kind == "original" or not self.A.loc:
+            return base
+        correction = self.correction(u, v)
+        if kind == "projected":
+            correction = project_section(self.A, correction)
+        return base.sub(correction)
 
     def _torsion(self, kind: Literal["modified", "projected"]) -> SparseArray:
         A, conn = self.A, self.conn

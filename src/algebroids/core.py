@@ -17,6 +17,11 @@ extension of the frame data by the right- and left-Leibniz rules:
 
     [u, v]^c = u^a v^b gamma^c_ab + u^a rho^i_a d_i(v^c) - v^b rho^i_b d_i(u^c)
                + rho^i_d d_i(u^a) v^b L^{c d}_{a b}
+
+The last term is ``_locality_correction``, the one section-valued
+contraction with the locality operator, which the modified bracket reuses
+with D_{X_d} u in place of rho_d(u); ``projected_locality`` is the
+locality array with the projector applied to its output slot.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PoleError, ShapeError
+from .errors import PoleError, ProjectorRequiredError, ShapeError
 from .linalg import invert_matrix, kernel_basis, mat_mul
 from .reports import CheckReport, report_from_residuals
 from .scalars import Point, Scalar
@@ -387,24 +392,57 @@ def bracket(A: AlgebroidData, u: Section, v: Section) -> Section:
         out[c] = out[c] + A.section_derive(u, v.comp[c]) - A.section_derive(v, u.comp[c])
 
     # locality term rho^i_d d_i(u^a) v^b L^{c d}_{a b}
-    if A.loc:
-        du: dict[tuple[int, int], Scalar] = {}
-        for a in range(r):
-            ua = u.comp[a]
-            if ua.is_zero():
-                continue
-            for d in range(r):
-                val = A.frame_derive(d, ua)
-                if not val.is_zero():
-                    du[(d, a)] = val
-        for (c, d, a, b), lv in A.loc.items():
-            g = du.get((d, a))
-            if g is None:
-                continue
-            t = g * v.comp[b]
-            if not t.is_zero():
-                out[c] = out[c] + t * lv
+    if not A.loc:
+        return Section(tuple(out))
+    du = {
+        (d, a): val
+        for a, ua in enumerate(u.comp)
+        if not ua.is_zero()
+        for d in range(r)
+        if not (val := A.frame_derive(d, ua)).is_zero()
+    }
+    return _locality_correction(A, du, v, out)
+
+
+def _locality_correction(
+    A: AlgebroidData,
+    table: dict[tuple[int, int], Scalar],
+    v: Section,
+    start: list[Scalar] | None = None,
+) -> Section:
+    """L^{c d}_{e b} table[(d, e)] v^b X_c summed over d, e and b, added
+    term by term onto ``start`` when given.  With table[(d, e)] =
+    rho_d(u^e) this is the bracket's locality term; with the components
+    (D_{X_d} u)^e it is L(e^d, D_{X_d} u, v), the modified bracket's
+    correction."""
+    out = list(start) if start is not None else [A.zero()] * A.rank
+    for (c, d, e, b), lv in A.loc.items():
+        w = table.get((d, e))
+        if w is None:
+            continue
+        t = w * v.comp[b]
+        if not t.is_zero():
+            out[c] = out[c] + t * lv
     return Section(tuple(out))
+
+
+def projected_locality(A: AlgebroidData) -> SparseArray:
+    """The locality array with the projector applied to the output slot."""
+    if A.proj is None:
+        raise ProjectorRequiredError("locality projector required")
+    out: SparseArray = {}
+    for (a1, d, e, c), lv in A.loc.items():
+        for a in range(A.rank):
+            p = A.proj[a][a1]
+            if p.is_zero():
+                continue
+            t = p * lv
+            if t.is_zero():
+                continue
+            key = (a, d, e, c)
+            s = out.get(key)
+            out[key] = t if s is None else s + t
+    return sparse_clean(out)
 
 
 def coboundary(A: AlgebroidData, f: Scalar) -> EForm:
@@ -524,7 +562,9 @@ def check_locality_projector(
     if A.proj is None:
         raise ShapeError("no locality projector present")
     residuals: dict[tuple, Scalar] = {}
-    # condition 1: rho^i_a (P L)^a_{(d e c)} = 0
+    # condition 1: rho^i_a (P L)^a_{(d e c)} = 0.  Kept as its own loop:
+    # reading P L from projected_locality sums the same terms in another
+    # order, which changes the printed text of failing rational residuals.
     for (aa, d, e, c), lv in A.loc.items():
         for a in range(A.rank):
             p = A.proj_at(a, aa)

@@ -40,6 +40,8 @@ class AlgebroidDocument:
 def _parse_entries(
     raw, names, arity: int, rank: int, what: str
 ) -> SparseArray:
+    if raw is not None and not isinstance(raw, list):
+        raise DocumentError(f"{what} block must be a list, got {raw!r}")
     out: SparseArray = {}
     for item in raw or []:
         try:
@@ -58,6 +60,8 @@ def _parse_entries(
 def _parse_matrix(raw, names, nrows: int, ncols: int, what: str):
     if raw is None:
         return None
+    if not isinstance(raw, list) or not all(isinstance(row, list) for row in raw):
+        raise DocumentError(f"{what} must be a list of lists")
     if len(raw) != nrows or any(len(row) != ncols for row in raw):
         raise DocumentError(f"{what} must be {nrows} x {ncols}")
     return tuple(

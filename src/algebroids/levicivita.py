@@ -18,11 +18,10 @@ from .connection import (
     Connection,
     GeometryContext,
     Metric,
-    check_admissible,
+    covariant_derivative,
     non_metricity,
-    torsion,
 )
-from .core import AlgebroidData, Section, SparseArray, sparse_clean
+from .core import AlgebroidData, SparseArray, sparse_clean
 from .errors import AdmissibilityError, ShapeError
 from .linalg import LinearSolution, solve_affine
 from .reports import CheckReport, report_from_residuals
@@ -96,6 +95,30 @@ def _solution_space(A: AlgebroidData, sol: LinearSolution) -> SolutionSpace:
     )
 
 
+def _koszul_rhs(
+    A: AlgebroidData, gamma: SparseArray, metric: Metric, b: int, c: int, d: int
+) -> Scalar:
+    """The Koszul right-hand side on the frame triple (b, c, d):
+    rho_b(g_cd) + rho_c(g_bd) - rho_d(g_bc)
+    - gamma^e_cd g_eb - gamma^e_bd g_ec + gamma^e_bc g_ed."""
+    acc = (
+        A.frame_derive(b, metric.at(c, d))
+        + A.frame_derive(c, metric.at(b, d))
+        - A.frame_derive(d, metric.at(b, c))
+    )
+    for e in range(A.rank):
+        g1 = gamma.get((e, c, d))
+        if g1 is not None:
+            acc = acc - g1 * metric.at(e, b)
+        g2 = gamma.get((e, b, d))
+        if g2 is not None:
+            acc = acc - g2 * metric.at(e, c)
+        g3 = gamma.get((e, b, c))
+        if g3 is not None:
+            acc = acc + g3 * metric.at(e, d)
+    return acc
+
+
 def koszul_rows(
     A: AlgebroidData, metric: Metric
 ) -> list[tuple[dict[int, Scalar], Scalar]]:
@@ -132,22 +155,7 @@ def koszul_rows(
                         add(f, dp, b, lv * metric.at(e, c))
                     if cc == c:
                         add(f, dp, b, -(lv * metric.at(e, d)))
-                rhs = (
-                    A.frame_derive(b, metric.at(c, d))
-                    + A.frame_derive(c, metric.at(b, d))
-                    - A.frame_derive(d, metric.at(b, c))
-                )
-                for e in range(r):
-                    g1 = A.gamma.get((e, c, d))
-                    if g1 is not None:
-                        rhs = rhs - g1 * metric.at(e, b)
-                    g2 = A.gamma.get((e, b, d))
-                    if g2 is not None:
-                        rhs = rhs - g2 * metric.at(e, c)
-                    g3 = A.gamma.get((e, b, c))
-                    if g3 is not None:
-                        rhs = rhs + g3 * metric.at(e, d)
-                rows.append((coeffs, rhs))
+                rows.append((coeffs, _koszul_rhs(A, A.gamma, metric, b, c, d)))
     return rows
 
 
@@ -230,24 +238,7 @@ def levicivita_frame(
     coeff: SparseArray = {}
     for b in range(r):
         for c in range(r):
-            brackets = []
-            for d in range(r):
-                acc = (
-                    A.frame_derive(b, metric.at(c, d))
-                    + A.frame_derive(c, metric.at(b, d))
-                    - A.frame_derive(d, metric.at(b, c))
-                )
-                for e in range(r):
-                    g1 = anhol.get((e, c, d))
-                    if g1 is not None:
-                        acc = acc - g1 * metric.at(e, b)
-                    g2 = anhol.get((e, b, d))
-                    if g2 is not None:
-                        acc = acc - g2 * metric.at(e, c)
-                    g3 = anhol.get((e, b, c))
-                    if g3 is not None:
-                        acc = acc + g3 * metric.at(e, d)
-                brackets.append(acc)
+            brackets = [_koszul_rhs(A, anhol, metric, b, c, d) for d in range(r)]
             for a in range(r):
                 total = A.zero()
                 for d in range(r):
@@ -351,11 +342,11 @@ def check_levicivita_props(
         (L^mod_v g)(u, w) = g(D_u v, w) + g(u, D_w v).
     """
     from .calculus import seeded_sections
-    from .connection import covariant_derivative, modified_bracket
 
-    adm = check_admissible(A, conn).passed
+    ctx = GeometryContext(A, conn)
+    adm = ctx.admissibility().passed
     kres = koszul_residual(A, conn, metric)
-    tor = torsion(A, conn, "modified")
+    tor = ctx.torsion("modified")
     q = non_metricity(A, conn, metric)
     koszul_ok = not kres
     torsion_free = not tor
@@ -377,7 +368,7 @@ def check_levicivita_props(
         f"torsion_free={torsion_free} metric_compatible={metric_ok}"
     ]
     if torsion_free and metric_ok:
-        frames = [Section.frame(A, a) for a in range(A.rank)]
+        frames = ctx.frames
         sections = seeded_sections(A, seed, 3 * samples, degree)
         triples = [
             (frames[a], frames[b], frames[c])
@@ -388,8 +379,8 @@ def check_levicivita_props(
         for k, (u, v, w) in enumerate(triples):
             # (L^mod_v g)(u, w) = rho(v)(g(u,w)) - g([v,u]^mod, w) - g(u, [v,w]^mod)
             lhs = A.section_derive(v, metric.inner(u, w))
-            lhs = lhs - metric.inner(modified_bracket(A, conn, v, u), w)
-            lhs = lhs - metric.inner(u, modified_bracket(A, conn, v, w))
+            lhs = lhs - metric.inner(ctx.bracket(v, u, "modified"), w)
+            lhs = lhs - metric.inner(u, ctx.bracket(v, w, "modified"))
             rhs = metric.inner(covariant_derivative(A, conn, u, v), w)
             rhs = rhs + metric.inner(u, covariant_derivative(A, conn, w, v))
             val = lhs - rhs

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -35,8 +36,8 @@ from algebroids import (
     wedge,
 )
 from algebroids.calculus import curvature_apply, second_covariant, seeded_sections
-from algebroids.connection import _frame_covariants, _locality_correction, modified_bracket
-from algebroids.core import project_section
+from algebroids.connection import _frame_covariants, modified_bracket
+from algebroids.core import _locality_correction, project_section
 from algebroids.fixtures import random_anticommutable, random_scalar, random_section
 
 from conftest import scal
@@ -453,3 +454,25 @@ def test_gated_suite_refuses_a_connection_pushed_off_admissibility(suite):
     with pytest.raises(AdmissibilityError) as err:
         GATED_SUITES[suite](A, pushed_off(A, fx.connection))
     assert err.value.residuals
+
+
+@pytest.mark.parametrize("form", ["general", "projected"])
+def test_bianchi_builds_each_covariant_table_once(form, monkeypatch):
+    fx = random_anticommutable(1, dim=1, rank=3)
+    A = fx.algebroid
+    assert A.loc
+    built = []
+    original = _frame_covariants
+
+    def counting(A, conn, u):
+        built.append(u)
+        return original(A, conn, u)
+
+    # rebind the function that builds the table in every package module
+    for name, module in list(sys.modules.items()):
+        if name.startswith("algebroids") and getattr(module, "_frame_covariants", None) is original:
+            monkeypatch.setattr(module, "_frame_covariants", counting)
+    check_bianchi_algebraic(A, fx.connection, form)
+    # one D_{X_d} u table per distinct section: the r frames and the
+    # r^2 inner brackets [X_b, X_c]
+    assert 0 < len(built) <= A.rank + A.rank**2

@@ -278,6 +278,10 @@ def test_general_bianchi_line_never_gates(tmp_path):
     assert failing[0]["residuals"]
 
 
+# a --params object with a valid rank-1 metric, left open for one more field
+RANK1 = '{"rank": 1, "metric": [{"idx": [1, 1], "val": "1"}]'
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -289,6 +293,10 @@ def test_general_bianchi_line_never_gates(tmp_path):
         ("example", "metric_algebroid", "--params", "[]"),
         ("example", "metric_algebroid", "--params", '{"rank": 2}'),
         ("example", "conformal_courant", "--params", '{"metric": []}'),
+        ("example", "metric_algebroid", "--params", RANK1 + ', "gamma_antisym": 7}'),
+        ("example", "conformal_courant", "--params", RANK1 + ', "theta": 5}'),
+        ("example", "courant_h_twisted", "--n", "3", "--h", "5"),
+        ("example", "twisted_frame_lie", "--matrix", "null"),
         ("frame-change", "HALFPLANE", "--matrix", "[[1,0],[0"),
         ("frame-change", "HALFPLANE", "--matrix", '"x1"'),
     ],

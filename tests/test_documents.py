@@ -80,6 +80,19 @@ def test_rejects_out_of_range_index():
         document_from_obj(obj)
 
 
+@pytest.mark.parametrize("block", ["gamma", "L", "anchor", "P", "metric", "connection"])
+def test_rejects_a_block_that_is_not_a_list(block):
+    obj = {
+        "dimension": 1,
+        "rank": 1,
+        "coordinates": ["x1"],
+        "anchor": [["1"]],
+        block: 5,
+    }
+    with pytest.raises(DocumentError):
+        document_from_obj(obj)
+
+
 def test_rejects_missing_anchor():
     with pytest.raises(DocumentError):
         document_from_obj({"dimension": 1, "rank": 1, "coordinates": ["x1"]})
