@@ -45,5 +45,5 @@ for report in checks:
     note = f"  ({len(report.residuals)} witnesses)" if report.residuals else ""
     print(f"{report.identity:<{width}}  {status}{note}")
     for line in report.assumptions:
-        if "associator" in line or "ambiguous" in line:
+        if "associator" in line:
             print(f"{'':<{width}}  note: {line}")

@@ -312,48 +312,62 @@ def check_bianchi_algebraic(
     samples: int = 4,
     degree: int = 2,
 ) -> CheckReport:
-    """First and second algebraic Bianchi identities.
+    """First and second algebraic Bianchi identities on every frame tuple.
+
+    With D the connection, T its torsion, R its curvature and each sum
+    cyclic over (u, v, w) = (X_b, X_c, X_d), they read
+
+        sum R(u, v) w = sum ( (D_u T)(v, w) + T(T(u, v), w) + [u, [v, w]] )
+        sum (D_u R)(v, w) e' = sum ( R(u, T(v, w)) e' + D_{[[u, v], w]} e' )
 
     The projected form uses the projected torsion and the projected
-    modified bracket throughout and is exact for admissible connections.
-    The general form follows the printed combination with explicit
-    (1 - P) locality terms; its second identity has an ambiguous index
-    pattern as printed, so its residuals are reported under an assumption
-    note and acceptance never gates on them.
+    modified bracket.  The general form uses the modified torsion and
+    bracket; the (1 - P) part of the locality term L(e^d, D_{X_d} u, v)
+    that the projection removes then appears explicitly: C(u, v) adds
+    D_{C(u, v)} w to the first identity, and D_u D_{C(u, v)} e' -
+    D_{C(u, v)} D_u e' - D_{C([v, w], u)} e' to the second.
     """
     ctx = GeometryContext(A, conn)
     _require_admissible(ctx)
     if A.proj is None:
         raise ProjectorRequiredError("Bianchi identities need a projector")
     if form == "projected":
-        return _bianchi_projected(ctx, seed, samples, degree)
-    return _bianchi_general(ctx)
+        note = _sample_note(seed, samples, degree)
+        note += " (frame tuples suffice: all terms tensorial)"
+        return report_from_residuals(
+            "bianchi-algebraic-projected", _bianchi(ctx, "projected"), [note]
+        )
+    note = "evaluated on frame tuples"
+    return report_from_residuals(
+        "bianchi-algebraic-general", _bianchi(ctx, "modified"), [note]
+    )
 
 
 def _cyclic(items: tuple) -> list[tuple]:
     return [items, items[1:] + items[:1], items[2:] + items[:2]]
 
 
-def _bianchi_projected(
-    ctx: GeometryContext, seed: int, samples: int, degree: int
-) -> CheckReport:
+def _bianchi(ctx: GeometryContext, kind: DerivativeKind) -> dict[tuple, Scalar]:
+    """Residuals of both algebraic Bianchi identities with the torsion and
+    bracket of the given kind, keyed ("first", a, b, c, d) and
+    ("second", a, b, c, d, e')."""
     A, conn = ctx.A, ctx.conn
     r = A.rank
     residuals: dict[tuple, Scalar] = {}
     curv = ctx.curvature()
-    tor_hat = ctx.torsion("projected")
-    nabla_t = covariant_tensor_array(A, conn, tor_hat, 1, 2)
-    # nested bracket tables over the projected modified bracket:
-    # outer_left[(b, c, d)] = [[X_b, X_c], X_d] and
-    # outer_right[(b, c, d)] = [X_b, [X_c, X_d]]
-    inner_sections, outer_left = _nested_brackets(ctx, "projected")
-    outer_right = {
-        (b, c, d): ctx.bracket(ctx.frames[b], inner_sections[(c, d)], "projected")
+    tor = ctx.torsion(kind)
+    nabla_t = covariant_tensor_array(A, conn, tor, 1, 2)
+    # left[(b, c, d)] = [[X_b, X_c], X_d] and right[(b, c, d)] = [X_b, [X_c, X_d]]
+    inners, left = _nested_brackets(ctx, kind)
+    right = {
+        (b, c, d): ctx.bracket(ctx.frames[b], inners[(c, d)], kind)
         for (b, c, d) in itertools.product(range(r), repeat=3)
     }
+    # the projected bracket has already removed the (1 - P) locality terms
+    first_local, second_local = (
+        _complement_terms(ctx, inners) if kind == "modified" else ({}, {})
+    )
 
-    # first identity; the nested-bracket term is the cyclic sum of
-    # [u, [v, w]], the combination the direct expansion produces
     for b in range(r):
         for c in range(r):
             for d in range(r):
@@ -364,12 +378,15 @@ def _bianchi_projected(
                         lhs = lhs + curv.get((a, u, v, w), A.zero())
                         rhs = rhs + nabla_t.get((u, a, v, w), A.zero())
                         for e in range(r):
-                            t1 = tor_hat.get((e, u, v))
+                            t1 = tor.get((e, u, v))
                             if t1 is not None:
-                                t2 = tor_hat.get((a, e, w))
+                                t2 = tor.get((a, e, w))
                                 if t2 is not None:
                                     rhs = rhs + t1 * t2
-                        rhs = rhs + outer_right[(u, v, w)].comp[a]
+                        loc = first_local.get((u, v, w))
+                        if loc is not None:
+                            rhs = rhs + loc.comp[a]
+                        rhs = rhs + right[(u, v, w)].comp[a]
                     val = lhs - rhs
                     if not val.is_zero():
                         residuals[("first", a, b, c, d)] = val
@@ -385,24 +402,23 @@ def _bianchi_projected(
                         for (u, v, w) in _cyclic((b, c, d)):
                             lhs = lhs + nabla_r.get((u, a, v, w, e2), A.zero())
                             for f in range(r):
-                                t1 = tor_hat.get((f, v, w))
+                                t1 = tor.get((f, v, w))
                                 if t1 is not None:
                                     t2 = curv.get((a, u, f, e2))
                                     if t2 is not None:
                                         rhs = rhs + t1 * t2
-                                db = outer_left[(u, v, w)].comp[f]
+                                db = left[(u, v, w)].comp[f]
                                 if not db.is_zero():
                                     g = conn.coeff.get((a, f, e2))
                                     if g is not None:
                                         rhs = rhs + db * g
+                            loc = second_local.get((u, v, w, e2))
+                            if loc is not None:
+                                rhs = rhs + loc.comp[a]
                         val = lhs - rhs
                         if not val.is_zero():
                             residuals[("second", a, b, c, d, e2)] = val
-    return report_from_residuals(
-        "bianchi-algebraic-projected",
-        residuals,
-        [_sample_note(seed, samples, degree) + " (frame tuples suffice: all terms tensorial)"],
-    )
+    return residuals
 
 
 def _nested_brackets(ctx: GeometryContext, kind: DerivativeKind):
@@ -428,101 +444,32 @@ def _complement_locality(ctx: GeometryContext, u: Section, v: Section) -> Sectio
     return lsec.sub(project_section(ctx.A, lsec))
 
 
-def _bianchi_general(ctx: GeometryContext) -> CheckReport:
-    """Literal transcription of the unprojected algebraic Bianchi pair."""
-    A, conn = ctx.A, ctx.conn
+def _complement_terms(ctx: GeometryContext, inners: dict) -> tuple[dict, dict]:
+    """The explicit (1 - P) locality terms of the modified Bianchi pair on
+    frames, with C(u, v) = (1 - P) L(e^d, D_{X_d} u, v): D_{C(u, v)} w keyed
+    (u, v, w), and D_u D_{C(u, v)} e' - D_{C(u, v)} D_u e' - D_{C([v, w], u)} e'
+    keyed (u, v, w, e')."""
+    A, conn, frames = ctx.A, ctx.conn, ctx.frames
     r = A.rank
-    residuals: dict[tuple, Scalar] = {}
-    curv = ctx.curvature()
-    tor = ctx.torsion("modified")
-    nabla_t = covariant_tensor_array(A, conn, tor, 1, 2)
-    frames = ctx.frames
-    triples = list(itertools.product(range(r), repeat=3))
-    complement = {
-        (u, v): _complement_locality(ctx, frames[u], frames[v])
-        for u in range(r)
-        for v in range(r)
-    }
-    inners, double = _nested_brackets(ctx, "modified")
-    # sections whose a-th components the identities read: D_comp X_w with
-    # comp = complement[(u, v)], keyed (u, v, w)
-    along = {
-        (u, v, w): covariant_derivative(A, conn, complement[(u, v)], frames[w])
-        for (u, v, w) in triples
-    }
-    # D_u D_comp w' - D_comp D_u w', keyed (u, v, e2)
-    swapped = {
-        (u, v, e2): covariant_derivative(A, conn, frames[u], along[(u, v, e2)]).sub(
-            covariant_derivative(
-                A, conn, complement[(u, v)],
-                covariant_derivative(A, conn, frames[u], frames[e2]),
+
+    def D(x: Section, y: Section) -> Section:
+        return covariant_derivative(A, conn, x, y)
+
+    along: dict[tuple, Section] = {}
+    swapped: dict[tuple, Section] = {}
+    for u, v in itertools.product(range(r), repeat=2):
+        comp = _complement_locality(ctx, frames[u], frames[v])
+        for x in range(r):
+            along[(u, v, x)] = D(comp, frames[x])
+            swapped[(u, v, x)] = D(frames[u], along[(u, v, x)]).sub(
+                D(comp, D(frames[u], frames[x]))
             )
-        )
-        for (u, v, e2) in triples
-    }
-    # D_{(1-P) L(e^a, D_{X_a}[v,w]^mod, u)} w', keyed (u, v, w, e2)
-    shifted = {}
-    for u, v, w in triples:
-        lsec = _complement_locality(ctx, inners[(v, w)], frames[u])
+    second: dict[tuple, Section] = {}
+    for u, v, w in itertools.product(range(r), repeat=3):
+        shifted = _complement_locality(ctx, inners[(v, w)], frames[u])
         for e2 in range(r):
-            shifted[(u, v, w, e2)] = covariant_derivative(A, conn, lsec, frames[e2])
-
-    for b in range(r):
-        for c in range(r):
-            for d in range(r):
-                for a in range(r):
-                    lhs = A.zero()
-                    rhs = A.zero()
-                    for (u, v, w) in _cyclic((b, c, d)):
-                        lhs = lhs + curv.get((a, u, v, w), A.zero())
-                        rhs = rhs + nabla_t.get((u, a, v, w), A.zero())
-                        for e in range(r):
-                            t1 = tor.get((e, u, v))
-                            if t1 is not None:
-                                t2 = tor.get((a, e, w))
-                                if t2 is not None:
-                                    rhs = rhs + t1 * t2
-                        rhs = rhs + along[(u, v, w)].comp[a]
-                        rhs = rhs + double[(u, v, w)].comp[a]
-                    val = lhs - rhs
-                    if not val.is_zero():
-                        residuals[("first", a, b, c, d)] = val
-
-    nabla_r = covariant_tensor_array(A, conn, curv, 1, 3)
-    for b in range(r):
-        for c in range(r):
-            for d in range(r):
-                for e2 in range(r):
-                    for a in range(r):
-                        lhs = A.zero()
-                        rhs = A.zero()
-                        for (u, v, w) in _cyclic((b, c, d)):
-                            lhs = lhs + nabla_r.get((u, a, v, w, e2), A.zero())
-                            for f in range(r):
-                                t1 = tor.get((f, v, w))
-                                if t1 is not None:
-                                    t2 = curv.get((a, u, f, e2))
-                                    if t2 is not None:
-                                        rhs = rhs + t1 * t2
-                            rhs = rhs + swapped[(u, v, e2)].comp[a]
-                            rhs = rhs - shifted[(u, v, w, e2)].comp[a]
-                            for f in range(r):
-                                db = double[(u, v, w)].comp[f]
-                                if not db.is_zero():
-                                    g = conn.coeff.get((a, f, e2))
-                                    if g is not None:
-                                        rhs = rhs + db * g
-                        val = lhs - rhs
-                        if not val.is_zero():
-                            residuals[("second", a, b, c, d, e2)] = val
-    return report_from_residuals(
-        "bianchi-algebraic-general",
-        residuals,
-        [
-            "literal transcription; the second identity's locality term has an "
-            "ambiguous printed index pattern, residuals reported without gating"
-        ],
-    )
+            second[(u, v, w, e2)] = swapped[(u, v, e2)].sub(D(shifted, frames[e2]))
+    return along, second
 
 
 def check_bianchi_differential(A: AlgebroidData, conn: Connection) -> CheckReport:

@@ -1,10 +1,9 @@
 """Batch front end: check identity suites, compute derived tensors, emit
 catalog examples and frame changes.
 
-Exit codes: 0 all checks pass; 1 at least one identity fails (lines in
-``NON_GATING`` are reported but never fail a run); 2 input or parse error;
-3 a requested solve is infeasible; 4 term budget exceeded.  ``--budget``
-applies to one run and is restored when ``main`` returns.
+Exit codes: 0 all checks pass; 1 at least one identity fails; 2 input or
+parse error; 3 a requested solve is infeasible; 4 term budget exceeded.
+``--budget`` applies to one run and is restored when ``main`` returns.
 Reports stream line-delimited JSON (or an aligned table) in a
 deterministic order, so identical inputs and seeds give byte-identical
 output.
@@ -78,11 +77,6 @@ SUITES = (
     "levicivita",
 )
 
-# Reported but never counted towards exit code 1: the printed index pattern
-# of the general algebraic Bianchi pair is ambiguous (see
-# ``calculus.check_bianchi_algebraic``).
-NON_GATING = frozenset({"bianchi-algebraic-general"})
-
 
 @dataclass
 class RunConfig:
@@ -105,7 +99,7 @@ class _Emitter:
         self.any_failed = False
 
     def emit(self, obj: dict) -> None:
-        if obj.get("pass") is False and obj.get("identity") not in NON_GATING:
+        if obj.get("pass") is False:
             self.any_failed = True
         if self.config.fmt == "json":
             self.lines.append(json.dumps(obj, sort_keys=False))

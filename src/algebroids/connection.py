@@ -116,18 +116,6 @@ class Metric:
                     acc = acc + t * self.g[a][b]
         return acc
 
-    def raise_form(self, omega_comp: list[Scalar]) -> Section:
-        """g^{-1} applied to a one-form given by its components."""
-        nvars = self.g[0][0].nvars
-        out = []
-        for a in range(self.rank):
-            acc = Scalar.zero(nvars)
-            for b in range(self.rank):
-                if not omega_comp[b].is_zero():
-                    acc = acc + self.ginv[a][b] * omega_comp[b]
-            out.append(acc)
-        return Section(tuple(out))
-
 
 TensorLike = Union[Scalar, Section, ETensor]
 

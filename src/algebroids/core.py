@@ -87,9 +87,6 @@ class AlgebroidData:
     def gamma_at(self, c: int, a: int, b: int) -> Scalar:
         return self.gamma.get((c, a, b), self.zero())
 
-    def loc_at(self, a: int, d: int, e: int, c: int) -> Scalar:
-        return self.loc.get((a, d, e, c), self.zero())
-
     def proj_at(self, a: int, b: int) -> Scalar:
         if self.proj is None:
             raise ShapeError("algebroid has no locality projector")
@@ -153,9 +150,6 @@ class Section:
 
     def scale(self, f: Scalar) -> Section:
         return Section(tuple(f * a for a in self.comp))
-
-    def neg(self) -> Section:
-        return Section(tuple(-a for a in self.comp))
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.comp)

@@ -73,6 +73,17 @@ def _unknown_index(r: int, a: int, b: int, c: int) -> int:
     return (a * r + b) * r + c
 
 
+def _add_term(
+    coeffs: dict[int, Scalar], r: int, a: int, b: int, c: int, value: Scalar
+) -> None:
+    """Add value to a row's coefficient of the unknown Gamma^a_bc, skipping zeros."""
+    if value.is_zero():
+        return
+    k = _unknown_index(r, a, b, c)
+    s = coeffs.get(k)
+    coeffs[k] = value if s is None else s + value
+
+
 def _solution_space(A: AlgebroidData, sol: LinearSolution) -> SolutionSpace:
     r = A.rank
     if sol.status == "infeasible":
@@ -139,22 +150,14 @@ def koszul_rows(
         for c in range(r):
             for d in range(r):
                 coeffs: dict[int, Scalar] = {}
-
-                def add(a_, b_, c_, value):
-                    if value.is_zero():
-                        return
-                    k = _unknown_index(r, a_, b_, c_)
-                    s = coeffs.get(k)
-                    coeffs[k] = value if s is None else s + value
-
                 for a in range(r):
-                    add(a, b, c, two * metric.at(a, d))
+                    _add_term(coeffs, r, a, b, c, two * metric.at(a, d))
                 for (e, dp, f, cc), lv in loc_items:
                     if cc == d:
-                        add(f, dp, c, lv * metric.at(e, b))
-                        add(f, dp, b, lv * metric.at(e, c))
+                        _add_term(coeffs, r, f, dp, c, lv * metric.at(e, b))
+                        _add_term(coeffs, r, f, dp, b, lv * metric.at(e, c))
                     if cc == c:
-                        add(f, dp, b, -(lv * metric.at(e, d)))
+                        _add_term(coeffs, r, f, dp, b, -(lv * metric.at(e, d)))
                 rows.append((coeffs, _koszul_rhs(A, A.gamma, metric, b, c, d)))
     return rows
 
@@ -204,20 +207,12 @@ def solve_torsion_free(A: AlgebroidData) -> SolutionSpace:
         for b in range(r):
             for c in range(r):
                 coeffs: dict[int, Scalar] = {}
-
-                def add(a_, b_, c_, value):
-                    if value.is_zero():
-                        return
-                    k = _unknown_index(r, a_, b_, c_)
-                    s = coeffs.get(k)
-                    coeffs[k] = value if s is None else s + value
-
-                add(a, b, c, one)
-                add(a, c, b, -one)
+                _add_term(coeffs, r, a, b, c, one)
+                _add_term(coeffs, r, a, c, b, -one)
                 # + Gamma^e_db L^{a d}_{e c}
                 for (aa, d, e, cc), lv in A.loc.items():
                     if aa == a and cc == c:
-                        add(e, d, b, lv)
+                        _add_term(coeffs, r, e, d, b, lv)
                 rhs = A.gamma_at(a, b, c)
                 rows.append((coeffs, rhs))
     sol = solve_affine(rows, r**3, A.dim)

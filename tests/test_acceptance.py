@@ -108,6 +108,7 @@ def _fixture_suite(fx, metric):
     for (a, b, c, d), v in R.items():
         assert v.equals(-(R.get((a, c, b, d), zero)))
     assert check_bianchi_algebraic(A, conn, "projected", samples=2).passed
+    assert check_bianchi_algebraic(A, conn, "general").passed
     assert check_bianchi_differential(A, conn).passed
     assert check_ricci(A, conn, samples=2).passed
     assert check_cartan_structure(A, conn).passed

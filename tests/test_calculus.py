@@ -35,8 +35,13 @@ from algebroids import (
     torsion,
     wedge,
 )
-from algebroids.calculus import curvature_apply, second_covariant, seeded_sections
-from algebroids.connection import _frame_covariants, modified_bracket
+from algebroids.calculus import (
+    _bianchi,
+    curvature_apply,
+    second_covariant,
+    seeded_sections,
+)
+from algebroids.connection import GeometryContext, _frame_covariants, modified_bracket
 from algebroids.core import _locality_correction, project_section
 from algebroids.fixtures import random_anticommutable, random_scalar, random_section
 
@@ -301,14 +306,28 @@ def test_bianchi_algebraic_tangent_lie(tangent2):
 
 
 def test_bianchi_algebraic_courant(courant2):
-    assert check_bianchi_algebraic(
-        courant2.algebroid, Connection.zero(4), "projected"
-    ).passed
+    for form in ("projected", "general"):
+        assert check_bianchi_algebraic(courant2.algebroid, Connection.zero(4), form).passed
 
 
 def test_bianchi_algebraic_random_fixture():
     fx = random_anticommutable(35, dim=2, rank=3)
-    assert check_bianchi_algebraic(fx.algebroid, fx.connection, "projected").passed
+    for form in ("projected", "general"):
+        assert check_bianchi_algebraic(fx.algebroid, fx.connection, form).passed
+
+
+@pytest.mark.parametrize("kind", ["modified", "projected"])
+def test_bianchi_fails_on_a_corrupted_curvature_entry(kind):
+    fx = random_anticommutable(1, dim=1, rank=3)
+    A = fx.algebroid
+    ctx = GeometryContext(A, fx.connection)
+    curv = dict(ctx.curvature())
+    key = (0, 0, 1, 2)
+    curv[key] = curv.get(key, A.zero()) + A.one()
+    ctx._memo["curvature"] = (curv, ())
+    residuals = _bianchi(ctx, kind)
+    assert {at[0] for at in residuals} == {"first", "second"}
+    assert all(not v.is_zero() for v in residuals.values())
 
 
 def test_bianchi_differential_cases(tangent2, courant2):

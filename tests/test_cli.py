@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from algebroids import Connection, Metric, dump_document, get_term_budget, make_example
+from algebroids.cli import RunConfig, _Emitter
 from algebroids.cli import main as cli_main
 from algebroids.documents import AlgebroidDocument
 from algebroids.fixtures import random_anticommutable, random_constant_metric
@@ -264,8 +265,7 @@ def test_budget_restored_after_in_process_run(tmp_path):
     assert get_term_budget() == before
 
 
-def test_general_bianchi_line_never_gates(tmp_path):
-    # this fixture's only failing line is the non-gating general Bianchi pair
+def test_general_bianchi_line_passes_and_gates(tmp_path):
     fx = random_anticommutable(1, dim=1, rank=3)
     metric = random_constant_metric(random.Random(1), 1, 3)
     path = tmp_path / "fixture1.json"
@@ -273,9 +273,17 @@ def test_general_bianchi_line_never_gates(tmp_path):
     out = run_cli("check", str(path), "--suite", "all", "--seed", "11", "--samples", "4")
     assert out.returncode == 0
     lines = [json.loads(line) for line in out.stdout.splitlines()]
-    failing = [obj for obj in lines if obj.get("pass") is False]
-    assert [obj["identity"] for obj in failing] == ["bianchi-algebraic-general"]
-    assert failing[0]["residuals"]
+    assert not [obj for obj in lines if obj.get("pass") is False]
+    (general,) = [o for o in lines if o.get("identity") == "bianchi-algebraic-general"]
+    assert general["pass"] is True
+    assert general["residuals"] == []
+
+
+def test_failing_general_bianchi_line_sets_exit_1(capsys):
+    for passed, code in ((True, 0), (False, 1)):
+        emitter = _Emitter(RunConfig())
+        emitter.emit({"identity": "bianchi-algebraic-general", "pass": passed})
+        assert emitter.flush() == code
 
 
 # a --params object with a valid rank-1 metric, left open for one more field
