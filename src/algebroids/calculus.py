@@ -326,20 +326,20 @@ def check_bianchi_algebraic(
     that the projection removes then appears explicitly: C(u, v) adds
     D_{C(u, v)} w to the first identity, and D_u D_{C(u, v)} e' -
     D_{C(u, v)} D_u e' - D_{C([v, w], u)} e' to the second.
+
+    Every term is tensorial, so no sections are drawn and ``seed``,
+    ``samples`` and ``degree`` are unused.
     """
     ctx = GeometryContext(A, conn)
     _require_admissible(ctx)
     if A.proj is None:
         raise ProjectorRequiredError("Bianchi identities need a projector")
     if form == "projected":
-        note = _sample_note(seed, samples, degree)
-        note += " (frame tuples suffice: all terms tensorial)"
-        return report_from_residuals(
-            "bianchi-algebraic-projected", _bianchi(ctx, "projected"), [note]
-        )
-    note = "evaluated on frame tuples"
+        name, kind = "bianchi-algebraic-projected", "projected"
+    else:
+        name, kind = "bianchi-algebraic-general", "modified"
     return report_from_residuals(
-        "bianchi-algebraic-general", _bianchi(ctx, "modified"), [note]
+        name, _bianchi(ctx, kind), ["evaluated on frame tuples"]
     )
 
 

@@ -1,8 +1,9 @@
 """Exact linear algebra over the scalar fraction field.
 
-Systems are solved by normalized Gaussian elimination with pivoting on
-symbolic nonzero-ness: an entry is a usable pivot iff it is not identically
-zero, with constant and short entries preferred to limit expression swell.
+Affine systems are solved by fraction-free (Bareiss) forward elimination
+and a fraction-free back substitution, with pivoting on symbolic
+nonzero-ness: an entry is a usable pivot iff it is not identically zero,
+with constant and short entries preferred to limit expression swell.
 Pointwise (numeric) pivoting would be unsound at poles.
 
 Rows are kept sparse (dict column -> Scalar) because the geometric systems
@@ -138,8 +139,14 @@ def solve_affine(
               / previous_pivot
 
     divides exactly, so intermediate entries are minors of the original
-    matrix and never grow into nested fractions.  The resulting triangular
-    system is then solved over the fraction field.
+    matrix and never grow into nested fractions.  Each pivot row is frozen
+    when it is chosen.  With det the last pivot, a fraction-free back
+    substitution over the frozen rows, last pivot first, computes
+
+        N_k = (det * rhs_k - sum over later pivots j of a_kj * N_j) / p_k
+
+    exactly (p_k is the row's own pivot), and x_k = N_k / det.  A kernel
+    vector is the same walk with a_kc of its free column c for rhs_k, negated.
     """
     work: list[tuple[dict[int, Poly], Poly]] = []
     for coeffs, rhs in rows:
@@ -193,8 +200,6 @@ def solve_affine(
         _, row_index, col = best
         pcoeffs, prhs = work.pop(row_index)
         pivot = pcoeffs[col]
-        # full Jordan reduction, applied to prior pivot rows as well, keeps
-        # every row a minor and makes the final read-off a single division
         work = [
             row
             for row in (
@@ -202,10 +207,6 @@ def solve_affine(
                 for coeffs, rhs in work
             )
             if row[0] or not row[1].is_zero()
-        ]
-        pivots = [
-            (pcol, *bareiss_update(coeffs, rhs, pivot, pcoeffs, prhs, col))
-            for pcol, coeffs, rhs in pivots
         ]
         pivots.append((col, pcoeffs, prhs))
         prev = pivot
@@ -216,19 +217,35 @@ def solve_affine(
             )
     zero = Scalar.zero(nvars)
     one = Scalar.one(nvars)
+    det = Scalar(prev)
+
+    def back_substitute(free_col: int | None) -> dict[int, Poly]:
+        # nonzero N_k by pivot column; Cramer's rule makes each division
+        # exact, so an InexactDivisionError here is a bug
+        numerators: dict[int, Poly] = {}
+        for col, coeffs, rhs in reversed(pivots):
+            right = rhs if free_col is None else coeffs.get(free_col)
+            acc = Poly.zero(nvars) if right is None else det.num * right
+            for c, v in coeffs.items():
+                n = numerators.get(c)
+                if n is not None:
+                    acc = acc - v * n
+            if not acc.is_zero():
+                numerators[col] = acc.divide_exact(coeffs[col])
+        return numerators
+
     pivot_cols = {col for col, _, _ in pivots}
     free_cols = [c for c in range(nunknowns) if c not in pivot_cols]
     particular = [zero] * nunknowns
-    basis = [[zero] * nunknowns for _ in free_cols]
-    free_index = {fc: k for k, fc in enumerate(free_cols)}
+    for col, n in back_substitute(None).items():
+        particular[col] = Scalar(n) / det
+    basis = []
     for fc in free_cols:
-        basis[free_index[fc]][fc] = one
-    for col, coeffs, rhs in pivots:
-        own = Scalar(coeffs[col])
-        particular[col] = Scalar(rhs) / own
-        for c, v in coeffs.items():
-            if c != col and c in free_index:
-                basis[free_index[c]][col] = -(Scalar(v) / own)
+        vector = [zero] * nunknowns
+        vector[fc] = one
+        for col, n in back_substitute(fc).items():
+            vector[col] = -(Scalar(n) / det)
+        basis.append(vector)
     return LinearSolution(
         status="unique" if not free_cols else "affine",
         nunknowns=nunknowns,

@@ -316,6 +316,14 @@ def test_bianchi_algebraic_random_fixture():
         assert check_bianchi_algebraic(fx.algebroid, fx.connection, form).passed
 
 
+def test_bianchi_algebraic_notes_name_no_section_samples(tangent2):
+    # both forms evaluate frame tuples only, whatever sample settings they get
+    conn = halfplane_connection(tangent2)
+    for form in ("projected", "general"):
+        report = check_bianchi_algebraic(tangent2, conn, form, seed=11, samples=4)
+        assert report.assumptions == ["evaluated on frame tuples"]
+
+
 @pytest.mark.parametrize("kind", ["modified", "projected"])
 def test_bianchi_fails_on_a_corrupted_curvature_entry(kind):
     fx = random_anticommutable(1, dim=1, rank=3)
