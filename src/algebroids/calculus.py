@@ -13,8 +13,9 @@ Each public verifier and derivative builds one ``GeometryContext`` for its
 (algebroid, connection) and passes it down, so the admissibility gate, the
 anholonomies, torsions, curvature, brackets and the D_{X_d} u table of each
 section are computed once per call; the context is dropped when the call
-returns.  Every modified or projected bracket and every locality correction
-here comes from the context.
+returns.  Every modified or projected bracket, every locality correction
+and the rho(v) part of every Leibniz derivative of a form here comes from
+the context, so the bracket kinds share them.
 """
 
 from __future__ import annotations
@@ -169,8 +170,7 @@ def _leibniz(ctx: GeometryContext, v: Section, target, kind: BracketKind):
             return EForm.from_scalar(A, A.section_derive(v, f))
         frame_brackets = ctx.frame_brackets(v, kind)
         out: SparseArray = {}
-        for idx in itertools.combinations(range(A.rank), p):
-            acc = A.section_derive(v, target.at(idx))
+        for idx, acc in ctx.anchor_derivatives(v, target).items():
             for pos in range(p):
                 br = frame_brackets[idx[pos]]
                 for e in range(A.rank):
@@ -652,50 +652,51 @@ def check_magic_and_derivations(
         v = sections[2 * k + 1]
         f = fs[k]
         fv = v.scale(f)
+        om2 = rng_forms2[k]
+        omA = rng_forms1[k]
+        omB = rng_forms1[(k + 1) % samples]
+        # built once per sample, so all kinds share their rho(v) parts
+        pairs = (("p1", omA), ("p2", om2))
+        contracted = {lb: interior_product(om, v) for lb, om in pairs if om.degree >= 1}
+        wedged = wedge(omA, omB)
         for kind in ("modified", "projected"):
             dk: DerivativeKind = kind  # type: ignore[assignment]
-            for label, omega in (("p1", rng_forms1[k]), ("p2", rng_forms2[k])):
+            for label, omega in pairs:
                 # magic formula
                 lie = _leibniz(ctx, v, omega, kind)
-                d_iv = _e_exterior(ctx, interior_product(omega, v), dk) \
+                d_iv = _e_exterior(ctx, contracted[label], dk) \
                     if omega.degree >= 1 else EForm.zero(A, 1)
                 iv_d = interior_product(_e_exterior(ctx, omega, dk), v)
                 add_form_residual(("magic", kind, label, k), lie.sub(d_iv.add(iv_d)))
                 # rescaling corollary
                 lie_fv = _leibniz(ctx, fv, omega, kind)
                 rhs = lie.scale(f).add(
-                    wedge(_e_exterior(ctx, f, dk), interior_product(omega, v))
+                    wedge(_e_exterior(ctx, f, dk), contracted[label])
                 ) if omega.degree >= 1 else lie.scale(f)
                 add_form_residual(("rescale", kind, label, k), lie_fv.sub(rhs))
             # commutator with the same section vanishes for admissible conn
-            om2 = rng_forms2[k]
             if om2.degree >= 1:
-                lhs = _leibniz(ctx, v, interior_product(om2, v), kind)
+                lhs = _leibniz(ctx, v, contracted["p2"], kind)
                 rhs = interior_product(_leibniz(ctx, v, om2, kind), v)
                 add_form_residual(("self-commute", kind, k), lhs.sub(rhs))
         # derivation commutator with the original bracket, all three kinds
         for kind in ("original", "modified", "projected"):
-            om2 = rng_forms2[k]
             if om2.degree >= 1:
-                lhs = _leibniz(ctx, u, interior_product(om2, v), kind)
+                lhs = _leibniz(ctx, u, contracted["p2"], kind)
                 rhs = interior_product(_leibniz(ctx, u, om2, kind), v)
                 uv = ctx.bracket(u, v, kind)
                 rhs = rhs.add(interior_product(om2, uv))
                 add_form_residual(("commutator", kind, k), lhs.sub(rhs))
             # Leibniz rule of the derivative over wedges
-            omA = rng_forms1[k]
-            omB = rng_forms1[(k + 1) % samples]
-            lw = _leibniz(ctx, v, wedge(omA, omB), kind)
+            lw = _leibniz(ctx, v, wedged, kind)
             rhs = wedge(_leibniz(ctx, v, omA, kind), omB).add(
                 wedge(omA, _leibniz(ctx, v, omB, kind))
             )
             add_form_residual(("wedge-leibniz", kind, k), lw.sub(rhs))
         # graded Leibniz of both exterior derivatives
-        omA = rng_forms1[k]
-        omB = rng_forms1[(k + 1) % samples]
         for kind in ("modified", "projected"):
             dk = kind  # type: ignore[assignment]
-            lhs = _e_exterior(ctx, wedge(omA, omB), dk)
+            lhs = _e_exterior(ctx, wedged, dk)
             rhs = wedge(_e_exterior(ctx, omA, dk), omB).sub(
                 wedge(omA, _e_exterior(ctx, omB, dk))
             )

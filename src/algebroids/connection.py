@@ -13,17 +13,20 @@ kind's locality array.
 
 ``GeometryContext`` holds the values that depend only on one (algebroid,
 connection) pair: the admissibility report, the anholonomies, both
-torsions, the curvature, each section's D_{X_d} u table and brackets of
-sections, each computed on first use.  It is the one place that builds a
-modified or projected bracket: the bracket minus ``core._locality_correction``
-of the D_{X_d} u table, projected for the projected kind.  A public
-function builds a context when it is called and drops it when it returns,
-so no value outlives the call that computed it.
+torsions, the curvature, each section's D_{X_d} u table, brackets of
+sections and the rho(v) parts of Leibniz derivatives of forms, each
+computed on first use.  It is the one place that builds a modified or
+projected bracket: the plain bracket minus ``core._locality_correction``
+of the D_{X_d} u table, projected for the projected kind, with one plain
+bracket and one correction per section pair shared by all three kinds.
+A public function builds a context when it is called and drops it when
+it returns, so no value outlives the call that computed it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Literal, Sequence, Union
 
 from .core import (
@@ -336,9 +339,10 @@ def is_admissible(A: AlgebroidData, conn: Connection) -> bool:
 
 class GeometryContext:
     """Values of one (A, conn) pair, each computed on first use and kept
-    for the life of the context, one public call.  A memo keyed by a
-    section's id holds that section, so the id stays unique.  Returned
-    values are shared between callers and must not be mutated."""
+    for the life of the context, one public call; all bracket kinds share
+    one plain bracket and one locality correction per section pair.  A
+    memo keyed by an object's id holds that object, so the id stays
+    unique.  Returned values are shared and must not be mutated."""
 
     def __init__(self, A: AlgebroidData, conn: Connection | None):
         self.A = A
@@ -352,7 +356,7 @@ class GeometryContext:
         return self.conn
 
     def _cached(self, key, build, *held):
-        # held: the sections whose ids the key contains, kept alive with it
+        # held: the objects whose ids the key contains, kept alive with it
         if key not in self._memo:
             self._memo[key] = (build(), held)
         return self._memo[key][0]
@@ -381,6 +385,16 @@ class GeometryContext:
             (id(v), kind), lambda: [self.bracket(v, x, kind) for x in self.frames], v
         )
 
+    def anchor_derivatives(self, v: Section, form: EForm) -> dict[tuple, Scalar]:
+        """rho(v)(form(X_idx)) for every increasing index tuple idx: the
+        part of the Leibniz derivative of a form that no bracket kind
+        changes."""
+        A = self.A
+        return self._cached(("rho", id(v), id(form)), lambda: {
+            idx: A.section_derive(v, form.at(idx))
+            for idx in combinations(range(A.rank), form.degree)
+        }, v, form)
+
     def _covariants(self, u: Section) -> dict[tuple[int, int], Scalar]:
         """The nonzero (D_{X_d} u)^e, keyed (d, e), built once per section."""
         return self._cached(
@@ -389,11 +403,16 @@ class GeometryContext:
 
     def correction(self, u: Section, v: Section) -> Section:
         """The modified bracket's locality correction L(e^d, D_{X_d} u, v)."""
-        return _locality_correction(self.A, self._covariants(u), v)
+        return self._cached(
+            ("correction", id(u), id(v)),
+            lambda: _locality_correction(self.A, self._covariants(u), v), u, v
+        )
 
     def _bracket(self, u: Section, v: Section, kind: BracketKind) -> Section:
-        base = bracket(self.A, u, v)
-        if kind == "original" or not self.A.loc:
+        if kind == "original":
+            return bracket(self.A, u, v)
+        base = self.bracket(u, v, "original")
+        if not self.A.loc:
             return base
         correction = self.correction(u, v)
         if kind == "projected":

@@ -27,6 +27,7 @@ locality array with the projector applied to its output slot.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -96,6 +97,8 @@ class AlgebroidData:
 
     def frame_derive(self, a: int, f: Scalar) -> Scalar:
         """rho(X_a) applied to a scalar: rho^i_a d_i f."""
+        if f.is_constant():
+            return self.zero()
         acc = self.zero()
         for i in range(self.dim):
             r = self.anchor[i][a]
@@ -371,7 +374,7 @@ def bracket(A: AlgebroidData, u: Section, v: Section) -> Section:
     """Bracket of arbitrary sections via the Leibniz-rule extension."""
     if u.rank != A.rank or v.rank != A.rank:
         raise ShapeError("section rank does not match algebroid")
-    n, r = A.dim, A.rank
+    r = A.rank
     zero = A.zero()
     out = [zero for _ in range(r)]
 
@@ -583,8 +586,6 @@ def check_locality_projector(
         "constant rank is assumed elsewhere"
     ]
     symbolic_rank = A.rank - len(basis)
-    import random
-
     rng = random.Random(seed)
     checked = 0
     attempts = 0

@@ -31,7 +31,8 @@ lowest terms is never needed for correctness.  A cheap normalization keeps
 representatives small and canonical enough for reproducible
 serialization: common monomial factors of num and den are cancelled and
 den is rescaled to be monic in the graded-lexicographic term order.  Full
-multivariate GCD reduction is deliberately not attempted.
+multivariate GCD reduction is deliberately not attempted.  Polynomial
+scalars share one unit denominator, so their product multiplies numerators.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -648,7 +649,10 @@ class Scalar:
     def __mul__(self, other: Scalar) -> Scalar:
         if not self.num._t or not other.num._t:
             return Scalar.zero(self.num.nvars)
-        return Scalar(self.num * other.num, self.den * other.den)
+        den = self.den
+        if den is other.den and den is _POLY_ONE.get(den.nvars):
+            return Scalar(self.num * other.num)
+        return Scalar(self.num * other.num, den * other.den)
 
     def __truediv__(self, other: Scalar) -> Scalar:
         if other.is_zero():

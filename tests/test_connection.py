@@ -30,8 +30,10 @@ from algebroids import (
     non_metricity,
     torsion,
 )
-from algebroids.connection import frame_covariant_tensor
-from algebroids.core import FrameChange
+import algebroids.connection as connection_module
+from algebroids.calculus import check_magic_and_derivations, seeded_sections
+from algebroids.connection import GeometryContext, _frame_covariants, frame_covariant_tensor
+from algebroids.core import FrameChange, _locality_correction, project_section
 from algebroids.fixtures import (
     random_anticommutable,
     random_scalar,
@@ -508,3 +510,61 @@ def test_anholonomy_decomposition_symmetric_contraction(courant1):
     out = bracket_from_connection(A, conn)
     report = check_anholonomy_decomposition(out, conn)
     assert report.passed
+
+
+# -- the per-call geometry context --------------------------------------------
+
+
+def count_calls(monkeypatch, name):
+    """Rebind ``name`` in the connection module, where the context calls
+    it, to a wrapper that records each call; returns the recorded calls."""
+    calls = []
+    original = getattr(connection_module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(connection_module, name, counting)
+    return calls
+
+
+def test_context_builds_one_plain_bracket_and_one_correction_for_all_kinds(monkeypatch):
+    fx = random_anticommutable(1, dim=1, rank=3)
+    A = fx.algebroid
+    assert A.loc and A.proj is not None
+    u, v = seeded_sections(A, 5, 2, 2)
+    brackets = count_calls(monkeypatch, "bracket")
+    corrections = count_calls(monkeypatch, "_locality_correction")
+    ctx = GeometryContext(A, fx.connection)
+    for kind in ("original", "modified", "projected"):
+        ctx.bracket(u, v, kind)
+    assert len(brackets) == 1
+    assert len(corrections) == 1
+
+
+def test_context_kinds_are_the_plain_bracket_minus_the_correction():
+    fx = random_anticommutable(105, dim=2, rank=3, twist=True)
+    A, conn = fx.algebroid, fx.connection
+    assert A.loc
+    u, v = seeded_sections(A, 5, 2, 2)
+    correction = _locality_correction(A, _frame_covariants(A, conn, u), v)
+    base = bracket(A, u, v)
+    expected = {
+        "original": base,
+        "modified": base.sub(correction),
+        "projected": base.sub(project_section(A, correction)),
+    }
+    ctx = GeometryContext(A, conn)
+    for kind, want in expected.items():
+        got = ctx.bracket(u, v, kind)
+        # structural equality: the same numerators and denominators
+        assert [(c.num, c.den) for c in got.comp] == [(c.num, c.den) for c in want.comp]
+
+
+def test_magic_suite_shares_plain_brackets_across_kinds(monkeypatch):
+    fx = random_anticommutable(1, dim=1, rank=3)
+    brackets = count_calls(monkeypatch, "bracket")
+    assert check_magic_and_derivations(fx.algebroid, fx.connection, 0, 2).passed
+    # 99 when each kind built its own plain bracket
+    assert len(brackets) < 80

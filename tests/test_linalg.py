@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import Phase, given, seed, settings
 from hypothesis import strategies as st
 
 from algebroids import Poly, Scalar, SingularMatrixError, parse_scalar, scalar_to_text
@@ -205,9 +205,16 @@ def _residual(coeffs, x, rhs) -> Scalar:
     return acc
 
 
+# No shrink phase: each shrink step re-solves a rational system, so
+# minimising a failing example took minutes; a failure reports as drawn.
 @seed(2021)
 @given(systems())
-@settings(max_examples=100, deadline=None, database=None)
+@settings(
+    max_examples=100,
+    deadline=None,
+    database=None,
+    phases=(Phase.explicit, Phase.reuse, Phase.generate),
+)
 def test_solve_affine_properties(system):
     rows, n = system
     sol = solve_affine(rows, n, 2)

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from algebroids import (
@@ -20,6 +20,7 @@ from algebroids import (
     scalar_to_text,
     set_term_budget,
 )
+from algebroids.fixtures import random_anticommutable
 
 NAMES = ["x1", "x2"]
 
@@ -345,3 +346,38 @@ def test_against_sympy(p, q):
     product = p * q
     assert to_sympy(product) == to_sympy(p) * to_sympy(q)
     assert to_sympy(product.divide_exact(q)) == to_sympy(p)
+
+
+# -- the product of polynomial scalars -----------------------------------------
+
+
+@given(wide_polys(), wide_polys())
+@settings(max_examples=60, deadline=None)
+def test_polynomial_product_equals_the_quotient_product(p, q):
+    a, b = Scalar(p), Scalar(q)
+    got = a * b
+    want = Scalar(a.num * b.num, a.den * b.den)
+    assert got.num == want.num
+    assert got.den == want.den
+
+
+@given(wide_polys(), wide_polys())
+@settings(max_examples=60, deadline=None)
+def test_polynomial_product_over_the_budget_raises(p, q):
+    terms = (p * q).term_count()
+    assume(terms > 1)
+    old = set_term_budget(terms - 1)
+    try:
+        with pytest.raises(BudgetError):
+            _ = Scalar(p) * Scalar(q)
+    finally:
+        set_term_budget(old)
+
+
+@given(rationals)
+@settings(max_examples=30, deadline=None)
+def test_frame_derive_of_a_constant_is_zero(c):
+    A = random_anticommutable(105, dim=2, rank=3, twist=True).algebroid
+    f = Scalar.constant(A.dim, c)
+    for a in range(A.rank):
+        assert A.frame_derive(a, f) is A.zero()
