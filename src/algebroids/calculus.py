@@ -25,10 +25,12 @@ import random
 from typing import Literal
 
 from .connection import (
+    BracketKind,
     Connection,
+    DerivativeKind,
     GeometryContext,
     covariant_derivative,
-    frame_covariant_tensor,
+    covariant_table,
 )
 from .core import (
     AlgebroidData,
@@ -39,7 +41,6 @@ from .core import (
     coboundary,
     interior_product,
     project_section,
-    sparse_clean,
     wedge,
 )
 from .errors import AdmissibilityError, ProjectorRequiredError, ShapeError
@@ -47,20 +48,12 @@ from .fixtures import random_scalar
 from .reports import CheckReport, report_from_residuals
 from .scalars import Scalar
 
-DerivativeKind = Literal["modified", "projected"]
-BracketKind = Literal["original", "modified", "projected"]
-
-
 def _require_admissible(ctx: GeometryContext) -> None:
     report = ctx.admissibility()
     if not report.passed:
         raise AdmissibilityError(
             "connection is not admissible", residuals=report.residuals
         )
-
-
-def _gamma_of_kind(ctx: GeometryContext, kind: BracketKind) -> SparseArray:
-    return ctx.A.gamma if kind == "original" else ctx.anholonomy(kind)  # type: ignore
 
 
 def exterior_derivative_raw(
@@ -72,7 +65,7 @@ def exterior_derivative_raw(
     """The alternating-sum formula evaluated literally on every ordered
     frame tuple, with no antisymmetry assumed.  Diagnostic: for an
     admissible connection the result is antisymmetric, otherwise not."""
-    gk = _gamma_of_kind(GeometryContext(A, conn), kind)
+    gk = GeometryContext(A, conn).anholonomy(kind)
     indices = itertools.product(range(A.rank), repeat=omega.degree + 1)
     return _exterior_array(A, gk, omega, indices)
 
@@ -135,7 +128,7 @@ def _e_exterior(
     if omega.degree == 0:
         return coboundary(A, omega.comp.get((), A.zero()))
     indices = itertools.combinations(range(A.rank), omega.degree + 1)
-    out = _exterior_array(A, _gamma_of_kind(ctx, kind), omega, indices)
+    out = _exterior_array(A, ctx.anholonomy(kind), omega, indices)
     return EForm(omega.degree + 1, A.rank, A.dim, out)
 
 
@@ -243,20 +236,6 @@ def _sample_note(seed: int, samples: int, degree: int) -> str:
     return f"section samples: seed={seed} count={samples} degree<={degree}"
 
 
-def covariant_tensor_array(
-    A: AlgebroidData, conn: Connection, comp: SparseArray, q: int, s: int
-) -> SparseArray:
-    """All-frame covariant derivative of a (q, s) component array: index
-    (b, *tensor index) holds the X_b derivative."""
-    tensor = ETensor(q, s, A.rank, A.dim, sparse_clean(comp))
-    out: SparseArray = {}
-    for b in range(A.rank):
-        arr = frame_covariant_tensor(A, conn, b, tensor)
-        for idx, v in arr.items():
-            out[(b,) + idx] = v
-    return out
-
-
 # -- identity checks ------------------------------------------------------
 
 
@@ -356,7 +335,7 @@ def _bianchi(ctx: GeometryContext, kind: DerivativeKind) -> dict[tuple, Scalar]:
     residuals: dict[tuple, Scalar] = {}
     curv = ctx.curvature()
     tor = ctx.torsion(kind)
-    nabla_t = covariant_tensor_array(A, conn, tor, 1, 2)
+    nabla_t = covariant_table(A, conn, ETensor(1, 2, r, A.dim, tor))
     # left[(b, c, d)] = [[X_b, X_c], X_d] and right[(b, c, d)] = [X_b, [X_c, X_d]]
     inners, left = _nested_brackets(ctx, kind)
     right = {
@@ -391,7 +370,7 @@ def _bianchi(ctx: GeometryContext, kind: DerivativeKind) -> dict[tuple, Scalar]:
                     if not val.is_zero():
                         residuals[("first", a, b, c, d)] = val
 
-    nabla_r = covariant_tensor_array(A, conn, curv, 1, 3)
+    nabla_r = covariant_table(A, conn, ETensor(1, 3, r, A.dim, curv))
     for b in range(r):
         for c in range(r):
             for d in range(r):

@@ -16,7 +16,15 @@ from fractions import Fraction
 from typing import Literal, Sequence
 
 from .connection import Connection, Metric, check_admissible, non_metricity
-from .core import AlgebroidData, FrameChange, SparseArray, change_frame, sparse_clean
+from .core import (
+    AlgebroidData,
+    EForm,
+    FrameChange,
+    SparseArray,
+    _sort_with_sign,
+    change_frame,
+    sparse_clean,
+)
 from .errors import ShapeError
 from .reports import CheckReport, report_from_residuals
 from .scalars import Scalar
@@ -151,32 +159,15 @@ def closed_3form_check(n: int, h: SparseArray) -> CheckReport:
     """Residuals of dH = 0 for an antisymmetric 3-index array given on
     strictly increasing coordinate triples."""
     residuals: dict[tuple, Scalar] = {}
-    zero = Scalar.zero(n)
-
-    def h_at(i, j, k):
-        key = tuple(sorted((i, j, k)))
-        v = h.get(key, zero)
-        # parity of the permutation sorting (i, j, k)
-        perm = [i, j, k]
-        sign = 1
-        if perm[0] > perm[1]:
-            perm[0], perm[1] = perm[1], perm[0]
-            sign = -sign
-        if perm[1] > perm[2]:
-            perm[1], perm[2] = perm[2], perm[1]
-            sign = -sign
-        if perm[0] > perm[1]:
-            perm[0], perm[1] = perm[1], perm[0]
-            sign = -sign
-        return v if sign == 1 else -v
+    h_at = EForm(3, n, n, h).at
 
     for quad in itertools.combinations(range(n), 4):
         i, j, k, l = quad
         acc = (
-            h_at(j, k, l).diff(i)
-            - h_at(i, k, l).diff(j)
-            + h_at(i, j, l).diff(k)
-            - h_at(i, j, k).diff(l)
+            h_at((j, k, l)).diff(i)
+            - h_at((i, k, l)).diff(j)
+            + h_at((i, j, l)).diff(k)
+            - h_at((i, j, k)).diff(l)
         )
         if not acc.is_zero():
             residuals[quad] = acc
@@ -272,15 +263,6 @@ def _wedge_basis(n: int, p: int) -> list[tuple[int, ...]]:
     return list(itertools.combinations(range(n), p))
 
 
-def _wedge_insert(i: int, J: tuple[int, ...]) -> tuple[tuple[int, ...], int] | None:
-    """dx^i wedge dx^J as (sorted tuple, sign); None if i in J."""
-    if i in J:
-        return None
-    out = tuple(sorted((i,) + J))
-    sign = (-1) ** out.index(i)
-    return out, sign
-
-
 def _interior_basis(i: int, J: tuple[int, ...]) -> tuple[tuple[int, ...], int] | None:
     """iota_{d_i} dx^J as (basis tuple, sign); None if i not in J."""
     if i not in J:
@@ -297,7 +279,6 @@ def make_higher_courant(n: int, p: int) -> ExampleBundle:
     if not 1 <= p <= n:
         raise ShapeError("need 1 <= p <= n")
     forms = _wedge_basis(n, p)
-    lower = _wedge_basis(n, p - 1)
     r = n + len(forms)
     zero, one = Scalar.zero(n), Scalar.one(n)
 
@@ -319,7 +300,7 @@ def make_higher_courant(n: int, p: int) -> ExampleBundle:
     form_index = {J: k for k, J in enumerate(forms)}
     for d in range(n):
         for (e, c, I), gval in comp.items():
-            hit = _wedge_insert(d, I)
+            hit = _sort_with_sign((d,) + I)
             if hit is None:
                 continue
             K, sign = hit
@@ -467,7 +448,7 @@ def higher_compatibility_residual(
                         rho = A.anchor[i][a]
                         if rho.is_zero():
                             continue
-                        hit = _wedge_insert(i, I)
+                        hit = _sort_with_sign((i,) + I)
                         if hit is None:
                             continue
                         K, sign = hit

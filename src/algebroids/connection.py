@@ -5,11 +5,8 @@ torsion, curvature, non-metricity, admissibility and difference tensors.
 Connection coefficients follow Gamma^a_bc = <e^a, D_{X_b} X_c>: the first
 lower index is the differentiation direction.  The connection one-form view
 omega^a_b with (omega^a_b)_c = Gamma^a_cb is an accessor, never a stored
-duplicate.
-
-The Gamma.L contraction is one loop, ``_contract``: ``locality_contraction``
-over ``A.loc``, and ``modified_anholonomy`` is gamma minus it over the
-kind's locality array.
+duplicate.  A covariant derivative is sum_b v^b D_{X_b} on a (q, s)
+tensor, a section being the (1, 0) tensor of its components.
 
 ``GeometryContext`` holds the values that depend only on one (algebroid,
 connection) pair: the admissibility report, the anholonomies, both
@@ -19,8 +16,11 @@ computed on first use.  It is the one place that builds a modified or
 projected bracket: the plain bracket minus ``core._locality_correction``
 of the D_{X_d} u table, projected for the projected kind, with one plain
 bracket and one correction per section pair shared by all three kinds.
-A public function builds a context when it is called and drops it when
-it returns, so no value outlives the call that computed it.
+The corrections of frame pairs are the context's ``contraction``: since
+[X_a, X_b] = gamma^c_ab X_c, each modified anholonomy is gamma minus it,
+and admissibility is read off it.  A public function builds a context when
+it is called and drops it when it returns, so no value outlives the call
+that computed it.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .core import (
     _locality_correction,
     bracket,
     project_section,
-    projected_locality,
     sparse_clean,
 )
 from .errors import ProjectorRequiredError, ShapeError, SingularMatrixError
@@ -46,8 +45,8 @@ from .linalg import invert_matrix
 from .reports import CheckReport, report_from_residuals
 from .scalars import Scalar
 
-AnholonomyKind = Literal["plain", "modified", "projected"]
 BracketKind = Literal["original", "modified", "projected"]
+DerivativeKind = Literal["modified", "projected"]
 
 
 @dataclass(frozen=True)
@@ -126,40 +125,50 @@ TensorLike = Union[Scalar, Section, ETensor]
 def covariant_derivative(
     A: AlgebroidData, conn: Connection, v: Section, target: TensorLike
 ) -> TensorLike:
-    """D_v on scalars, sections, or mixed tensors via the Leibniz extension."""
+    """D_v on scalars, sections, or mixed tensors via the Leibniz extension:
+    sum_b v^b D_{X_b}, a section taken as a (1, 0) tensor."""
     if isinstance(target, Scalar):
         return A.section_derive(v, target)
     if isinstance(target, Section):
-        out = []
-        for a in range(A.rank):
-            acc = A.section_derive(v, target.comp[a])
-            for b in range(A.rank):
-                if v.comp[b].is_zero():
-                    continue
-                for c in range(A.rank):
-                    g = conn.coeff.get((a, b, c))
-                    if g is None or target.comp[c].is_zero():
-                        continue
-                    acc = acc + v.comp[b] * target.comp[c] * g
-            out.append(acc)
-        return Section(tuple(out))
-    if isinstance(target, ETensor):
-        frame_arrays = [
-            frame_covariant_tensor(A, conn, b, target) for b in range(A.rank)
-        ]
-        out: SparseArray = {}
-        for b, arr in enumerate(frame_arrays):
-            f = v.comp[b]
-            if f.is_zero():
+        tensor = _as_tensor(A, target)
+    elif isinstance(target, ETensor):
+        tensor = target
+    else:
+        raise ShapeError(f"cannot differentiate a {type(target).__name__}")
+    out: SparseArray = {}
+    for b, f in enumerate(v.comp):
+        if f.is_zero():
+            continue
+        for idx, val in frame_covariant_tensor(A, conn, b, tensor).items():
+            t = f * val
+            if t.is_zero():
                 continue
-            for idx, val in arr.items():
-                t = f * val
-                if t.is_zero():
-                    continue
-                s = out.get(idx)
-                out[idx] = t if s is None else s + t
-        return ETensor(target.q, target.s, target.rank, target.nvars, sparse_clean(out))
-    raise ShapeError(f"cannot differentiate a {type(target).__name__}")
+            s = out.get(idx)
+            out[idx] = t if s is None else s + t
+    if isinstance(target, Section):
+        return Section(tuple(out.get((a,), A.zero()) for a in range(A.rank)))
+    return ETensor(target.q, target.s, target.rank, target.nvars, sparse_clean(out))
+
+
+def _as_tensor(A: AlgebroidData, u: Section) -> ETensor:
+    """A section as the (1, 0) tensor of its nonzero components."""
+    return ETensor(1, 0, A.rank, A.dim, {(e,): x for e, x in enumerate(u.comp) if not x.is_zero()})
+
+
+def covariant_table(A: AlgebroidData, conn: Connection, tensor: ETensor) -> SparseArray:
+    """D_{X_b} of a (q, s) tensor for every frame index b, keyed (b, *index)."""
+    return {
+        (b,) + idx: val
+        for b in range(A.rank)
+        for idx, val in frame_covariant_tensor(A, conn, b, tensor).items()
+    }
+
+
+def _frame_covariants(
+    A: AlgebroidData, conn: Connection, u: Section
+) -> dict[tuple[int, int], Scalar]:
+    """The nonzero (D_{X_d} u)^e, keyed (d, e)."""
+    return covariant_table(A, conn, _as_tensor(A, u))
 
 
 def frame_covariant_tensor(
@@ -196,15 +205,11 @@ def frame_covariant_tensor(
 
 
 def modified_anholonomy(
-    A: AlgebroidData, conn: Connection, kind: AnholonomyKind = "modified"
+    A: AlgebroidData, conn: Connection, kind: DerivativeKind = "modified"
 ) -> SparseArray:
-    """Anholonomy of the (projected) modified bracket:
-    gamma^a_bc - Gamma^e_db Lhat^{a d}_{e c}, gamma minus the locality
-    contraction over A.loc or, for "projected", the projected locality."""
-    if kind == "plain":
-        return dict(A.gamma)
-    loc = A.loc if kind == "modified" else projected_locality(A)
-    return _contract(loc, conn, A.rank, A.gamma)
+    """Anholonomy of the modified or projected modified bracket:
+    gamma^c_ab minus the frame locality correction of the kind."""
+    return GeometryContext(A, conn).anholonomy(kind)
 
 
 def modified_bracket(
@@ -212,28 +217,16 @@ def modified_bracket(
     conn: Connection,
     u: Section,
     v: Section,
-    kind: Literal["modified", "projected"] = "modified",
+    kind: DerivativeKind = "modified",
 ) -> Section:
     """[u, v] minus the locality correction L(e^a, D_{X_a} u, v)."""
     return GeometryContext(A, conn).bracket(u, v, kind)
 
 
-def _frame_covariants(
-    A: AlgebroidData, conn: Connection, u: Section
-) -> dict[tuple[int, int], Scalar]:
-    """The nonzero (D_{X_d} u)^e, keyed (d, e)."""
-    return {
-        (d, e): x
-        for d in range(A.rank)
-        for e, x in enumerate(covariant_derivative(A, conn, Section.frame(A, d), u).comp)
-        if not x.is_zero()
-    }
-
-
 def torsion(
     A: AlgebroidData,
     conn: Connection,
-    kind: Literal["modified", "projected"] = "modified",
+    kind: DerivativeKind = "modified",
 ) -> SparseArray:
     """Torsion components Gamma^a_bc - Gamma^a_cb - gamma(kind)^a_bc."""
     return GeometryContext(A, conn).torsion(kind)
@@ -283,29 +276,7 @@ def non_metricity(
 def locality_contraction(A: AlgebroidData, conn: Connection) -> SparseArray:
     """Frame components of L(e^d, D_{X_d} u, v): the map A(u, v) that turns
     a connection into an anti-commutable bracket."""
-    return _contract(A.loc, conn, A.rank)
-
-
-def _contract(
-    loc: SparseArray, conn: Connection, rank: int, minuend: SparseArray | None = None
-) -> SparseArray:
-    """Gamma^e_da L^{c d}_{e b} at (c, a, b), summed over d and e; given a
-    minuend, the minuend minus that contraction, one term at a time."""
-    out = dict(minuend or {})
-    for (c, d, e, b), lv in loc.items():
-        for a in range(rank):
-            g = conn.coeff.get((e, d, a))
-            if g is None:
-                continue
-            t = g * lv
-            if t.is_zero():
-                continue
-            if minuend is not None:
-                t = -t
-            key = (c, a, b)
-            s = out.get(key)
-            out[key] = t if s is None else s + t
-    return sparse_clean(out)
+    return GeometryContext(A, conn).contraction("modified")
 
 
 def check_admissible(A: AlgebroidData, conn: Connection) -> CheckReport:
@@ -316,21 +287,7 @@ def check_admissible(A: AlgebroidData, conn: Connection) -> CheckReport:
     The difference of the two sides is function-multilinear, so the frame
     check extends to all sections.
     """
-    lc = locality_contraction(A, conn)
-    residuals: dict[tuple, Scalar] = {}
-    r = A.rank
-    for c in range(r):
-        for a in range(r):
-            for b in range(a, r):
-                v = (
-                    A.gamma_at(c, a, b)
-                    + A.gamma_at(c, b, a)
-                    - lc.get((c, a, b), A.zero())
-                    - lc.get((c, b, a), A.zero())
-                )
-                if not v.is_zero():
-                    residuals[(c, a, b)] = v
-    return report_from_residuals("admissible", residuals)
+    return GeometryContext(A, conn).admissibility()
 
 
 def is_admissible(A: AlgebroidData, conn: Connection) -> bool:
@@ -362,14 +319,21 @@ class GeometryContext:
         return self._memo[key][0]
 
     def admissibility(self) -> CheckReport:
-        return self._cached("admissible", lambda: check_admissible(self.A, self.conn))
+        return self._cached("admissible", self._admissibility)
 
-    def anholonomy(self, kind: AnholonomyKind) -> SparseArray:
+    def anholonomy(self, kind: DerivativeKind) -> SparseArray:
+        """gamma^c_ab minus the frame correction of the kind: the structure
+        functions of [X_a, X_b] of that kind."""
         return self._cached(
-            kind, lambda: modified_anholonomy(self.A, self._need_conn(), kind)
+            ("anholonomy", kind), lambda: _sparse_sub(self.A.gamma, self.contraction(kind))
         )
 
-    def torsion(self, kind: Literal["modified", "projected"]) -> SparseArray:
+    def contraction(self, kind: DerivativeKind) -> SparseArray:
+        """The frame corrections L(e^d, D_{X_d} X_a, X_b) = Gamma^e_da
+        L^{c d}_{e b} X_c, projected for "projected", keyed (c, a, b)."""
+        return self._cached(("contraction", kind), lambda: self._contraction(kind))
+
+    def torsion(self, kind: DerivativeKind) -> SparseArray:
         return self._cached(("torsion", kind), lambda: self._torsion(kind))
 
     def curvature(self) -> SparseArray:
@@ -408,6 +372,42 @@ class GeometryContext:
             lambda: _locality_correction(self.A, self._covariants(u), v), u, v
         )
 
+    def _admissibility(self) -> CheckReport:
+        """The report of ``check_admissible``: gamma^c_ab + gamma^c_ba minus
+        the modified contraction at (c, a, b) and (c, b, a)."""
+        A, lc = self.A, self.contraction("modified")
+        residuals: dict[tuple, Scalar] = {}
+        r = A.rank
+        for c in range(r):
+            for a in range(r):
+                for b in range(a, r):
+                    v = (
+                        A.gamma_at(c, a, b)
+                        + A.gamma_at(c, b, a)
+                        - lc.get((c, a, b), A.zero())
+                        - lc.get((c, b, a), A.zero())
+                    )
+                    if not v.is_zero():
+                        residuals[(c, a, b)] = v
+        return report_from_residuals("admissible", residuals)
+
+    def _contraction(self, kind: DerivativeKind) -> SparseArray:
+        A = self.A
+        if kind == "projected" and A.proj is None:
+            raise ProjectorRequiredError("locality projector required")
+        out: SparseArray = {}
+        if not A.loc:
+            return out
+        for a, x in enumerate(self.frames):
+            for b, y in enumerate(self.frames):
+                correction = self.correction(x, y)
+                if kind == "projected":
+                    correction = project_section(A, correction)
+                for c, val in enumerate(correction.comp):
+                    if not val.is_zero():
+                        out[(c, a, b)] = val
+        return out
+
     def _bracket(self, u: Section, v: Section, kind: BracketKind) -> Section:
         if kind == "original":
             return bracket(self.A, u, v)
@@ -419,7 +419,7 @@ class GeometryContext:
             correction = project_section(self.A, correction)
         return base.sub(correction)
 
-    def _torsion(self, kind: Literal["modified", "projected"]) -> SparseArray:
+    def _torsion(self, kind: DerivativeKind) -> SparseArray:
         A, conn = self.A, self.conn
         anhol = self.anholonomy(kind)
         out: SparseArray = {}
@@ -471,8 +471,13 @@ class GeometryContext:
 def difference_tensor(conn1: Connection, conn2: Connection, nvars: int) -> SparseArray:
     """Entrywise difference; transforms tensorially although neither
     connection does."""
-    out = dict(conn1.coeff)
-    for idx, v in conn2.coeff.items():
+    return _sparse_sub(conn1.coeff, conn2.coeff)
+
+
+def _sparse_sub(x: SparseArray, y: SparseArray) -> SparseArray:
+    """x minus y entrywise, zero entries dropped."""
+    out = dict(x)
+    for idx, v in y.items():
         s = out.get(idx)
         out[idx] = -v if s is None else s - v
     return sparse_clean(out)
@@ -505,8 +510,9 @@ def check_anholonomy_decomposition(A: AlgebroidData, conn: Connection) -> CheckR
     anholonomy), "sym-precondition" (antisymmetric part of the
     contraction, zero exactly when the splitting hypothesis holds).
     """
-    anhol = modified_anholonomy(A, conn, "modified")
-    lc = locality_contraction(A, conn)
+    ctx = GeometryContext(A, conn)
+    anhol = ctx.anholonomy("modified")
+    lc = ctx.contraction("modified")
     residuals: dict[tuple, Scalar] = {}
     r = A.rank
     for a in range(r):

@@ -19,9 +19,10 @@ extension of the frame data by the right- and left-Leibniz rules:
                + rho^i_d d_i(u^a) v^b L^{c d}_{a b}
 
 The last term is ``_locality_correction``, the one section-valued
-contraction with the locality operator, which the modified bracket reuses
-with D_{X_d} u in place of rho_d(u); ``projected_locality`` is the
-locality array with the projector applied to its output slot.
+contraction with the locality operator: the modified bracket reuses it
+with D_{X_d} u in place of rho_d(u), and ``apply_locality`` with
+omega_d u^e.  The only P.L loop is condition 1 of
+``check_locality_projector``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PoleError, ProjectorRequiredError, ShapeError
+from .errors import PoleError, ShapeError
 from .linalg import invert_matrix, kernel_basis, mat_mul
 from .reports import CheckReport, report_from_residuals
 from .scalars import Point, Scalar
@@ -411,7 +412,7 @@ def _locality_correction(
     term by term onto ``start`` when given.  With table[(d, e)] =
     rho_d(u^e) this is the bracket's locality term; with the components
     (D_{X_d} u)^e it is L(e^d, D_{X_d} u, v), the modified bracket's
-    correction."""
+    correction; with omega_d u^e it is L(omega, u, v)."""
     out = list(start) if start is not None else [A.zero()] * A.rank
     for (c, d, e, b), lv in A.loc.items():
         w = table.get((d, e))
@@ -421,25 +422,6 @@ def _locality_correction(
         if not t.is_zero():
             out[c] = out[c] + t * lv
     return Section(tuple(out))
-
-
-def projected_locality(A: AlgebroidData) -> SparseArray:
-    """The locality array with the projector applied to the output slot."""
-    if A.proj is None:
-        raise ProjectorRequiredError("locality projector required")
-    out: SparseArray = {}
-    for (a1, d, e, c), lv in A.loc.items():
-        for a in range(A.rank):
-            p = A.proj[a][a1]
-            if p.is_zero():
-                continue
-            t = p * lv
-            if t.is_zero():
-                continue
-            key = (a, d, e, c)
-            s = out.get(key)
-            out[key] = t if s is None else s + t
-    return sparse_clean(out)
 
 
 def coboundary(A: AlgebroidData, f: Scalar) -> EForm:
@@ -457,15 +439,8 @@ def apply_locality(
     projected: bool = False,
 ) -> Section:
     """L(omega, u, v), optionally followed by the locality projector."""
-    out = [A.zero() for _ in range(A.rank)]
-    for (c, d, e, b), lv in A.loc.items():
-        t = omega_comp[d] * u.comp[e]
-        if t.is_zero():
-            continue
-        t = t * v.comp[b]
-        if not t.is_zero():
-            out[c] = out[c] + t * lv
-    sec = Section(tuple(out))
+    table = {(d, e): omega_comp[d] * u.comp[e] for (_, d, e, _) in A.loc}
+    sec = _locality_correction(A, table, v)
     if projected:
         sec = project_section(A, sec)
     return sec
@@ -559,9 +534,10 @@ def check_locality_projector(
     if A.proj is None:
         raise ShapeError("no locality projector present")
     residuals: dict[tuple, Scalar] = {}
-    # condition 1: rho^i_a (P L)^a_{(d e c)} = 0.  Kept as its own loop:
-    # reading P L from projected_locality sums the same terms in another
-    # order, which changes the printed text of failing rational residuals.
+    # condition 1: rho^i_a (P L)^a_{(d e c)} = 0, the only P.L loop.  Kept
+    # as its own loop: equal scalars summed in another order can print
+    # differently, so reading P L off another contraction would change the
+    # printed text of failing rational residuals.
     for (aa, d, e, c), lv in A.loc.items():
         for a in range(A.rank):
             p = A.proj_at(a, aa)
@@ -594,42 +570,17 @@ def check_locality_projector(
         pt = Point.of(*[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(A.dim)])
         try:
             numeric = [
-                [entry.eval_at(pt) for entry in row] for row in A.anchor
+                [A.const(entry.eval_at(pt)) for entry in row] for row in A.anchor
             ]
         except PoleError:
             continue  # pole at this sample, draw again
         checked += 1
-        if _numeric_rank(numeric) != symbolic_rank:
+        if A.rank - len(kernel_basis(numeric, A.dim)) != symbolic_rank:
             assumptions.append(
                 f"anchor rank at sample point {tuple(str(c) for c in pt.coords)} "
                 f"differs from symbolic rank {symbolic_rank}"
             )
     return report_from_residuals("locality-projector", residuals, assumptions)
-
-
-def _numeric_rank(matrix: list[list[Fraction]]) -> int:
-    m = [row[:] for row in matrix]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    row = 0
-    for col in range(cols):
-        pivot = None
-        for r in range(row, len(m)):
-            if m[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        pv = m[row][col]
-        m[row] = [x / pv for x in m[row]]
-        for r in range(len(m)):
-            if r != row and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[row])]
-        row += 1
-        rank += 1
-    return rank
 
 
 # -- frame changes -------------------------------------------------------

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .connection import Connection, Metric, locality_contraction
+from .connection import Connection, Metric, bracket_from_connection
 from .core import AlgebroidData, FrameChange, Section, SparseArray, change_frame
 from .scalars import Poly, Scalar
 
@@ -119,22 +119,7 @@ def random_anticommutable(
         dim=dim, rank=rank, coords=names, anchor=anchor,
         gamma={}, loc=loc, proj=proj,
     )
-    gamma: SparseArray = {}
-    lc = locality_contraction(base, conn)
-    for c in range(rank):
-        for a in range(rank):
-            for b in range(rank):
-                v = (
-                    conn.at(c, a, b, dim)
-                    - conn.at(c, b, a, dim)
-                    + lc.get((c, a, b), zero)
-                )
-                if not v.is_zero():
-                    gamma[(c, a, b)] = v
-    A = AlgebroidData(
-        dim=dim, rank=rank, coords=names, anchor=anchor,
-        gamma=gamma, loc=loc, proj=proj,
-    )
+    A = bracket_from_connection(base, conn)
     if twist:
         F = random_frame_change(rng, A, degree=1)
         A, coeff2, _ = change_frame(A, F, conn.coeff)

@@ -273,22 +273,10 @@ class Poly:
         t = self._t
         return not t or (len(t) == 1 and 0 in t)
 
-    def constant_value(self) -> Fraction | None:
-        """The value of a constant polynomial, else None."""
-        if self.is_constant():
-            return Fraction(self._num, self._den)
-        return None
-
     def total_degree(self) -> int:
         if not self._t:
             return 0
         return max(self._t) >> (_FIELD_BITS * self.nvars)
-
-    def leading(self) -> tuple[Exponents, Fraction]:
-        """Leading term in graded-lex order.  Undefined on the zero polynomial."""
-        key = max(self._t)
-        coeff = Fraction(self._num * self._t[key], self._den)
-        return _layout(self.nvars).unpack(key), coeff
 
     def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
         unpack = _layout(self.nvars).unpack
@@ -611,13 +599,6 @@ class Scalar:
 
     def is_constant(self) -> bool:
         return self.num.is_constant() and self.den.is_constant()
-
-    def constant_value(self) -> Fraction | None:
-        if not self.is_constant():
-            return None
-        if self.num.is_zero():
-            return Fraction(0)
-        return self.num.constant_value() / self.den.constant_value()
 
     def term_count(self) -> int:
         return len(self.num._t) + len(self.den._t)

@@ -456,18 +456,17 @@ def pushed_off(A, conn):
 
 @pytest.mark.parametrize("suite", sorted(GATED_SUITES))
 def test_gated_suite_checks_admissibility_once(suite, monkeypatch):
-    import algebroids.connection as connection_module
-
     fx = random_anticommutable(6, dim=1, rank=2)
     assert fx.algebroid.loc
     calls = []
-    original = connection_module.check_admissible
+    original = GeometryContext._admissibility
 
-    def counting(A, conn):
-        calls.append(conn)
-        return original(A, conn)
+    # the builder of the context's admissibility report
+    def counting(ctx):
+        calls.append(ctx.conn)
+        return original(ctx)
 
-    monkeypatch.setattr(connection_module, "check_admissible", counting)
+    monkeypatch.setattr(GeometryContext, "_admissibility", counting)
     GATED_SUITES[suite](fx.algebroid, fx.connection)
     assert calls == [fx.connection]
 

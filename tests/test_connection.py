@@ -1,6 +1,7 @@
 """Covariant derivatives, modified structures, torsion, curvature,
 non-metricity, admissibility, and the connection-to-bracket map."""
 
+import dataclasses
 import random
 
 import pytest
@@ -568,3 +569,93 @@ def test_magic_suite_shares_plain_brackets_across_kinds(monkeypatch):
     assert check_magic_and_derivations(fx.algebroid, fx.connection, 0, 2).passed
     # 99 when each kind built its own plain bracket
     assert len(brackets) < 80
+
+
+def rational_projector(A):
+    """A with the projector replaced by P^a_b = (a+1)/(1 + x1^2 + b): not
+    a locality projector, but its sums print differently when reordered."""
+    x1 = Scalar.variable(A.dim, 0)
+    proj = tuple(
+        tuple(A.const(a + 1) / (A.one() + x1 * x1 + A.const(b)) for b in range(A.rank))
+        for a in range(A.rank)
+    )
+    return dataclasses.replace(A, proj=proj)
+
+
+def test_anholonomy_is_the_frame_bracket():
+    checked = 0
+    for seed in (101, 103, 104, 107, 111):
+        fx = random_anticommutable(seed, dim=2, rank=3, twist=True)
+        A = rational_projector(fx.algebroid)
+        ctx = GeometryContext(A, fx.connection)
+        for kind in ("modified", "projected"):
+            anhol = ctx.anholonomy(kind)
+            for a, x in enumerate(ctx.frames):
+                for b, y in enumerate(ctx.frames):
+                    br = ctx.bracket(x, y, kind)
+                    for c in range(A.rank):
+                        got = anhol.get((c, a, b), A.zero())
+                        # structural equality: the same printed text
+                        assert (got.num, got.den) == (br.comp[c].num, br.comp[c].den)
+                        checked += 1
+    assert checked == 270
+
+
+def reference_contraction(A, conn, loc):
+    """Gamma^e_da loc^{c d}_{e b} at (c, a, b), the sum written out."""
+    out = {}
+    for (c, d, e, b), lv in loc.items():
+        for a in range(A.rank):
+            g = conn.coeff.get((e, d, a))
+            if g is not None:
+                out[(c, a, b)] = out.get((c, a, b), A.zero()) + g * lv
+    return out
+
+
+def reference_projected_locality(A):
+    """P^a_{a'} L^{a' d}_{e c} at (a, d, e, c)."""
+    out = {}
+    for (a1, d, e, c), lv in A.loc.items():
+        for a in range(A.rank):
+            out[(a, d, e, c)] = out.get((a, d, e, c), A.zero()) + A.proj[a][a1] * lv
+    return out
+
+
+def reference_covariant(A, conn, v, u):
+    """(D_v u)^a = rho(v)(u^a) + v^b u^c Gamma^a_bc."""
+    out = []
+    for a in range(A.rank):
+        acc = A.section_derive(v, u.comp[a])
+        for (a2, b, c), g in conn.coeff.items():
+            if a2 == a:
+                acc = acc + v.comp[b] * u.comp[c] * g
+        out.append(acc)
+    return out
+
+
+def assert_same_values(got, want, keys):
+    for key in keys:
+        assert got.get(key, Scalar.zero(2)).equals(want.get(key, Scalar.zero(2))), key
+
+
+@pytest.mark.parametrize("seed, twist", [(1, False), (4, False), (16, False), (104, True)])
+def test_contractions_and_covariant_derivative_match_the_written_out_sums(seed, twist):
+    fx = random_anticommutable(seed, dim=2, rank=3, twist=twist)
+    A, conn = fx.algebroid, fx.connection
+    if twist:
+        A = rational_projector(A)
+    keys = [(c, a, b) for c in range(3) for a in range(3) for b in range(3)]
+    lc = reference_contraction(A, conn, A.loc)
+    assert lc and any(not v.is_zero() for v in lc.values())
+    assert_same_values(locality_contraction(A, conn), lc, keys)
+    for kind, loc in (("modified", A.loc), ("projected", reference_projected_locality(A))):
+        contracted = reference_contraction(A, conn, loc)
+        want = {k: A.gamma_at(*k) - contracted.get(k, A.zero()) for k in keys}
+        assert_same_values(modified_anholonomy(A, conn, kind), want, keys)
+    frames = [Section.frame(A, a) for a in range(3)]
+    sections = seeded_sections(A, seed, 4, 2) + frames
+    for v in sections:
+        for u in sections:
+            got = covariant_derivative(A, conn, v, u)
+            want = reference_covariant(A, conn, v, u)
+            assert all(x.equals(y) for x, y in zip(got.comp, want))
