@@ -58,7 +58,7 @@ from .levicivita import (
 )
 from .parsing import parse_scalar
 from .reports import CheckReport
-from .scalars import Scalar, get_term_budget, scalar_to_text, set_term_budget
+from .scalars import Scalar, scalar_to_text, term_budget
 
 EXIT_OK = 0
 EXIT_IDENTITY_FAILED = 1
@@ -84,7 +84,6 @@ class RunConfig:
     seed: int = 0
     samples: int = 8
     degree: int = 2
-    budget: int = 100_000
     fmt: str = "json"
     out: str | None = None
 
@@ -443,17 +442,14 @@ def cmd_frame_change(args: argparse.Namespace) -> int:
 
 
 def _config_from(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(
+    return RunConfig(
         suite=getattr(args, "suite", "all"),
         seed=getattr(args, "seed", 0),
         samples=getattr(args, "samples", 8),
         degree=getattr(args, "degree", 2),
-        budget=getattr(args, "budget", 100_000),
         fmt=getattr(args, "format", "json"),
         out=getattr(args, "output", None),
     )
-    set_term_budget(config.budget)
-    return config
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -528,18 +524,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # --budget holds for this run only
-    budget = get_term_budget()
     try:
-        return args.func(args)
+        with term_budget(args.budget):
+            return args.func(args)
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (DocumentError, AlgebroidError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    finally:
-        set_term_budget(budget)
 
 
 if __name__ == "__main__":

@@ -552,7 +552,7 @@ def check_locality_projector(
                 residuals[key] = acc + rho * p * lv
     # condition 2: P k = k for a fraction-field kernel basis of the anchor
     anchor_rows = [list(row) for row in A.anchor]
-    basis = kernel_basis(anchor_rows, A.dim)
+    basis = kernel_basis(anchor_rows, A.rank, A.dim)
     for k_index, vec in enumerate(basis):
         pk = project_section(A, Section(tuple(vec)))
         for a in range(A.rank):
@@ -575,7 +575,7 @@ def check_locality_projector(
         except PoleError:
             continue  # pole at this sample, draw again
         checked += 1
-        if A.rank - len(kernel_basis(numeric, A.dim)) != symbolic_rank:
+        if A.rank - len(kernel_basis(numeric, A.rank, A.dim)) != symbolic_rank:
             assumptions.append(
                 f"anchor rank at sample point {tuple(str(c) for c in pt.coords)} "
                 f"differs from symbolic rank {symbolic_rank}"

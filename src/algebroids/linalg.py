@@ -4,7 +4,10 @@ Affine systems are solved by fraction-free (Bareiss) forward elimination
 and a fraction-free back substitution, with pivoting on symbolic
 nonzero-ness: an entry is a usable pivot iff it is not identically zero,
 with constant and short entries preferred to limit expression swell.
-Pointwise (numeric) pivoting would be unsound at poles.
+Pointwise (numeric) pivoting would be unsound at poles.  Most rows of the
+geometric systems have no entry in a given pivot column; such a row only
+gains the factor pivot / previous pivot, so it is kept when the two are
+equal and rescaled by a rational when both are constants.
 
 Rows are kept sparse (dict column -> Scalar) because the geometric systems
 assembled elsewhere touch only a handful of unknowns per equation.
@@ -139,78 +142,102 @@ def solve_affine(
               / previous_pivot
 
     divides exactly, so intermediate entries are minors of the original
-    matrix and never grow into nested fractions.  Each pivot row is frozen
-    when it is chosen.  With det the last pivot, a fraction-free back
-    substitution over the frozen rows, last pivot first, computes
+    matrix and never grow into nested fractions.  A row with no entry in
+    the pivot column becomes pivot * entry / previous_pivot in one of three
+    exact forms: the row itself when the pivot structurally equals the
+    previous one; every entry scaled by the rational pivot / previous_pivot
+    when both are constants (the canonical content makes this the same
+    polynomial as the product and the division); else the product and the
+    division.  Each work row carries its best (quality, column) key,
+    computed when the row is made or changed by a polynomial factor, kept
+    when it is kept or scaled by a constant (which leaves constness, term
+    count and degree alone); the pivot is the least (key, row position).
+    Each pivot row is frozen when it is chosen.  With det the last pivot,
+    a fraction-free back substitution over the frozen rows, last pivot
+    first, computes
 
         N_k = (det * rhs_k - sum over later pivots j of a_kj * N_j) / p_k
 
     exactly (p_k is the row's own pivot), and x_k = N_k / det.  A kernel
     vector is the same walk with a_kc of its free column c for rhs_k, negated.
     """
-    work: list[tuple[dict[int, Poly], Poly]] = []
+
+    def keyed(coeffs: dict[int, Poly], rhs: Poly) -> tuple:
+        # a work row carries its best (quality, column), None when empty
+        key = min(((_poly_quality(p), c) for c, p in coeffs.items()), default=None)
+        return coeffs, rhs, key
+
+    work: list[tuple[dict[int, Poly], Poly, tuple | None]] = []
     for coeffs, rhs in rows:
         cleared = _clear_row(coeffs, rhs, nvars)
         if cleared[0] or not cleared[1].is_zero():
-            work.append(cleared)
+            work.append(keyed(*cleared))
     pivots: list[tuple[int, dict[int, Poly], Poly]] = []  # col, coeffs, rhs
     prev = Poly.one(nvars)
+    constant = (0,) * nvars
 
-    def bareiss_update(coeffs, rhs, pivot, pcoeffs, prhs, col):
+    def bareiss_update(work_row, pivot, pcoeffs, prhs, col, ratio):
+        coeffs, rhs, key = work_row
         f = coeffs.get(col)
+        if f is None:
+            if ratio == 1:
+                return work_row
+            if ratio is not None:
+                # a constant factor keeps constness, term count and degree
+                scaled = {c: v.scale(ratio) for c, v in coeffs.items()}
+                return scaled, rhs.scale(ratio), key
+            return keyed(
+                {c: (pivot * v).divide_exact(prev) for c, v in coeffs.items()},
+                (pivot * rhs).divide_exact(prev),
+            )
         new_coeffs: dict[int, Poly] = {}
-        if f is None or f.is_zero():
-            for c, v in coeffs.items():
-                nv = (pivot * v).divide_exact(prev)
-                if not nv.is_zero():
-                    new_coeffs[c] = nv
-            new_rhs = (pivot * rhs).divide_exact(prev)
-        else:
-            for c in set(coeffs) | set(pcoeffs):
-                if c == col:
-                    continue
-                a = coeffs.get(c)
-                b = pcoeffs.get(c)
-                term = pivot * a if a is not None else Poly.zero(nvars)
-                if b is not None:
-                    term = term - f * b
-                if term.is_zero():
-                    continue
-                nv = term.divide_exact(prev)
-                if not nv.is_zero():
-                    new_coeffs[c] = nv
-            new_rhs = (pivot * rhs - f * prhs).divide_exact(prev)
-        return new_coeffs, new_rhs
+        for c in set(coeffs) | set(pcoeffs):
+            if c == col:
+                continue
+            a = coeffs.get(c)
+            b = pcoeffs.get(c)
+            term = pivot * a if a is not None else Poly.zero(nvars)
+            if b is not None:
+                term = term - f * b
+            if term.is_zero():
+                continue
+            nv = term.divide_exact(prev)
+            if not nv.is_zero():
+                new_coeffs[c] = nv
+        return keyed(new_coeffs, (pivot * rhs - f * prhs).divide_exact(prev))
 
     while True:
         # global pivot selection on simplicity: constants first, then short
-        # low-degree entries, with a deterministic tie-break.  Keeping the
-        # running pivot constant for as long as possible stops the minor
-        # degrees from growing.
-        best = None
-        for i, (coeffs, _) in enumerate(work):
-            for c, p in coeffs.items():
-                if p.is_zero():
-                    continue
-                key = (_poly_quality(p), c, i)
-                if best is None or key < best[0]:
-                    best = (key, i, c)
+        # low-degree entries, with a deterministic tie-break on (column,
+        # row position).  Keeping the running pivot constant for as long
+        # as possible stops the minor degrees from growing.
+        best = min(
+            ((key, i) for i, (_, _, key) in enumerate(work) if key is not None),
+            default=None,
+        )
         if best is None:
             break
-        _, row_index, col = best
-        pcoeffs, prhs = work.pop(row_index)
+        (_, col), row_index = best
+        pcoeffs, prhs, _ = work.pop(row_index)
         pivot = pcoeffs[col]
+        # the factor pivot / prev of a row with no entry in the pivot column
+        if pivot == prev:
+            ratio = 1
+        elif pivot.is_constant() and prev.is_constant():
+            ratio = pivot.terms[constant] / prev.terms[constant]
+        else:
+            ratio = None
         work = [
-            row
-            for row in (
-                bareiss_update(coeffs, rhs, pivot, pcoeffs, prhs, col)
-                for coeffs, rhs in work
+            new
+            for new in (
+                bareiss_update(work_row, pivot, pcoeffs, prhs, col, ratio)
+                for work_row in work
             )
-            if row[0] or not row[1].is_zero()
+            if new[0] or not new[1].is_zero()
         ]
         pivots.append((col, pcoeffs, prhs))
         prev = pivot
-    for coeffs, rhs in work:
+    for coeffs, rhs, _ in work:
         if not any(not v.is_zero() for v in coeffs.values()) and not rhs.is_zero():
             return LinearSolution(
                 status="infeasible", nunknowns=nunknowns, witness=Scalar(rhs)
@@ -255,15 +282,13 @@ def solve_affine(
     )
 
 
-def kernel_basis(matrix: Matrix, nvars: int) -> list[list[Scalar]]:
-    """Basis of the right null space of a dense matrix over the field."""
-    if not matrix:
-        return []
-    ncols = len(matrix[0])
-    rows = []
+def kernel_basis(matrix: Matrix, ncols: int, nvars: int) -> list[list[Scalar]]:
+    """Basis of the right null space of a dense matrix with ``ncols``
+    columns over the field; a matrix with no rows has the unit vectors."""
+    if any(len(row) != ncols for row in matrix):
+        raise ShapeError(f"kernel_basis requires rows of {ncols} entries")
     zero = Scalar.zero(nvars)
-    for row in matrix:
-        coeffs = {j: v for j, v in enumerate(row) if not v.is_zero()}
-        rows.append((coeffs, zero))
-    sol = solve_affine(rows, ncols, nvars)
-    return sol.kernel_basis
+    rows = [
+        ({j: v for j, v in enumerate(row) if not v.is_zero()}, zero) for row in matrix
+    ]
+    return solve_affine(rows, ncols, nvars).kernel_basis

@@ -262,6 +262,25 @@ def test_projector_identity_verdict_computed(courant2):
     assert not report.passed
 
 
+def test_projector_on_a_point_base_must_fix_the_whole_bundle():
+    # with dim 0 the anchor is the 0 x r matrix: its kernel is the whole
+    # bundle and its symbolic rank is 0, so P must be the identity
+    one, zero = Scalar.one(0), Scalar.zero(0)
+
+    def algebroid(proj):
+        return AlgebroidData(
+            dim=0, rank=2, coords=(), anchor=(), gamma={},
+            loc={(1, 0, 0, 0): one}, proj=proj,
+        )
+
+    report = check_locality_projector(algebroid(((zero, zero), (zero, one))))
+    assert not report.passed
+    assert [key for key, _ in report.residuals] == [("P_fix_kernel", 0, 0)]
+    report = check_locality_projector(algebroid(((one, zero), (zero, one))))
+    assert report.passed
+    assert not any("differs from symbolic rank" in a for a in report.assumptions)
+
+
 def test_projector_missing_raises(tangent2):
     A = AlgebroidData(
         dim=2, rank=2, coords=tangent2.coords, anchor=tangent2.anchor,
