@@ -58,7 +58,7 @@ from .levicivita import (
 )
 from .parsing import parse_scalar
 from .reports import CheckReport
-from .scalars import Scalar, scalar_to_text, term_budget
+from .scalars import Scalar, scalar_to_text, set_term_budget
 
 EXIT_OK = 0
 EXIT_IDENTITY_FAILED = 1
@@ -524,15 +524,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # --budget holds for this run only
+    budget = set_term_budget(args.budget)
     try:
-        with term_budget(args.budget):
-            return args.func(args)
+        return args.func(args)
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (DocumentError, AlgebroidError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    finally:
+        set_term_budget(budget)
 
 
 if __name__ == "__main__":

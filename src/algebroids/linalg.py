@@ -6,8 +6,8 @@ nonzero-ness: an entry is a usable pivot iff it is not identically zero,
 with constant and short entries preferred to limit expression swell.
 Pointwise (numeric) pivoting would be unsound at poles.  Most rows of the
 geometric systems have no entry in a given pivot column; such a row only
-gains the factor pivot / previous pivot, so it is kept when the two are
-equal and rescaled by a rational when both are constants.
+gains the factor pivot / previous pivot, so it is kept as it is when the
+two are equal.
 
 Rows are kept sparse (dict column -> Scalar) because the geometric systems
 assembled elsewhere touch only a handful of unknowns per equation.
@@ -143,15 +143,11 @@ def solve_affine(
 
     divides exactly, so intermediate entries are minors of the original
     matrix and never grow into nested fractions.  A row with no entry in
-    the pivot column becomes pivot * entry / previous_pivot in one of three
-    exact forms: the row itself when the pivot structurally equals the
-    previous one; every entry scaled by the rational pivot / previous_pivot
-    when both are constants (the canonical content makes this the same
-    polynomial as the product and the division); else the product and the
-    division.  Each work row carries its best (quality, column) key,
-    computed when the row is made or changed by a polynomial factor, kept
-    when it is kept or scaled by a constant (which leaves constness, term
-    count and degree alone); the pivot is the least (key, row position).
+    the pivot column becomes pivot * entry / previous_pivot, which is the
+    row itself when the pivot structurally equals the previous one; that
+    row is kept.  Each work row carries its best (quality, column) key,
+    computed when the row is made or changed and kept with the row; the
+    pivot is the least (key, row position).
     Each pivot row is frozen when it is chosen.  With det the last pivot,
     a fraction-free back substitution over the frozen rows, last pivot
     first, computes
@@ -174,18 +170,13 @@ def solve_affine(
             work.append(keyed(*cleared))
     pivots: list[tuple[int, dict[int, Poly], Poly]] = []  # col, coeffs, rhs
     prev = Poly.one(nvars)
-    constant = (0,) * nvars
 
-    def bareiss_update(work_row, pivot, pcoeffs, prhs, col, ratio):
-        coeffs, rhs, key = work_row
+    def bareiss_update(work_row, pivot, pcoeffs, prhs, col, repeated):
+        coeffs, rhs, _ = work_row
         f = coeffs.get(col)
         if f is None:
-            if ratio == 1:
-                return work_row
-            if ratio is not None:
-                # a constant factor keeps constness, term count and degree
-                scaled = {c: v.scale(ratio) for c, v in coeffs.items()}
-                return scaled, rhs.scale(ratio), key
+            if repeated:
+                return work_row  # the factor pivot / prev is 1
             return keyed(
                 {c: (pivot * v).divide_exact(prev) for c, v in coeffs.items()},
                 (pivot * rhs).divide_exact(prev),
@@ -220,17 +211,11 @@ def solve_affine(
         (_, col), row_index = best
         pcoeffs, prhs, _ = work.pop(row_index)
         pivot = pcoeffs[col]
-        # the factor pivot / prev of a row with no entry in the pivot column
-        if pivot == prev:
-            ratio = 1
-        elif pivot.is_constant() and prev.is_constant():
-            ratio = pivot.terms[constant] / prev.terms[constant]
-        else:
-            ratio = None
+        repeated = pivot == prev
         work = [
             new
             for new in (
-                bareiss_update(work_row, pivot, pcoeffs, prhs, col, ratio)
+                bareiss_update(work_row, pivot, pcoeffs, prhs, col, repeated)
                 for work_row in work
             )
             if new[0] or not new[1].is_zero()

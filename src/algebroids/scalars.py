@@ -22,9 +22,7 @@ Exact division (``Poly.divide_exact``) divides the integer parts with
 ``divmod``, taking the largest remaining term from a max-heap (Monagan and
 Pearce, "Sparse polynomial division using a heap", JSC 2011); a
 non-integral quotient coefficient or an indivisible leading monomial
-proves the division inexact and raises ``InexactDivisionError``.  A
-monomial divisor, whose primitive part has coefficient 1, needs no heap:
-the quotient shifts every key, after the same divisibility test on each.
+proves the division inexact and raises ``InexactDivisionError``.
 
 A scalar is a quotient num/den of two polynomials with den not
 identically zero.  Equality of scalars is decided by cross-multiplication
@@ -42,7 +40,6 @@ All values are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 from collections.abc import Mapping as _MappingABC
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -75,17 +72,6 @@ def set_term_budget(limit: int) -> int:
 
 def get_term_budget() -> int:
     return _term_budget
-
-
-@contextmanager
-def term_budget(limit: int):
-    """Run a block under the term budget ``limit``; the previous budget is
-    restored on exit, also when the block raises."""
-    old = set_term_budget(limit)
-    try:
-        yield
-    finally:
-        set_term_budget(old)
 
 
 # -- packed monomials ---------------------------------------------------
@@ -422,23 +408,12 @@ class Poly:
         den //= g
         if divisor.is_constant() or not self._t:
             return _make(self.nvars, num, den, self._t)
-        guard = _layout(self.nvars).guard
-        if len(dt) == 1:
-            # a primitive monomial has coefficient 1: shift every key
-            (lead,) = dt
-            quotient = {}
-            for e, c in self._t.items():
-                if ((e | guard) - lead) & guard != guard:
-                    raise InexactDivisionError(
-                        "division is not exact: the monomial does not divide"
-                    )
-                quotient[e - lead] = c
-            return _make(self.nvars, num, den, quotient)
         # Gauss's lemma: the quotient of the primitive parts is an integer
         # polynomial, primitive with a positive leading coefficient
         lead = max(dt)
         lead_c = dt[lead]
         tail = [(k - lead, c) for k, c in dt.items() if k != lead]
+        guard = _layout(self.nvars).guard
         rest = dict(self._t)
         heap = [-k for k in rest]
         heapify(heap)

@@ -322,9 +322,9 @@ def test_infeasibility_witness_is_the_augmented_determinant(augmented):
     # n + 1 equations in n unknowns with a regular augmented matrix.  Every
     # fraction-free work entry is a minor of the augmented matrix (Bareiss),
     # so the last row reduces to 0 = +-det, and the pivot order of the
-    # reference fixes which sign and which polynomial form.  A row kept or
-    # rescaled by the wrong constant, or a pivot chosen on a stale key,
-    # leaves another multiple or another form.
+    # reference fixes which sign and which polynomial form.  A row kept
+    # when the pivot changed, or a pivot chosen on a stale key, leaves
+    # another multiple or another form.
     det = _det_at([[v.eval_at(RANK_POINT) for v in row] for row in augmented])
     assume(det != 0)
     n = len(augmented) - 1
@@ -358,8 +358,7 @@ def test_torsion_free_solve_divides_without_reducing_earlier_pivot_rows(monkeypa
     # divisions here; forward elimination and back substitution took 9,137
     # products and 7,626 divisions while every row without an entry in the
     # pivot column was multiplied by the pivot and divided by the previous
-    # one.  Keeping such a row when the two are equal and rescaling it when
-    # both are constants takes 4,034 and 2,523.
+    # one.  Keeping such a row when the two are equal takes 5,258 and 3,747.
     calls = {"mul": 0, "divide_exact": 0}
     mul, divide_exact = Poly.__mul__, Poly.divide_exact
 
@@ -382,8 +381,8 @@ def test_torsion_free_solve_divides_without_reducing_earlier_pivot_rows(monkeypa
     monkeypatch.setattr(Poly, "divide_exact", counting_divide)
     monkeypatch.setattr(levicivita, "solve_affine", recording)
     space = solve_torsion_free(A)
-    assert calls["mul"] < 5_000
-    assert calls["divide_exact"] < 3_500
+    assert calls["mul"] < 6_000
+    assert calls["divide_exact"] < 4_500
     assert space.status == "affine" and space.dim == 11
     (sol,) = solutions
     free = [c for c in range(sol.nunknowns) if c not in sol.pivot_columns]

@@ -15,12 +15,10 @@ from algebroids import (
     Poly,
     PoleError,
     Scalar,
-    get_term_budget,
     parse_scalar,
     poly_to_text,
     scalar_to_text,
     set_term_budget,
-    term_budget,
 )
 from algebroids.fixtures import random_anticommutable
 
@@ -164,21 +162,6 @@ def test_term_budget_aborts_large_products():
         set_term_budget(old)
 
 
-def test_term_budget_is_restored_when_the_block_raises():
-    before = get_term_budget()
-    big = s("(1 + x1 + x2 + x1*x2 + x1^2 + x2^2)")
-    with pytest.raises(BudgetError):
-        with term_budget(10):
-            assert get_term_budget() == 10
-            _ = big * big
-    assert get_term_budget() == before
-    with term_budget(before + 1):
-        with term_budget(5):
-            pass
-        assert get_term_budget() == before + 1
-    assert get_term_budget() == before
-
-
 # -- property tests --------------------------------------------------------
 
 rationals = st.builds(
@@ -314,59 +297,6 @@ def test_equal_values_have_one_form(p, q, r):
     for lhs, rhs in pairs:
         assert lhs == rhs
         assert poly_to_text(lhs, WIDE_NAMES) == poly_to_text(rhs, WIDE_NAMES)
-
-
-# -- division by a monomial and scaling by a constant ratio ---------------------
-
-
-@st.composite
-def polys_and_monomials(draw):
-    """A polynomial and a nonzero monomial times a constant, in 1 or 2
-    variables."""
-    nvars = draw(st.sampled_from((1, 2)))
-    exps = st.tuples(*[st.integers(0, 3)] * nvars)
-    p = Poly(nvars, draw(st.dictionaries(exps, wide_rationals, max_size=5)))
-    m = Poly(nvars, {draw(exps): draw(wide_rationals.filter(bool))})
-    return p, m
-
-
-def ref_divide_by_monomial(a, m):
-    ((shift, c),) = m.items()
-    return {tuple(x - y for x, y in zip(e, shift)): v / c for e, v in a.items()}
-
-
-@given(polys_and_monomials())
-@settings(max_examples=80, deadline=None)
-def test_divide_by_monomial_shifts_every_term(pm):
-    p, m = pm
-    product = p * m
-    quotient = product.divide_exact(m)
-    assert quotient == p
-    assert dict(quotient.terms) == ref_divide_by_monomial(
-        dict(product.terms), dict(m.terms)
-    )
-
-
-@given(polys_and_monomials(), st.data())
-@settings(max_examples=80, deadline=None)
-def test_divide_by_monomial_that_does_not_divide_raises(pm, data):
-    p, m = pm
-    assume(not p.is_zero())
-    i = data.draw(st.integers(0, p.nvars - 1))
-    # x_i to one more than its lowest power in p does not divide that term
-    low = min(e[i] for e in p.terms)
-    exps = tuple(low + 1 if j == i else 0 for j in range(p.nvars))
-    with pytest.raises(InexactDivisionError):
-        p.divide_exact(Poly(p.nvars, {exps: Fraction(3, 2)}))
-    with pytest.raises(InexactDivisionError):
-        (p * m).divide_exact(m * Poly(p.nvars, {exps: Fraction(1)}))
-
-
-@given(wide_polys(), wide_rationals.filter(bool), wide_rationals.filter(bool))
-@settings(max_examples=80, deadline=None)
-def test_scale_by_constant_ratio_is_the_fraction_free_update(v, a, b):
-    P, Q = Poly.constant(3, a), Poly.constant(3, b)
-    assert v.scale(a / b) == (P * v).divide_exact(Q)
 
 
 def test_terms_is_a_read_only_view():
