@@ -468,7 +468,7 @@ class GeometryContext:
         return out
 
 
-def difference_tensor(conn1: Connection, conn2: Connection, nvars: int) -> SparseArray:
+def difference_tensor(conn1: Connection, conn2: Connection) -> SparseArray:
     """Entrywise difference; transforms tensorially although neither
     connection does."""
     return _sparse_sub(conn1.coeff, conn2.coeff)
@@ -488,7 +488,7 @@ def check_equivalent_connections(
 ) -> CheckReport:
     """Two connections induce the same anti-commutable structure iff the
     locality contraction of their difference is antisymmetric."""
-    delta = Connection(A.rank, difference_tensor(conn1, conn2, A.dim))
+    delta = Connection(A.rank, difference_tensor(conn1, conn2))
     lc = locality_contraction(A, delta)
     residuals: dict[tuple, Scalar] = {}
     for a in range(A.rank):

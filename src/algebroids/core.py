@@ -22,7 +22,9 @@ The last term is ``_locality_correction``, the one section-valued
 contraction with the locality operator: the modified bracket reuses it
 with D_{X_d} u in place of rho_d(u), and ``apply_locality`` with
 omega_d u^e.  The only P.L loop is condition 1 of
-``check_locality_projector``.
+``check_locality_projector``.  A frame change writes no transformation
+law of its own: each new datum is one of these operations on the new frame
+sections X'_a, read back into the new frame through the inverse matrix.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PoleError, ShapeError
-from .linalg import invert_matrix, kernel_basis, mat_mul
+from .linalg import invert_matrix, kernel_basis
 from .reports import CheckReport, report_from_residuals
 from .scalars import Point, Scalar
 
@@ -594,99 +596,68 @@ def change_frame(
 ):
     """Transform all bundle data to the frame X'_a = A^b_a X_b.
 
-    The new anholonomy is computed through the bracket engine (it picks up
-    derivative and locality terms and is deliberately not tensorial), while
-    the locality operator, projector and metric transform tensorially and
-    the connection picks up the usual derivative term.  Returns
+    Each datum is an operation of the package on the new frame sections,
+    read back into the new frame through F.inverse: the anchor is
+    ``anchor_of(X'_a)``; the anholonomy is ``bracket(X'_a, X'_b)``, so it
+    picks up derivative and locality terms and is deliberately not
+    tensorial; the locality operator is ``apply_locality`` of the coframe
+    e'^d (row d of F.inverse) on (X'_e, X'_c) and the projector
+    ``project_section(X'_b)``, both tensorial; the connection is
+    ``covariant_derivative`` of X'_c along X'_b, which gains the usual
+    derivative term.  The metric transforms as a (0, 2) tensor.  Returns
     (algebroid, connection, metric) with None propagated.
     """
+    from .connection import Connection, covariant_derivative  # imports core
+
     if F.rank != A.rank:
         raise ShapeError("frame matrix rank mismatch")
-    r, n = A.rank, A.dim
-    Amat = [list(row) for row in F.matrix]
-    Ainv = [list(row) for row in F.inverse]
-
-    anchor2 = mat_mul([list(row) for row in A.anchor], Amat)
-
+    r = A.rank
+    Amat = F.matrix
     frames = [Section(tuple(col)) for col in zip(*Amat)]  # X'_a in old frame
-    gamma2: SparseArray = {}
-    for a in range(r):
-        for b in range(r):
-            w = bracket(A, frames[a], frames[b])
-            for c in range(r):
-                acc = A.zero()
-                for d in range(r):
-                    if not Ainv[c][d].is_zero() and not w.comp[d].is_zero():
-                        acc = acc + Ainv[c][d] * w.comp[d]
-                if not acc.is_zero():
-                    gamma2[(c, a, b)] = acc
+    pairs = list(itertools.product(range(r), repeat=2))
 
-    loc2: SparseArray = {}
-    if A.loc:
-        for a2 in range(r):
-            for d2 in range(r):
-                for e2 in range(r):
-                    for c2 in range(r):
-                        acc = A.zero()
-                        for (a1, d1, e1, c1), lv in A.loc.items():
-                            t = Ainv[a2][a1] * Ainv[d2][d1]
-                            if t.is_zero():
-                                continue
-                            t = t * Amat[e1][e2]
-                            if t.is_zero():
-                                continue
-                            t = t * Amat[c1][c2]
-                            if not t.is_zero():
-                                acc = acc + t * lv
-                        if not acc.is_zero():
-                            loc2[(a2, d2, e2, c2)] = acc
+    def read_back(u: Section) -> list[Scalar]:
+        """New-frame components of u: (F^-1)^c_d u^d."""
+        out = []
+        for row in F.inverse:
+            acc = A.zero()
+            for x, y in zip(row, u.comp):
+                if not x.is_zero() and not y.is_zero():
+                    acc = acc + x * y
+            out.append(acc)
+        return out
 
-    proj2 = None
-    if A.proj is not None:
-        proj2 = tuple(
-            tuple(row)
-            for row in mat_mul(mat_mul(Ainv, [list(p) for p in A.proj]), Amat)
-        )
+    def sparse(entries) -> SparseArray:
+        """(key, section) pairs as the nonzero entries (c, *key), sorted."""
+        return dict(sorted(
+            ((c,) + key, v)
+            for key, u in entries
+            for c, v in enumerate(read_back(u))
+            if not v.is_zero()
+        ))
 
     A2 = AlgebroidData(
-        dim=n,
+        dim=A.dim,
         rank=r,
         coords=A.coords,
-        anchor=tuple(tuple(row) for row in anchor2),
-        gamma=gamma2,
-        loc=loc2,
-        proj=proj2,
+        anchor=tuple(zip(*(A.anchor_of(x) for x in frames))),
+        gamma=sparse(((a, b), bracket(A, frames[a], frames[b])) for a, b in pairs),
+        loc=sparse(
+            ((d, e, c), apply_locality(A, list(F.inverse[d]), frames[e], frames[c]))
+            for d in range(r)
+            for e, c in pairs
+        ),
+        proj=None if A.proj is None else tuple(
+            zip(*(read_back(project_section(A, x)) for x in frames))
+        ),
     )
-
     conn2 = None
     if conn is not None:
-        conn2 = {}
-        for a in range(r):
-            for b in range(r):
-                for c in range(r):
-                    acc = A.zero()
-                    for d in range(r):
-                        inv = Ainv[a][d]
-                        if inv.is_zero():
-                            continue
-                        term = A.zero()
-                        for e in range(r):
-                            ae = Amat[e][b]
-                            if ae.is_zero():
-                                continue
-                            # derivative part: A^e_b rho^i_e d_i(A^d_c)
-                            term = term + ae * A.frame_derive(e, Amat[d][c])
-                            for f in range(r):
-                                g = conn.get((d, e, f))
-                                if g is None:
-                                    continue
-                                t = ae * Amat[f][c]
-                                if not t.is_zero():
-                                    term = term + t * g
-                        if not term.is_zero():
-                            acc = acc + inv * term
-                    if not acc.is_zero():
-                        conn2[(a, b, c)] = acc
+        D = Connection(r, conn)
+        conn2 = sparse(
+            ((b, c), covariant_derivative(A, D, frames[b], frames[c]))
+            for b, c in pairs
+        )
 
     metric2 = None
     if metric is not None:

@@ -18,6 +18,7 @@ from fractions import Fraction
 
 from .connection import Connection, Metric, bracket_from_connection
 from .core import AlgebroidData, FrameChange, Section, SparseArray, change_frame
+from .linalg import mat_mul
 from .scalars import Poly, Scalar
 
 
@@ -142,8 +143,6 @@ def random_frame_change(
                 lower[i][j] = random_scalar(rng, A.dim, degree)
             if i < j and rng.random() < 0.5:
                 upper[i][j] = random_scalar(rng, A.dim, degree)
-    from .linalg import mat_mul
-
     return FrameChange.of(mat_mul(lower, upper))
 
 

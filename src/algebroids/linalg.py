@@ -11,6 +11,9 @@ two are equal.
 
 Rows are kept sparse (dict column -> Scalar) because the geometric systems
 assembled elsewhere touch only a handful of unknowns per equation.
+``solve_affine`` is the only elimination loop: the exact inverse solves
+M x = e_j for each column j, and the kernel basis is the solution space of
+the homogeneous system.
 """
 
 from __future__ import annotations
@@ -21,12 +24,6 @@ from .errors import ShapeError, SingularMatrixError
 from .scalars import Poly, Scalar
 
 Matrix = list[list[Scalar]]
-
-
-def identity_matrix(size: int, nvars: int) -> Matrix:
-    one = Scalar.one(nvars)
-    zero = Scalar.zero(nvars)
-    return [[one if i == j else zero for j in range(size)] for i in range(size)]
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -44,44 +41,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
             out_row.append(acc)
         out.append(out_row)
     return out
-
-
-def _pivot_quality(s: Scalar) -> tuple:
-    # Prefer constants, then fewer terms.
-    return (0 if s.is_constant() else 1, s.term_count())
-
-
-def invert_matrix(m: Matrix) -> Matrix:
-    """Exact inverse by Gauss-Jordan; raises if symbolically singular."""
-    size = len(m)
-    if any(len(row) != size for row in m):
-        raise ShapeError("inverse requires a square matrix")
-    nvars = m[0][0].nvars
-    a = [list(row) for row in m]
-    inv = identity_matrix(size, nvars)
-    for col in range(size):
-        best = None
-        for r in range(col, size):
-            if not a[r][col].is_zero():
-                if best is None or _pivot_quality(a[r][col]) < _pivot_quality(a[best][col]):
-                    best = r
-        if best is None:
-            raise SingularMatrixError("matrix is symbolically singular")
-        if best != col:
-            a[col], a[best] = a[best], a[col]
-            inv[col], inv[best] = inv[best], inv[col]
-        piv = a[col][col]
-        a[col] = [x / piv for x in a[col]]
-        inv[col] = [x / piv for x in inv[col]]
-        for r in range(size):
-            if r == col:
-                continue
-            f = a[r][col]
-            if f.is_zero():
-                continue
-            a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-            inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return inv
 
 
 @dataclass
@@ -265,6 +224,25 @@ def solve_affine(
         kernel_basis=basis,
         pivot_columns=sorted(pivot_cols),
     )
+
+
+def invert_matrix(m: Matrix) -> Matrix:
+    """Exact inverse: column j is the unique solution of M x = e_j by
+    ``solve_affine``; raises if symbolically singular."""
+    size = len(m)
+    if any(len(row) != size for row in m):
+        raise ShapeError("inverse requires a square matrix")
+    nvars = m[0][0].nvars
+    zero, one = Scalar.zero(nvars), Scalar.one(nvars)
+    coeffs = [{j: v for j, v in enumerate(row) if not v.is_zero()} for row in m]
+    columns = []
+    for j in range(size):
+        rows = [(c, one if i == j else zero) for i, c in enumerate(coeffs)]
+        solution = solve_affine(rows, size, nvars)
+        if solution.status != "unique":
+            raise SingularMatrixError("matrix is symbolically singular")
+        columns.append(solution.particular)
+    return [list(row) for row in zip(*columns)]
 
 
 def kernel_basis(matrix: Matrix, ncols: int, nvars: int) -> list[list[Scalar]]:

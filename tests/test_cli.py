@@ -13,7 +13,7 @@ from algebroids.cli import main as cli_main
 from algebroids.documents import AlgebroidDocument
 from algebroids.fixtures import random_anticommutable, random_constant_metric
 
-from conftest import scal
+from conftest import scal, subprocess_env
 
 
 def run_cli(*args):
@@ -21,6 +21,7 @@ def run_cli(*args):
         [sys.executable, "-m", "algebroids.cli", *args],
         capture_output=True,
         text=True,
+        env=subprocess_env(),
     )
 
 
@@ -307,6 +308,7 @@ RANK1 = '{"rank": 1, "metric": [{"idx": [1, 1], "val": "1"}]'
         ("example", "twisted_frame_lie", "--matrix", "null"),
         ("frame-change", "HALFPLANE", "--matrix", "[[1,0],[0"),
         ("frame-change", "HALFPLANE", "--matrix", '"x1"'),
+        ("frame-change", "HALFPLANE", "--matrix", '[["x1", "x1"], ["1", "1"]]'),
     ],
 )
 def test_malformed_json_argument_exit_2(args, halfplane_doc, capsys):

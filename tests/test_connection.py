@@ -357,13 +357,13 @@ def test_admissible_residual_is_pairing_contraction_of_nonmetricity(courant2):
 def test_difference_of_connection_with_itself(tangent2):
     rng = random.Random(7)
     conn = Connection.of(2, {(0, 1, 1): random_scalar(rng, 2, 2)})
-    assert difference_tensor(conn, conn, 2) == {}
+    assert difference_tensor(conn, conn) == {}
 
 
 def test_difference_entrywise():
     c1 = Connection.of(2, {(0, 0, 0): Scalar.constant(2, 3)})
     c2 = Connection.of(2, {(0, 0, 0): Scalar.constant(2, 1)})
-    delta = difference_tensor(c1, c2, 2)
+    delta = difference_tensor(c1, c2)
     assert delta[(0, 0, 0)].equals(Scalar.constant(2, 2))
 
 
@@ -379,8 +379,8 @@ def test_difference_tensorial_while_connections_are_not(courant2):
     F = FrameChange.of(mat)
     _, c1p, _ = change_frame(A, F, c1.coeff)
     _, c2p, _ = change_frame(A, F, c2.coeff)
-    delta = difference_tensor(c1, c2, 2)
-    delta_p = difference_tensor(Connection(4, c1p), Connection(4, c2p), 2)
+    delta = difference_tensor(c1, c2)
+    delta_p = difference_tensor(Connection(4, c1p), Connection(4, c2p))
     Amat, Ainv = F.matrix, F.inverse
     conn_violation = 0
     for a in range(4):

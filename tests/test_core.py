@@ -1,5 +1,6 @@
 """Bracket engine, form algebra, classification, projector and frame changes."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -26,7 +27,14 @@ from algebroids import (
     wedge,
 )
 from algebroids.core import apply_locality
-from algebroids.fixtures import random_scalar, random_section
+from algebroids.fixtures import (
+    random_anticommutable,
+    random_constant_metric,
+    random_frame_change,
+    random_scalar,
+    random_section,
+)
+from algebroids.linalg import mat_mul
 
 from conftest import scal
 
@@ -368,6 +376,172 @@ def test_torsion_tensorial_anholonomy_not(tangent2):
                 if not A2.gamma_at(a, b, c).equals(want_g):
                     violations += 1
     assert violations > 0
+
+
+def test_change_frame_on_a_point_base():
+    # dimension 0: no anchor rows, and every datum is tensorial
+    one, zero = Scalar.one(0), Scalar.zero(0)
+    A = AlgebroidData(
+        dim=0, rank=2, coords=(), anchor=(), gamma={},
+        loc={(0, 0, 0, 0): one}, proj=((one, zero), (zero, one)),
+    )
+    F = FrameChange.of([[one, one], [zero, Scalar.constant(0, 2)]])
+    metric = [[one, zero], [zero, one]]
+    A2, conn2, metric2 = change_frame(A, F, {(0, 0, 0): one}, metric)
+    assert A2.anchor == () and A2.gamma == {}
+    # X'_0 = X_0 and X'_1 = X_0 + 2 X_1, while e'^0 = e^0 - e^1 / 2
+    assert set(A2.loc) == {(0, 0, e, c) for e in range(2) for c in range(2)}
+    assert all(v.is_one() for v in A2.loc.values())
+    assert set(conn2) == {(0, b, c) for b in range(2) for c in range(2)}
+    assert all(v.is_one() for v in conn2.values())
+    assert [[x.equals(zero) for x in row] for row in A2.proj] == [
+        [False, True], [True, False],
+    ]
+    want = [["1", "1"], ["1", "5"]]
+    for a in range(2):
+        for b in range(2):
+            assert metric2[a][b].equals(Scalar.constant(0, int(want[a][b])))
+
+
+def _reference_change_frame(A, F, conn=None, metric=None):
+    """The hand-written transformation laws that the section operations
+    replaced, kept as the reference for structural equality."""
+    r = A.rank
+    Amat = [list(row) for row in F.matrix]
+    Ainv = [list(row) for row in F.inverse]
+    anchor2 = mat_mul([list(row) for row in A.anchor], Amat)
+    frames = [Section(tuple(col)) for col in zip(*Amat)]
+    gamma2 = {}
+    for a in range(r):
+        for b in range(r):
+            w = bracket(A, frames[a], frames[b])
+            for c in range(r):
+                acc = A.zero()
+                for d in range(r):
+                    if not Ainv[c][d].is_zero() and not w.comp[d].is_zero():
+                        acc = acc + Ainv[c][d] * w.comp[d]
+                if not acc.is_zero():
+                    gamma2[(c, a, b)] = acc
+    loc2 = {}
+    for a2, d2, e2, c2 in itertools.product(range(r), repeat=4):
+        acc = A.zero()
+        for (a1, d1, e1, c1), lv in A.loc.items():
+            t = Ainv[a2][a1] * Ainv[d2][d1]
+            if t.is_zero():
+                continue
+            t = t * Amat[e1][e2]
+            if t.is_zero():
+                continue
+            t = t * Amat[c1][c2]
+            if not t.is_zero():
+                acc = acc + t * lv
+        if not acc.is_zero():
+            loc2[(a2, d2, e2, c2)] = acc
+    proj2 = None
+    if A.proj is not None:
+        proj2 = mat_mul(mat_mul(Ainv, [list(p) for p in A.proj]), Amat)
+    conn2 = None
+    if conn is not None:
+        conn2 = {}
+        for a, b, c in itertools.product(range(r), repeat=3):
+            acc = A.zero()
+            for d in range(r):
+                inv = Ainv[a][d]
+                if inv.is_zero():
+                    continue
+                term = A.zero()
+                for e in range(r):
+                    ae = Amat[e][b]
+                    if ae.is_zero():
+                        continue
+                    term = term + ae * A.frame_derive(e, Amat[d][c])
+                    for f in range(r):
+                        g = conn.get((d, e, f))
+                        if g is None:
+                            continue
+                        t = ae * Amat[f][c]
+                        if not t.is_zero():
+                            term = term + t * g
+                if not term.is_zero():
+                    acc = acc + inv * term
+            if not acc.is_zero():
+                conn2[(a, b, c)] = acc
+    metric2 = None
+    if metric is not None:
+        metric2 = [
+            [
+                sum(
+                    (Amat[c][a] * Amat[d][b] * metric[c][d]
+                     for c in range(r) for d in range(r)),
+                    A.zero(),
+                )
+                for b in range(r)
+            ]
+            for a in range(r)
+        ]
+    return anchor2, gamma2, loc2, proj2, conn2, metric2
+
+
+def _same(x: Scalar, y: Scalar) -> bool:
+    return x.num == y.num and x.den == y.den
+
+
+def _same_sparse(x, y) -> bool:
+    return set(x) == set(y) and all(_same(v, y[k]) for k, v in x.items())
+
+
+def _same_matrix(x, y) -> bool:
+    return len(x) == len(y) and all(
+        len(u) == len(v) and all(map(_same, u, v)) for u, v in zip(x, y)
+    )
+
+
+def _frame_cases():
+    for seed in range(101, 108):
+        dim, rank = 1 + (seed // 3) % 2, 2 + seed % 2
+        fx = random_anticommutable(seed, dim=dim, rank=rank, twist=True)
+        A = fx.algebroid
+        F = random_frame_change(random.Random(seed), A)
+        metric = random_constant_metric(random.Random(seed), dim, rank).g
+        yield f"twisted-{seed}", A, F, fx.connection.coeff, metric
+    # the rational frames of the tests above
+    tangent = make_example("tangent_lie", n=2).algebroid
+    t = lambda text: scal(text, tangent.coords)  # noqa: E731
+    one, zero = tangent.one(), tangent.zero()
+    F = FrameChange.of([[one, zero], [zero, t("x1")]])
+    yield "tangent-x1", tangent, F, {(0, 1, 0): t("x2/x1")}, [
+        [t("1/x2^2"), zero], [zero, t("1/x2^2")],
+    ]
+    F = FrameChange.of([[one, zero], [t("x2"), one]])
+    yield "tangent-x2", tangent, F, {(0, 1, 0): t("x2")}, None
+    courant = make_example("courant_standard", n=2)
+    A = courant.algebroid
+    c = lambda text: scal(text, A.coords)  # noqa: E731
+    mat = [[A.one() if i == j else A.zero() for j in range(4)] for i in range(4)]
+    mat[0][1] = c("x1")
+    mat[2][3] = c("x2^2")
+    F = FrameChange.of(mat)
+    conn = {(0, 1, 2): c("x1+x2"), (3, 0, 1): c("1/(1+x1)")}
+    metric = [list(row) for row in courant.metric.g]
+    yield "courant", A, F, conn, metric
+    A2, conn2, metric2 = change_frame(A, F, conn, metric)
+    yield "courant-back", A2, FrameChange.of(F.inverse), conn2, metric2
+
+
+@pytest.mark.parametrize("case", list(_frame_cases()), ids=lambda c: c[0])
+def test_change_frame_matches_the_transformation_laws(case):
+    _, A, F, conn, metric = case
+    A2, conn2, metric2 = change_frame(A, F, conn, metric)
+    anchor, gamma, loc, proj, conn_ref, metric_ref = _reference_change_frame(
+        A, F, conn, metric
+    )
+    assert _same_matrix(A2.anchor, anchor)
+    assert _same_sparse(A2.gamma, gamma)
+    assert _same_sparse(A2.loc, loc)
+    assert _same_matrix(A2.proj, proj)
+    assert _same_sparse(conn2, conn_ref)
+    if metric is not None:
+        assert _same_matrix(metric2, metric_ref)
 
 
 def test_projector_sampling_skips_an_anchor_pole(monkeypatch):

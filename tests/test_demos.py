@@ -1,26 +1,23 @@
 """Smoke test: every demo script runs to completion and reports no failed
 check."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-import algebroids
+from conftest import subprocess_env
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
-SRC = Path(algebroids.__file__).resolve().parents[1]
 
 
 def run_demo(name: str) -> subprocess.CompletedProcess:
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, str(DEMOS / name)],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=subprocess_env(),
     )
 
 

@@ -21,7 +21,6 @@ from algebroids.levicivita import solve_torsion_free
 from algebroids.linalg import (
     _clear_row,
     _poly_quality,
-    identity_matrix,
     invert_matrix,
     kernel_basis,
     mat_mul,
@@ -136,11 +135,6 @@ def test_kernel_basis_of_anchor_style_matrix():
         assert acc.is_zero()
 
 
-def test_identity_matrix_shape():
-    eye = identity_matrix(3, 2)
-    assert eye[0][0].is_one() and eye[0][1].is_zero()
-
-
 # -- properties of solve_affine on random sparse systems ---------------------
 
 DENOMINATORS = ("1", "x1", "1 + x2", "x1*x2 + 2")
@@ -249,6 +243,44 @@ def test_solve_affine_properties(system):
             assert _residual(coeffs, vec, ZERO).is_zero()
     for vec, own in zip(sol.kernel_basis, free):
         assert all(vec[c].is_one() if c == own else vec[c].is_zero() for c in free)
+
+
+def _cofactor_det(m: list[list[Scalar]]) -> Scalar:
+    """Determinant by cofactor expansion along the first row."""
+    if len(m) == 1:
+        return m[0][0]
+    acc = Scalar.zero(m[0][0].nvars)
+    for j, entry in enumerate(m[0]):
+        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
+        term = entry * _cofactor_det(minor)
+        acc = acc + term if j % 2 == 0 else acc - term
+    return acc
+
+
+@st.composite
+def polynomial_matrices(draw):
+    n = draw(st.integers(2, 3))
+    monomials = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    polys = st.dictionaries(monomials, coefficients, max_size=3)
+    return [[Scalar(Poly(2, draw(polys))) for _ in range(n)] for _ in range(n)]
+
+
+@seed(2021)
+@given(polynomial_matrices())
+@settings(max_examples=60, deadline=None, database=None)
+def test_invert_matrix_properties(m):
+    # every entry of the inverse is a cofactor over det M, so a fraction-free
+    # inverse has denominators that divide det M
+    det = _cofactor_det(m)
+    assume(not det.is_zero())
+    inv = invert_matrix(m)
+    prod = mat_mul(m, inv)
+    for i, row in enumerate(prod):
+        for j, entry in enumerate(row):
+            assert entry.equals(Scalar.one(2) if i == j else ZERO)
+    for row in inv:
+        for entry in row:
+            assert not det.num.divide_exact(entry.den).is_zero()
 
 
 def _det_at(matrix: list[list[Fraction]]) -> Fraction:
