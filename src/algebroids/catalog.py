@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Literal, Sequence
 
 from .connection import Connection, Metric, check_admissible, non_metricity
@@ -23,9 +22,11 @@ from .core import (
     SparseArray,
     _sort_with_sign,
     change_frame,
+    sparse_add,
     sparse_clean,
 )
 from .errors import ShapeError
+from .levicivita import _half_raised, _on_triples
 from .reports import CheckReport, report_from_residuals
 from .scalars import Scalar
 
@@ -218,29 +219,17 @@ def _pairing_algebroid(
     A0 = AlgebroidData(
         dim=n, rank=r, coords=_chart(n), anchor=anchor, gamma={}, loc={}
     )
-    half = Scalar.constant(n, Fraction(1, 2))
-    gamma: SparseArray = dict(sparse_clean(gamma_antisym))
-    for a in range(r):
-        for b in range(r):
-            gab = metric.at(a, b)
-            for c in range(r):
-                sym = Scalar.zero(n)
-                for d in range(r):
-                    gi = metric.inv_at(c, d)
-                    if gi.is_zero():
-                        continue
-                    dg = A0.frame_derive(d, gab)
-                    if theta is not None:
-                        dg = dg + theta[d] * gab
-                    sym = sym + gi * dg
-                sym = half * sym
-                if not sym.is_zero():
-                    key = (c, a, b)
-                    s = gamma.get(key)
-                    gamma[key] = sym if s is None else s + sym
+
+    def scaled_derivative(a: int, b: int, d: int) -> Scalar:
+        """rho_d(g_ab) + theta_d g_ab."""
+        dg = A0.frame_derive(d, metric.at(a, b))
+        return dg if theta is None else dg + theta[d] * metric.at(a, b)
+
+    sym = _half_raised(A0, metric, _on_triples(A0, scaled_derivative))
     return AlgebroidData(
         dim=n, rank=r, coords=_chart(n), anchor=anchor,
-        gamma=sparse_clean(gamma), loc=pairing_locality(metric, n), proj=None,
+        gamma=sparse_add(sparse_clean(gamma_antisym), sym),
+        loc=pairing_locality(metric, n), proj=None,
     )
 
 

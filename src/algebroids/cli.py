@@ -41,6 +41,7 @@ from .documents import (
     document_to_obj,
     dump_document,
     load_document,
+    parse_metric,
     sparse_to_obj,
 )
 from .errors import (
@@ -58,7 +59,7 @@ from .levicivita import (
 )
 from .parsing import parse_scalar
 from .reports import CheckReport
-from .scalars import Scalar, scalar_to_text, set_term_budget
+from .scalars import scalar_to_text, set_term_budget
 
 EXIT_OK = 0
 EXIT_IDENTITY_FAILED = 1
@@ -119,13 +120,17 @@ class _Emitter:
         self.emit(obj)
 
     def flush(self) -> int:
-        text = "\n".join(self.lines) + ("\n" if self.lines else "")
-        if self.config.out:
-            with open(self.config.out, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        else:
-            sys.stdout.write(text)
+        _write("\n".join(self.lines) + ("\n" if self.lines else ""), self.config)
         return EXIT_IDENTITY_FAILED if self.any_failed else EXIT_OK
+
+
+def _write(text: str, config: RunConfig) -> None:
+    """Write text to the -o path, or to stdout without one."""
+    if config.out:
+        with open(config.out, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _failed_report(name: str, exc: AdmissibilityError) -> CheckReport:
@@ -165,7 +170,7 @@ def _run_suites(doc: AlgebroidDocument, config: RunConfig, emitter: _Emitter) ->
                 check_locality_projector(A, seed=config.seed), names, config
             )
     conn = doc.connection
-    if conn is not None and (want("admissible") or suite == "all"):
+    if conn is not None and want("admissible"):
         emitter.emit_report(check_admissible(A, conn), names, config)
     identity_suites = []
     if conn is not None and A.proj is not None:
@@ -373,11 +378,7 @@ def cmd_example(args: argparse.Namespace) -> int:
         ):
             raise DocumentError("--params must hold an integer rank and a metric list")
         r = raw["rank"]
-        zero = Scalar.zero(args.n)
-        g = [[zero for _ in range(r)] for _ in range(r)]
-        for (a, b), val in _parse_entries(raw["metric"], names, 2, r, "metric").items():
-            g[a][b] = val
-        metric = Metric(g)
+        metric = parse_metric(raw["metric"], names, r)
         gamma_antisym = _parse_entries(
             raw.get("gamma_antisym", []), names, 3, r, "gamma_antisym"
         )
@@ -410,12 +411,7 @@ def cmd_example(args: argparse.Namespace) -> int:
         obj["theta"] = [
             scalar_to_text(t, bundle.algebroid.coords) for t in bundle.theta
         ]
-    text = json.dumps(obj, indent=2) + "\n"
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(json.dumps(obj, indent=2) + "\n", config)
     return EXIT_OK
 
 
@@ -432,12 +428,7 @@ def cmd_frame_change(args: argparse.Namespace) -> int:
         metric=Metric(metric2) if metric2 is not None else None,
         connection=Connection(A2.rank, conn2) if conn2 is not None else None,
     )
-    text = dump_document(doc2)
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+    _write(dump_document(doc2) + "\n", config)
     return EXIT_OK
 
 

@@ -17,10 +17,14 @@ projected bracket: the plain bracket minus ``core._locality_correction``
 of the D_{X_d} u table, projected for the projected kind, with one plain
 bracket and one correction per section pair shared by all three kinds.
 The corrections of frame pairs are the context's ``contraction``: since
-[X_a, X_b] = gamma^c_ab X_c, each modified anholonomy is gamma minus it,
-and admissibility is read off it.  A public function builds a context when
-it is called and drops it when it returns, so no value outlives the call
-that computed it.
+[X_a, X_b] = gamma^c_ab X_c, each modified anholonomy is gamma minus it.
+A connection is admissible exactly when the modified bracket is
+anti-symmetric, that is when the symmetric part of the modified anholonomy
+vanishes.  Torsion and the bracket of a connection are Gamma - Gamma^T
+combined with an anholonomy, read with the sparse-array algebra of
+``core``; ``Metric.raised`` is the one index raising.  A public function
+builds a context when it is called and drops it when it returns, so no
+value outlives the call that computed it.
 """
 
 from __future__ import annotations
@@ -38,7 +42,11 @@ from .core import (
     _locality_correction,
     bracket,
     project_section,
+    sparse_add,
     sparse_clean,
+    sparse_sub,
+    symmetric_part,
+    transposed,
 )
 from .errors import ProjectorRequiredError, ShapeError, SingularMatrixError
 from .linalg import invert_matrix
@@ -105,6 +113,24 @@ class Metric:
 
     def inv_at(self, a: int, b: int) -> Scalar:
         return self.ginv[a][b]
+
+    def raised(self, x: SparseArray) -> SparseArray:
+        """g^{ad} x_{...d}: the last index of x raised into the first slot,
+        keyed (a, ...) in sorted order and summed over increasing d."""
+        rows: dict[tuple, list[tuple[int, Scalar]]] = {}
+        for idx, v in sorted(x.items()):
+            rows.setdefault(idx[:-1], []).append((idx[-1], v))
+        out: SparseArray = {}
+        for a, ginv in enumerate(self.ginv):
+            for head, terms in rows.items():
+                acc = None
+                for d, v in terms:
+                    if not ginv[d].is_zero():
+                        t = ginv[d] * v
+                        acc = t if acc is None else acc + t
+                if acc is not None and not acc.is_zero():
+                    out[(a,) + head] = acc
+        return out
 
     def inner(self, u: Section, v: Section) -> Scalar:
         nvars = self.g[0][0].nvars
@@ -280,12 +306,14 @@ def locality_contraction(A: AlgebroidData, conn: Connection) -> SparseArray:
 
 
 def check_admissible(A: AlgebroidData, conn: Connection) -> CheckReport:
-    """Frame check of the anti-commutability condition
+    """Frame check of the anti-commutability condition: the symmetric part
+    of the modified anholonomy vanishes,
 
         gamma^c_ab + gamma^c_ba = Gamma^e_da L^{c d}_{e b} + Gamma^e_db L^{c d}_{e a}
 
-    The difference of the two sides is function-multilinear, so the frame
-    check extends to all sections.
+    with one residual per (c, a, b), a <= b.  The difference of the two
+    sides is function-multilinear, so the frame check extends to all
+    sections.
     """
     return GeometryContext(A, conn).admissibility()
 
@@ -325,7 +353,7 @@ class GeometryContext:
         """gamma^c_ab minus the frame correction of the kind: the structure
         functions of [X_a, X_b] of that kind."""
         return self._cached(
-            ("anholonomy", kind), lambda: _sparse_sub(self.A.gamma, self.contraction(kind))
+            ("anholonomy", kind), lambda: sparse_sub(self.A.gamma, self.contraction(kind))
         )
 
     def contraction(self, kind: DerivativeKind) -> SparseArray:
@@ -373,23 +401,11 @@ class GeometryContext:
         )
 
     def _admissibility(self) -> CheckReport:
-        """The report of ``check_admissible``: gamma^c_ab + gamma^c_ba minus
-        the modified contraction at (c, a, b) and (c, b, a)."""
-        A, lc = self.A, self.contraction("modified")
-        residuals: dict[tuple, Scalar] = {}
-        r = A.rank
-        for c in range(r):
-            for a in range(r):
-                for b in range(a, r):
-                    v = (
-                        A.gamma_at(c, a, b)
-                        + A.gamma_at(c, b, a)
-                        - lc.get((c, a, b), A.zero())
-                        - lc.get((c, b, a), A.zero())
-                    )
-                    if not v.is_zero():
-                        residuals[(c, a, b)] = v
-        return report_from_residuals("admissible", residuals)
+        """The report of ``check_admissible``: the symmetric part of the
+        modified anholonomy, keyed (c, a, b) with a <= b."""
+        return report_from_residuals(
+            "admissible", symmetric_part(self.anholonomy("modified"))
+        )
 
     def _contraction(self, kind: DerivativeKind) -> SparseArray:
         A = self.A
@@ -411,6 +427,8 @@ class GeometryContext:
     def _bracket(self, u: Section, v: Section, kind: BracketKind) -> Section:
         if kind == "original":
             return bracket(self.A, u, v)
+        if kind == "projected" and self.A.proj is None:
+            raise ProjectorRequiredError("locality projector required")
         base = self.bracket(u, v, "original")
         if not self.A.loc:
             return base
@@ -420,19 +438,9 @@ class GeometryContext:
         return base.sub(correction)
 
     def _torsion(self, kind: DerivativeKind) -> SparseArray:
-        A, conn = self.A, self.conn
-        anhol = self.anholonomy(kind)
-        out: SparseArray = {}
-        r = A.rank
-        for a in range(r):
-            for b in range(r):
-                for c in range(r):
-                    v = conn.at(a, b, c, A.dim) - conn.at(a, c, b, A.dim) - anhol.get(
-                        (a, b, c), A.zero()
-                    )
-                    if not v.is_zero():
-                        out[(a, b, c)] = v
-        return out
+        coeff = self.conn.coeff
+        skew = sparse_sub(coeff, transposed(coeff))
+        return dict(sorted(sparse_sub(skew, self.anholonomy(kind)).items()))
 
     def _curvature(self) -> SparseArray:
         A, conn = self.A, self.conn
@@ -471,33 +479,19 @@ class GeometryContext:
 def difference_tensor(conn1: Connection, conn2: Connection) -> SparseArray:
     """Entrywise difference; transforms tensorially although neither
     connection does."""
-    return _sparse_sub(conn1.coeff, conn2.coeff)
-
-
-def _sparse_sub(x: SparseArray, y: SparseArray) -> SparseArray:
-    """x minus y entrywise, zero entries dropped."""
-    out = dict(x)
-    for idx, v in y.items():
-        s = out.get(idx)
-        out[idx] = -v if s is None else s - v
-    return sparse_clean(out)
+    return sparse_sub(conn1.coeff, conn2.coeff)
 
 
 def check_equivalent_connections(
     A: AlgebroidData, conn1: Connection, conn2: Connection
 ) -> CheckReport:
     """Two connections induce the same anti-commutable structure iff the
-    locality contraction of their difference is antisymmetric."""
+    locality contraction of their difference is antisymmetric: its
+    symmetric part, keyed (c, a, b) with a <= b, is the residual."""
     delta = Connection(A.rank, difference_tensor(conn1, conn2))
-    lc = locality_contraction(A, delta)
-    residuals: dict[tuple, Scalar] = {}
-    for a in range(A.rank):
-        for b in range(A.rank):
-            for c in range(A.rank):
-                v = lc.get((c, a, b), A.zero()) + lc.get((c, b, a), A.zero())
-                if not v.is_zero():
-                    residuals[(c, a, b)] = v
-    return report_from_residuals("equivalent-connections", residuals)
+    return report_from_residuals(
+        "equivalent-connections", symmetric_part(locality_contraction(A, delta))
+    )
 
 
 def check_anholonomy_decomposition(A: AlgebroidData, conn: Connection) -> CheckReport:
@@ -513,25 +507,19 @@ def check_anholonomy_decomposition(A: AlgebroidData, conn: Connection) -> CheckR
     ctx = GeometryContext(A, conn)
     anhol = ctx.anholonomy("modified")
     lc = ctx.contraction("modified")
-    residuals: dict[tuple, Scalar] = {}
-    r = A.rank
-    for a in range(r):
-        for b in range(r):
-            for c in range(r):
-                rec = (
-                    A.gamma_at(a, b, c)
-                    - anhol.get((a, b, c), A.zero())
-                    - lc.get((a, b, c), A.zero())
-                )
-                if not rec.is_zero():
-                    residuals[("reconstruction", a, b, c)] = rec
-            for c in range(b, r):
-                anti = anhol.get((a, b, c), A.zero()) + anhol.get((a, c, b), A.zero())
-                if not anti.is_zero():
-                    residuals[("antisym-part", a, b, c)] = anti
-                sym = lc.get((a, b, c), A.zero()) - lc.get((a, c, b), A.zero())
-                if not sym.is_zero():
-                    residuals[("sym-precondition", a, b, c)] = sym
+    groups = {
+        "reconstruction": sparse_sub(sparse_sub(A.gamma, anhol), lc),
+        "antisym-part": symmetric_part(anhol),
+        "sym-precondition": {
+            idx: v for idx, v in sparse_sub(lc, transposed(lc)).items()
+            if idx[-2] < idx[-1]
+        },
+    }
+    residuals = {
+        (label,) + idx: v
+        for label, group in groups.items()
+        for idx, v in sorted(group.items())
+    }
     return report_from_residuals(
         "anholonomy-decomposition",
         residuals,
@@ -555,21 +543,13 @@ def bracket_from_connection(
     """
     if amap is None:
         amap = locality_contraction(A, conn)
-    gamma: SparseArray = {}
-    for c in range(A.rank):
-        for a in range(A.rank):
-            for b in range(A.rank):
-                v = conn.at(c, a, b, A.dim) - conn.at(c, b, a, A.dim) + amap.get(
-                    (c, a, b), A.zero()
-                )
-                if not v.is_zero():
-                    gamma[(c, a, b)] = v
+    skew = sparse_sub(conn.coeff, transposed(conn.coeff))
     return AlgebroidData(
         dim=A.dim,
         rank=A.rank,
         coords=A.coords,
         anchor=A.anchor,
-        gamma=gamma,
+        gamma=dict(sorted(sparse_add(skew, amap).items())),
         loc=A.loc,
         proj=A.proj,
     )

@@ -46,6 +46,34 @@ def sparse_clean(entries: SparseArray) -> SparseArray:
     return {idx: v for idx, v in entries.items() if not v.is_zero()}
 
 
+def sparse_add(x: SparseArray, y: SparseArray) -> SparseArray:
+    """x plus y entrywise, zero entries dropped; x's keys come first."""
+    out = dict(x)
+    for idx, v in y.items():
+        s = out.get(idx)
+        out[idx] = v if s is None else s + v
+    return sparse_clean(out)
+
+
+def sparse_sub(x: SparseArray, y: SparseArray) -> SparseArray:
+    """x minus y entrywise, zero entries dropped; x's keys come first."""
+    return sparse_add(x, {idx: -v for idx, v in y.items()})
+
+
+def transposed(x: SparseArray) -> SparseArray:
+    """x with its last two indices swapped."""
+    return {idx[:-2] + (idx[-1], idx[-2]): v for idx, v in x.items()}
+
+
+def symmetric_part(x: SparseArray) -> SparseArray:
+    """x + x^T kept on idx[-2] <= idx[-1], in sorted key order."""
+    upper = [
+        {idx: v for idx, v in y.items() if idx[-2] <= idx[-1]}
+        for y in (x, transposed(x))
+    ]
+    return dict(sorted(sparse_add(*upper).items()))
+
+
 @dataclass(frozen=True)
 class AlgebroidData:
     """A local pre-Leibniz algebroid over one coordinate chart."""
@@ -240,11 +268,7 @@ class EForm:
     def add(self, other: EForm) -> EForm:
         if self.degree != other.degree:
             raise ShapeError("cannot add forms of different degree")
-        out = dict(self.comp)
-        for idx, v in other.comp.items():
-            s = out.get(idx)
-            out[idx] = v if s is None else s + v
-        return EForm(self.degree, self.rank, self.nvars, sparse_clean(out))
+        return EForm(self.degree, self.rank, self.nvars, sparse_add(self.comp, other.comp))
 
     def sub(self, other: EForm) -> EForm:
         return self.add(other.scale(Scalar.constant(self.nvars, -1)))
@@ -482,12 +506,7 @@ def classify(A: AlgebroidData) -> Classification:
     locality operator output on exact coframes lies in ker(rho).
     """
     almost_dull = not sparse_clean(A.loc)
-    antisym = all(
-        (A.gamma_at(c, a, b) + A.gamma_at(c, b, a)).is_zero()
-        for c in range(A.rank)
-        for a in range(A.rank)
-        for b in range(a, A.rank)
-    )
+    antisym = not symmetric_part(A.gamma)
     pre_leibniz = True
     for a in range(A.rank):
         for b in range(A.rank):

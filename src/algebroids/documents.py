@@ -69,6 +69,15 @@ def _parse_matrix(raw, names, nrows: int, ncols: int, what: str):
     )
 
 
+def parse_metric(raw, names, rank: int) -> Metric:
+    """The rank x rank metric of a sparse "metric" block."""
+    zero = Scalar.zero(len(names))
+    g = [[zero] * rank for _ in range(rank)]
+    for (a, b), v in _parse_entries(raw, names, 2, rank, "metric").items():
+        g[a][b] = v
+    return Metric(g)
+
+
 def document_from_obj(obj: dict) -> AlgebroidDocument:
     try:
         n = int(obj["dimension"])
@@ -90,12 +99,7 @@ def document_from_obj(obj: dict) -> AlgebroidDocument:
     )
     metric = None
     if obj.get("metric") is not None:
-        entries = _parse_entries(obj["metric"], names, 2, r, "metric")
-        zero = Scalar.zero(n)
-        g = [[zero for _ in range(r)] for _ in range(r)]
-        for (a, b), v in entries.items():
-            g[a][b] = v
-        metric = Metric(g)
+        metric = parse_metric(obj["metric"], names, r)
     connection = None
     if obj.get("connection") is not None:
         coeff = _parse_entries(obj["connection"], names, 3, r, "connection")

@@ -16,6 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .catalog import _chart, _projection_anchor, _slot_projector
 from .connection import Connection, Metric, bracket_from_connection
 from .core import AlgebroidData, FrameChange, Section, SparseArray, change_frame
 from .linalg import mat_mul
@@ -81,16 +82,6 @@ def random_anticommutable(
     if anchored is None:
         anchored = min(dim, rank)
     k = anchored
-    names = tuple(f"x{i + 1}" for i in range(dim))
-    one, zero = Scalar.one(dim), Scalar.zero(dim)
-    anchor = tuple(
-        tuple(one if (i == a and a < k) else zero for a in range(rank))
-        for i in range(dim)
-    )
-    proj = tuple(
-        tuple(one if (a == b and a >= k) else zero for b in range(rank))
-        for a in range(rank)
-    )
 
     loc: SparseArray = {}
     for a in range(k, rank):  # output restricted to kernel slots
@@ -117,8 +108,8 @@ def random_anticommutable(
     conn = Connection(rank, coeff)
 
     base = AlgebroidData(
-        dim=dim, rank=rank, coords=names, anchor=anchor,
-        gamma={}, loc=loc, proj=proj,
+        dim=dim, rank=rank, coords=_chart(dim), anchor=_projection_anchor(dim, rank, k),
+        gamma={}, loc=loc, proj=_slot_projector(dim, rank, k),
     )
     A = bracket_from_connection(base, conn)
     if twist:
@@ -152,13 +143,7 @@ def random_almost_dull_not_almost_lie(
     """Vanishing locality operator with a bracket whose symmetric part is
     nonzero: no torsion-free connection can exist."""
     rng = random.Random(seed)
-    names = tuple(f"x{i + 1}" for i in range(dim))
-    one, zero = Scalar.one(dim), Scalar.zero(dim)
     k = min(dim, rank)
-    anchor = tuple(
-        tuple(one if (i == a and a < k) else zero for a in range(rank))
-        for i in range(dim)
-    )
     gamma: SparseArray = {}
     # antisymmetric background noise
     for c in range(rank):
@@ -174,14 +159,11 @@ def random_almost_dull_not_almost_lie(
     a = rng.randrange(rank)
     b = rng.randrange(rank)
     s = Scalar.constant(dim, rng.choice([1, 2, -1]))
+    zero = Scalar.zero(dim)
     gamma[(c, a, b)] = gamma.get((c, a, b), zero) + s
     if a != b:
         gamma[(c, b, a)] = gamma.get((c, b, a), zero) + s
-    proj = tuple(
-        tuple(one if (x == y and x >= k) else zero for y in range(rank))
-        for x in range(rank)
-    )
     return AlgebroidData(
-        dim=dim, rank=rank, coords=names, anchor=anchor,
-        gamma=gamma, loc={}, proj=proj,
+        dim=dim, rank=rank, coords=_chart(dim), anchor=_projection_anchor(dim, rank, k),
+        gamma=gamma, loc={}, proj=_slot_projector(dim, rank, k),
     )

@@ -11,6 +11,7 @@ exists, which happens exactly when the bracket is not anti-commutable.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from .connection import (
     covariant_derivative,
     non_metricity,
 )
-from .core import AlgebroidData, SparseArray, sparse_clean
+from .core import AlgebroidData, SparseArray, sparse_add, sparse_sub
 from .errors import AdmissibilityError, ShapeError
 from .linalg import LinearSolution, solve_affine
 from .reports import CheckReport, report_from_residuals
@@ -46,15 +47,11 @@ class SolutionSpace:
         """particular + sum_i weights_i * basis_i as a connection."""
         if self.particular is None:
             raise ShapeError("no members: system is infeasible")
-        coeff = dict(self.particular.coeff)
+        coeff = self.particular.coeff
         for w, basis in zip(weights, self.kernel_basis):
-            if not w:
-                continue
-            for idx, v in basis.items():
-                t = v.scale(w)
-                s = coeff.get(idx)
-                coeff[idx] = t if s is None else s + t
-        return Connection(self.rank, sparse_clean(coeff))
+            if w:
+                coeff = sparse_add(coeff, {idx: v.scale(w) for idx, v in basis.items()})
+        return Connection.of(self.rank, coeff)
 
     def denominator_loci(self, names) -> list[str]:
         """Distinct non-unit denominators across the particular solution."""
@@ -228,21 +225,23 @@ def levicivita_frame(
     Gamma^a_bc = (1/2) g^{ad} [ rho_b(g_cd) + rho_c(g_bd) - rho_d(g_bc)
                  - gamma^e_cd g_eb - gamma^e_bd g_ec + gamma^e_bc g_ed ]
     """
-    r = A.rank
+    koszul = _on_triples(A, lambda b, c, d: _koszul_rhs(A, anhol, metric, b, c, d))
+    return Connection(A.rank, _half_raised(A, metric, koszul))
+
+
+def _on_triples(A: AlgebroidData, term) -> SparseArray:
+    """The nonzero term(b, c, d) on every frame triple, keyed (b, c, d)."""
+    return {
+        idx: v
+        for idx in itertools.product(range(A.rank), repeat=3)
+        if not (v := term(*idx)).is_zero()
+    }
+
+
+def _half_raised(A: AlgebroidData, metric: Metric, x: SparseArray) -> SparseArray:
+    """(1/2) g^{ad} x_{bcd}, halved after the sum."""
     half = A.const(Fraction(1, 2))
-    coeff: SparseArray = {}
-    for b in range(r):
-        for c in range(r):
-            brackets = [_koszul_rhs(A, anhol, metric, b, c, d) for d in range(r)]
-            for a in range(r):
-                total = A.zero()
-                for d in range(r):
-                    if not brackets[d].is_zero():
-                        total = total + metric.inv_at(a, d) * brackets[d]
-                total = half * total
-                if not total.is_zero():
-                    coeff[(a, b, c)] = total
-    return Connection(r, coeff)
+    return {idx: half * v for idx, v in metric.raised(x).items()}
 
 
 def decompose_connection(
@@ -260,61 +259,36 @@ def decompose_connection(
         raise AdmissibilityError(
             "decomposition requires an admissible connection", adm.residuals
         )
-    r = A.rank
     lc = levicivita_frame(A, ctx.anholonomy("modified"), metric)
     tor = ctx.torsion("modified")
     q = non_metricity(A, conn, metric)
-    half = A.const(1) / A.const(2)
-    contortion: SparseArray = {}
-    disformation: SparseArray = {}
-    for a in range(r):
-        for b in range(r):
-            for c in range(r):
-                acc_t = A.zero()
-                acc_q = A.zero()
-                for d in range(r):
-                    gi = metric.inv_at(a, d)
-                    if gi.is_zero():
-                        continue
-                    qt = (
-                        -q.get((b, d, c), A.zero())
-                        + q.get((d, c, b), A.zero())
-                        - q.get((c, b, d), A.zero())
-                    )
-                    tt = A.zero()
-                    for e in range(r):
-                        t1 = tor.get((e, b, d))
-                        if t1 is not None:
-                            tt = tt - metric.at(e, c) * t1
-                        t2 = tor.get((e, b, c))
-                        if t2 is not None:
-                            tt = tt + metric.at(e, d) * t2
-                        t3 = tor.get((e, c, d))
-                        if t3 is not None:
-                            tt = tt - metric.at(e, b) * t3
-                    if not qt.is_zero():
-                        acc_q = acc_q + gi * qt
-                    if not tt.is_zero():
-                        acc_t = acc_t + gi * tt
-                acc_t = half * acc_t
-                acc_q = half * acc_q
-                if not acc_t.is_zero():
-                    contortion[(a, b, c)] = acc_t
-                if not acc_q.is_zero():
-                    disformation[(a, b, c)] = acc_q
-    residuals: dict[tuple, Scalar] = {}
-    for a in range(r):
-        for b in range(r):
-            for c in range(r):
-                v = (
-                    conn.at(a, b, c, A.dim)
-                    - lc.at(a, b, c, A.dim)
-                    - contortion.get((a, b, c), A.zero())
-                    - disformation.get((a, b, c), A.zero())
-                )
-                if not v.is_zero():
-                    residuals[(a, b, c)] = v
-    report = report_from_residuals("decomposition-reconstruction", residuals)
+    zero = A.zero()
+
+    def torsion_term(b: int, c: int, d: int) -> Scalar:
+        """-T_{c b d} + T_{d b c} - T_{b c d}, with T_{f b d} = g_ef T^e_bd,
+        summed over e with the three terms of each e together."""
+        acc = zero
+        for e in range(A.rank):
+            terms = ((-1, c, (e, b, d)), (1, d, (e, b, c)), (-1, b, (e, c, d)))
+            for sign, f, key in terms:
+                t = tor.get(key)
+                if t is not None:
+                    t = metric.at(e, f) * t
+                    acc = acc + t if sign == 1 else acc - t
+        return acc
+
+    def nonmetricity_term(b: int, c: int, d: int) -> Scalar:
+        """-Q_{b d c} + Q_{d c b} - Q_{c b d}."""
+        return -q.get((b, d, c), zero) + q.get((d, c, b), zero) - q.get((c, b, d), zero)
+
+    contortion = _half_raised(A, metric, _on_triples(A, torsion_term))
+    disformation = _half_raised(A, metric, _on_triples(A, nonmetricity_term))
+    residual = sparse_sub(conn.coeff, lc.coeff)
+    for part in (contortion, disformation):
+        residual = sparse_sub(residual, part)
+    report = report_from_residuals(
+        "decomposition-reconstruction", dict(sorted(residual.items()))
+    )
     return lc, contortion, disformation, report
 
 

@@ -32,7 +32,12 @@ from algebroids import (
     torsion,
 )
 import algebroids.connection as connection_module
-from algebroids.calculus import check_magic_and_derivations, seeded_sections
+from algebroids.calculus import (
+    associator,
+    check_magic_and_derivations,
+    leibniz_derivative,
+    seeded_sections,
+)
 from algebroids.connection import GeometryContext, _frame_covariants, frame_covariant_tensor
 from algebroids.core import FrameChange, _locality_correction, project_section
 from algebroids.fixtures import (
@@ -412,6 +417,42 @@ def test_equivalent_connections_share_admissibility():
     shift = Connection.of(3, {(0, 0, 0): scal("x1", names)})
     rep = check_equivalent_connections(A, conn, conn)
     assert rep.passed
+
+
+def test_equivalent_connections_list_each_pair_once():
+    # criterion-2 fixture 4 with Gamma^0_00 raised by one: the symmetric
+    # part of the difference's contraction, on a <= b as check_admissible
+    fx = random_anticommutable(4, dim=2, rank=3)
+    A, conn = fx.algebroid, fx.connection
+    coeff = dict(conn.coeff)
+    coeff[(0, 0, 0)] = coeff.get((0, 0, 0), A.zero()) + A.one()
+    rep = check_equivalent_connections(A, conn, Connection(3, coeff))
+    assert not rep.passed
+    assert [at for at, _ in rep.residuals] == [(2, 0, 0), (2, 0, 1)]
+    assert rep.residuals[0][1].equals(scal("4*x2^2", A.coords))
+    assert rep.residuals[1][1].equals(scal("-3*x2", A.coords))
+
+
+@pytest.mark.parametrize("with_locality", [False, True])
+def test_projected_kind_without_a_projector_is_refused(with_locality):
+    # the same typed error from every projected operation, whether or not
+    # the locality operator vanishes
+    one = Scalar.one(1)
+    A = AlgebroidData(
+        dim=1, rank=1, coords=("x1",), anchor=((one,),), gamma={},
+        loc={(0, 0, 0, 0): one} if with_locality else {},
+    )
+    conn = Connection.zero(1)
+    u = Section((Scalar.variable(1, 0),))
+    calls = [
+        lambda: modified_bracket(A, conn, u, u, "projected"),
+        lambda: associator(A, "projected", u, u, u, conn),
+        lambda: modified_anholonomy(A, conn, "projected"),
+        lambda: leibniz_derivative(A, conn, u, u, "projected"),
+    ]
+    for call in calls:
+        with pytest.raises(ProjectorRequiredError):
+            call()
 
 
 # -- bracket from a connection ----------------------------------------------
