@@ -1,6 +1,18 @@
 """Batch front end: check identity suites, compute derived tensors, emit
 catalog examples and frame changes.
 
+Each subcommand takes only the flags it reads:
+
+    check INPUT [--suite S] [--solve {torsion-free,koszul}]
+                [--seed N] [--samples N] [--degree N] [--format F]
+    compute INPUT TARGET [--format F]
+    example KIND [--n N] [--p P] [--matrix M] [--h H] [--params JSON]
+    frame-change INPUT --matrix M
+
+and every subcommand takes ``--budget N`` and ``-o PATH``.  The identity
+suites that need a connection and a locality projector run from one
+table, ``GATED``, in report order.
+
 Exit codes: 0 all checks pass; 1 at least one identity fails; 2 input or
 parse error; 3 a requested solve is infeasible; 4 term budget exceeded.
 ``--budget`` applies to one run and is restored when ``main`` returns.
@@ -14,7 +26,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict
+from typing import get_args
 
 from .calculus import (
     check_bianchi_algebraic,
@@ -24,7 +37,7 @@ from .calculus import (
     check_ricci,
     check_square_laws,
 )
-from .catalog import make_example
+from .catalog import ExampleKind, make_example
 from .connection import (
     Connection,
     Metric,
@@ -44,12 +57,7 @@ from .documents import (
     parse_metric,
     sparse_to_obj,
 )
-from .errors import (
-    AdmissibilityError,
-    AlgebroidError,
-    BudgetError,
-    DocumentError,
-)
+from .errors import AdmissibilityError, AlgebroidError, BudgetError, DocumentError
 from .levicivita import (
     SolutionSpace,
     check_levicivita_props,
@@ -67,41 +75,46 @@ EXIT_INPUT_ERROR = 2
 EXIT_INFEASIBLE = 3
 EXIT_BUDGET = 4
 
+# (suite, identity, check) in report order; each check needs a connection
+# and a locality projector, and gets (A, conn, (seed, samples, degree))
+GATED = (
+    ("cartan", "cartan-structure", lambda A, c, s: check_cartan_structure(A, c)),
+    ("bianchi", "bianchi-algebraic-projected",
+     lambda A, c, s: check_bianchi_algebraic(A, c, "projected", *s)),
+    ("bianchi", "bianchi-algebraic-general",
+     lambda A, c, s: check_bianchi_algebraic(A, c, "general")),
+    ("bianchi", "bianchi-differential",
+     lambda A, c, s: check_bianchi_differential(A, c)),
+    ("ricci", "ricci", lambda A, c, s: check_ricci(A, c, *s)),
+    ("magic", "magic-and-derivations",
+     lambda A, c, s: check_magic_and_derivations(A, c, *s)),
+    ("magic", "square-laws", lambda A, c, s: check_square_laws(A, c, *s)),
+)
 SUITES = (
-    "all",
-    "classify",
-    "admissible",
-    "cartan",
-    "bianchi",
-    "ricci",
-    "magic",
-    "levicivita",
+    "all", "classify", "admissible", *dict.fromkeys(g[0] for g in GATED), "levicivita"
 )
 
-
-@dataclass
-class RunConfig:
-    suite: str = "all"
-    seed: int = 0
-    samples: int = 8
-    degree: int = 2
-    fmt: str = "json"
-    out: str | None = None
-
-    def stamp(self) -> str:
-        return f"config: seed={self.seed} samples={self.samples} degree={self.degree}"
+# compute target -> the document blocks it needs, checked in this order
+COMPUTE_NEEDS = {
+    "torsion": ("connection",),
+    "projected-torsion": ("connection", "locality projector"),
+    "curvature": ("connection", "locality projector"),
+    "nonmetricity": ("connection", "metric"),
+    "levicivita": ("metric",),
+    "decomposition": ("connection", "metric"),
+}
 
 
 class _Emitter:
-    def __init__(self, config: RunConfig):
-        self.config = config
+    def __init__(self, args: argparse.Namespace):
+        self.args = args
         self.lines: list[str] = []
         self.any_failed = False
 
     def emit(self, obj: dict) -> None:
         if obj.get("pass") is False:
             self.any_failed = True
-        if self.config.fmt == "json":
+        if self.args.format == "json":
             self.lines.append(json.dumps(obj, sort_keys=False))
         else:
             kind = obj.get("identity") or obj.get("result") or "-"
@@ -114,137 +127,76 @@ class _Emitter:
                 extra += f" status={obj['status']}"
             self.lines.append(f"{kind:32s} {status_text}{extra}")
 
-    def emit_report(self, report: CheckReport, names, config: RunConfig) -> None:
+    def emit_report(self, report: CheckReport, names) -> None:
         obj = report.to_json_obj(names)
-        obj["assumptions"].append(config.stamp())
+        a = self.args
+        obj["assumptions"].append(
+            f"config: seed={a.seed} samples={a.samples} degree={a.degree}"
+        )
         self.emit(obj)
 
     def flush(self) -> int:
-        _write("\n".join(self.lines) + ("\n" if self.lines else ""), self.config)
+        _write("\n".join(self.lines) + ("\n" if self.lines else ""), self.args.output)
         return EXIT_IDENTITY_FAILED if self.any_failed else EXIT_OK
 
 
-def _write(text: str, config: RunConfig) -> None:
-    """Write text to the -o path, or to stdout without one."""
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as handle:
+def _write(text: str, path: str | None) -> None:
+    """Write text to path, or to stdout without one."""
+    if path:
+        with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _failed_report(name: str, exc: AdmissibilityError) -> CheckReport:
-    return CheckReport(
-        identity=name,
-        passed=False,
-        residuals=list(exc.residuals),
-        assumptions=["connection not admissible; identity not evaluated"],
-    )
+def _gated(identity: str, run) -> CheckReport:
+    """The report of run(), or a failed one for identity when the connection
+    is not admissible."""
+    try:
+        return run()
+    except AdmissibilityError as exc:
+        return CheckReport(
+            identity=identity,
+            passed=False,
+            residuals=list(exc.residuals),
+            assumptions=["connection not admissible; identity not evaluated"],
+        )
 
 
-def _run_suites(doc: AlgebroidDocument, config: RunConfig, emitter: _Emitter) -> int:
+def _run_suites(
+    doc: AlgebroidDocument, args: argparse.Namespace, emitter: _Emitter
+) -> int:
     A = doc.algebroid
     names = A.coords
-    suite = config.suite
+    conn = doc.connection
+    sampling = (args.seed, args.samples, args.degree)
 
     def want(name: str) -> bool:
-        return suite in ("all", name)
+        return args.suite in ("all", name)
 
     if want("classify"):
-        flags = classify(A)
-        emitter.emit(
-            {
-                "identity": "classify",
-                "pass": None,
-                "flags": {
-                    "almost_dull": flags.almost_dull,
-                    "almost_lie": flags.almost_lie,
-                    "pre_leibniz": flags.pre_leibniz,
-                    "pre_dull": flags.pre_dull,
-                    "pre_lie": flags.pre_lie,
-                },
-            }
-        )
+        flags = asdict(classify(A))
+        emitter.emit({"identity": "classify", "pass": None, "flags": flags})
         if A.proj is not None:
-            emitter.emit_report(
-                check_locality_projector(A, seed=config.seed), names, config
-            )
-    conn = doc.connection
+            emitter.emit_report(check_locality_projector(A, seed=args.seed), names)
     if conn is not None and want("admissible"):
-        emitter.emit_report(check_admissible(A, conn), names, config)
-    identity_suites = []
+        emitter.emit_report(check_admissible(A, conn), names)
     if conn is not None and A.proj is not None:
-        if want("cartan"):
-            identity_suites.append(
-                ("cartan-structure", lambda: check_cartan_structure(A, conn))
-            )
-        if want("bianchi"):
-            identity_suites.append(
-                (
-                    "bianchi-algebraic-projected",
-                    lambda: check_bianchi_algebraic(
-                        A, conn, "projected", config.seed, config.samples, config.degree
-                    ),
-                )
-            )
-            identity_suites.append(
-                (
-                    "bianchi-algebraic-general",
-                    lambda: check_bianchi_algebraic(A, conn, "general"),
-                )
-            )
-            identity_suites.append(
-                ("bianchi-differential", lambda: check_bianchi_differential(A, conn))
-            )
-        if want("ricci"):
-            identity_suites.append(
-                (
-                    "ricci",
-                    lambda: check_ricci(
-                        A, conn, config.seed, config.samples, config.degree
-                    ),
-                )
-            )
-        if want("magic"):
-            identity_suites.append(
-                (
-                    "magic-and-derivations",
-                    lambda: check_magic_and_derivations(
-                        A, conn, config.seed, config.samples, config.degree
-                    ),
-                )
-            )
-            identity_suites.append(
-                (
-                    "square-laws",
-                    lambda: check_square_laws(
-                        A, conn, config.seed, config.samples, config.degree
-                    ),
-                )
-            )
-    for name, runner in identity_suites:
-        try:
-            emitter.emit_report(runner(), names, config)
-        except AdmissibilityError as exc:
-            emitter.emit_report(_failed_report(name, exc), names, config)
+        for suite, identity, check in GATED:
+            if want(suite):
+                report = _gated(identity, lambda: check(A, conn, sampling))
+                emitter.emit_report(report, names)
     if want("levicivita") and doc.metric is not None:
         space = solve_koszul(A, doc.metric)
         emitter.emit(_space_obj("levicivita-solution", space, names))
         if conn is not None:
-            emitter.emit_report(
-                check_levicivita_props(
-                    A, conn, doc.metric, config.seed, config.samples, config.degree
-                ),
-                names,
-                config,
+            props = check_levicivita_props(A, conn, doc.metric, *sampling)
+            emitter.emit_report(props, names)
+            report = _gated(
+                "decomposition-reconstruction",
+                lambda: decompose_connection(A, conn, doc.metric)[3],
             )
-            try:
-                _, _, _, rep = decompose_connection(A, conn, doc.metric)
-                emitter.emit_report(rep, names, config)
-            except AdmissibilityError as exc:
-                emitter.emit_report(
-                    _failed_report("decomposition-reconstruction", exc), names, config
-                )
+            emitter.emit_report(report, names)
     return emitter.flush()
 
 
@@ -261,68 +213,39 @@ def _space_obj(label: str, space: SolutionSpace, names) -> dict:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    config = _config_from(args)
-    emitter = _Emitter(config)
+    emitter = _Emitter(args)
     doc = load_document(args.input)
-    if args.solve:
-        if args.solve == "torsion-free":
-            space = solve_torsion_free(doc.algebroid)
-        else:
-            if doc.metric is None:
-                raise DocumentError("koszul solve needs a metric block")
-            space = solve_koszul(doc.algebroid, doc.metric)
-        emitter.emit(_space_obj(f"solve-{args.solve}", space, doc.algebroid.coords))
-        code = _run_suites(doc, config, emitter)
-        if space.status == "infeasible":
-            return EXIT_INFEASIBLE
-        return code
-    return _run_suites(doc, config, emitter)
+    if not args.solve:
+        return _run_suites(doc, args, emitter)
+    if args.solve == "torsion-free":
+        space = solve_torsion_free(doc.algebroid)
+    else:
+        if doc.metric is None:
+            raise DocumentError("koszul solve needs a metric block")
+        space = solve_koszul(doc.algebroid, doc.metric)
+    emitter.emit(_space_obj(f"solve-{args.solve}", space, doc.algebroid.coords))
+    code = _run_suites(doc, args, emitter)
+    return EXIT_INFEASIBLE if space.status == "infeasible" else code
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
-    config = _config_from(args)
-    emitter = _Emitter(config)
+    emitter = _Emitter(args)
     doc = load_document(args.input)
     A = doc.algebroid
     names = A.coords
     target = args.target
-    conn = doc.connection
-    if target in ("torsion", "projected-torsion", "curvature", "nonmetricity"):
-        if conn is None:
-            raise DocumentError(f"{target} needs a connection block")
-    if target == "torsion":
-        arr = torsion(A, conn, "modified")
-        emitter.emit({"result": "torsion", "components": sparse_to_obj(arr, names)})
-    elif target == "projected-torsion":
-        if A.proj is None:
-            raise DocumentError("locality projector required")
-        arr = torsion(A, conn, "projected")
-        emitter.emit(
-            {"result": "projected-torsion", "components": sparse_to_obj(arr, names)}
-        )
-    elif target == "curvature":
-        if A.proj is None:
-            raise DocumentError("locality projector required")
-        arr = curvature(A, conn)
-        emitter.emit({"result": "curvature", "components": sparse_to_obj(arr, names)})
-    elif target == "nonmetricity":
-        if doc.metric is None:
-            raise DocumentError("nonmetricity needs a metric block")
-        arr = non_metricity(A, conn, doc.metric)
-        emitter.emit(
-            {"result": "nonmetricity", "components": sparse_to_obj(arr, names)}
-        )
-    elif target == "levicivita":
-        if doc.metric is None:
-            raise DocumentError("levicivita needs a metric block")
-        space = solve_koszul(A, doc.metric)
+    conn, metric = doc.connection, doc.metric
+    blocks = {"connection": conn, "locality projector": A.proj, "metric": metric}
+    for need in COMPUTE_NEEDS[target]:
+        if blocks[need] is None:
+            raise DocumentError(f"{target} needs a {need} block")
+    if target == "levicivita":
+        space = solve_koszul(A, metric)
         emitter.emit(_space_obj("levicivita-solution", space, names))
         emitter.flush()
         return EXIT_INFEASIBLE if space.status == "infeasible" else EXIT_OK
-    elif target == "decomposition":
-        if doc.metric is None or conn is None:
-            raise DocumentError("decomposition needs metric and connection blocks")
-        lc, contortion, disformation, rep = decompose_connection(A, conn, doc.metric)
+    if target == "decomposition":
+        lc, contortion, disformation, rep = decompose_connection(A, conn, metric)
         emitter.emit(
             {
                 "result": "decomposition",
@@ -332,8 +255,16 @@ def cmd_compute(args: argparse.Namespace) -> int:
                 "reconstruction_pass": rep.passed,
             }
         )
+        return emitter.flush()
+    if target == "torsion":
+        arr = torsion(A, conn, "modified")
+    elif target == "projected-torsion":
+        arr = torsion(A, conn, "projected")
+    elif target == "curvature":
+        arr = curvature(A, conn)
     else:
-        raise DocumentError(f"unknown compute target {target!r}")
+        arr = non_metricity(A, conn, metric)
+    emitter.emit({"result": target, "components": sparse_to_obj(arr, names)})
     return emitter.flush()
 
 
@@ -352,7 +283,6 @@ def _matrix_arg(text: str, names, size: int):
 
 
 def cmd_example(args: argparse.Namespace) -> int:
-    config = _config_from(args)
     kind = args.kind
     params: dict = {}
     names = tuple(f"x{i + 1}" for i in range(args.n)) if args.n else ()
@@ -369,7 +299,7 @@ def cmd_example(args: argparse.Namespace) -> int:
             raise DocumentError("courant_h_twisted needs --h")
         h = _parse_entries(_json_arg(args.h, "h"), names, 3, args.n, "h")
         params = {"n": args.n, "h": h}
-    elif kind in ("metric_algebroid", "conformal_courant"):
+    else:  # metric_algebroid, conformal_courant
         if not args.params:
             raise DocumentError(f"{kind} needs --params JSON")
         raw = _json_arg(args.params, "--params")
@@ -388,8 +318,6 @@ def cmd_example(args: argparse.Namespace) -> int:
             if not isinstance(theta, list):
                 raise DocumentError(f"theta must be a list, got {theta!r}")
             params["theta"] = tuple(parse_scalar(str(t), names) for t in theta)
-    else:
-        raise DocumentError(f"unknown example kind {kind!r}")
     bundle = make_example(kind, **params)
     doc = AlgebroidDocument(
         algebroid=bundle.algebroid, metric=bundle.metric, connection=None
@@ -411,12 +339,11 @@ def cmd_example(args: argparse.Namespace) -> int:
         obj["theta"] = [
             scalar_to_text(t, bundle.algebroid.coords) for t in bundle.theta
         ]
-    _write(json.dumps(obj, indent=2) + "\n", config)
+    _write(json.dumps(obj, indent=2) + "\n", args.output)
     return EXIT_OK
 
 
 def cmd_frame_change(args: argparse.Namespace) -> int:
-    config = _config_from(args)
     doc = load_document(args.input)
     A = doc.algebroid
     F = FrameChange.of(_matrix_arg(args.matrix, A.coords, A.rank))
@@ -428,19 +355,20 @@ def cmd_frame_change(args: argparse.Namespace) -> int:
         metric=Metric(metric2) if metric2 is not None else None,
         connection=Connection(A2.rank, conn2) if conn2 is not None else None,
     )
-    _write(dump_document(doc2) + "\n", config)
+    _write(dump_document(doc2) + "\n", args.output)
     return EXIT_OK
 
 
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        suite=getattr(args, "suite", "all"),
-        seed=getattr(args, "seed", 0),
-        samples=getattr(args, "samples", 8),
-        degree=getattr(args, "degree", 2),
-        fmt=getattr(args, "format", "json"),
-        out=getattr(args, "output", None),
-    )
+def _count(text: str) -> int:
+    """A flag value that counts: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        message = f"expected a non-negative integer, got {text!r}"
+        raise argparse.ArgumentTypeError(message)
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -450,65 +378,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=8)
-        p.add_argument("--degree", type=int, default=2)
-        p.add_argument("--budget", type=int, default=100_000)
-        p.add_argument("--format", choices=("json", "table"), default="json")
-        p.add_argument("-o", "--output", default=None)
-
     p_check = sub.add_parser("check", help="run identity suites on a document")
     p_check.add_argument("input")
     p_check.add_argument("--suite", choices=SUITES, default="all")
     p_check.add_argument(
         "--solve", choices=("torsion-free", "koszul"), default=None
     )
-    common(p_check)
+    p_check.add_argument("--seed", type=int, default=0)
+    p_check.add_argument("--samples", type=_count, default=8)
+    p_check.add_argument("--degree", type=_count, default=2)
     p_check.set_defaults(func=cmd_check)
 
     p_compute = sub.add_parser("compute", help="emit one derived tensor")
     p_compute.add_argument("input")
-    p_compute.add_argument(
-        "target",
-        choices=(
-            "torsion",
-            "projected-torsion",
-            "curvature",
-            "nonmetricity",
-            "levicivita",
-            "decomposition",
-        ),
-    )
-    common(p_compute)
+    p_compute.add_argument("target", choices=tuple(COMPUTE_NEEDS))
     p_compute.set_defaults(func=cmd_compute)
 
     p_example = sub.add_parser("example", help="emit a catalog entry as a document")
-    p_example.add_argument(
-        "kind",
-        choices=(
-            "tangent_lie",
-            "twisted_frame_lie",
-            "courant_standard",
-            "courant_h_twisted",
-            "metric_algebroid",
-            "higher_courant",
-            "conformal_courant",
-        ),
-    )
+    p_example.add_argument("kind", choices=get_args(ExampleKind))
     p_example.add_argument("--n", type=int, default=2)
     p_example.add_argument("--p", type=int, default=2)
     p_example.add_argument("--matrix", default=None, help="frame matrix JSON")
     p_example.add_argument("--h", default=None, help="twist 3-form entries JSON")
     p_example.add_argument("--params", default=None, help="family parameters JSON")
-    common(p_example)
     p_example.set_defaults(func=cmd_example)
 
     p_frame = sub.add_parser("frame-change", help="transform a document's frame")
     p_frame.add_argument("input")
     p_frame.add_argument("--matrix", required=True, help="r x r matrix JSON")
-    common(p_frame)
     p_frame.set_defaults(func=cmd_frame_change)
+
+    for p in (p_check, p_compute):
+        p.add_argument("--format", choices=("json", "table"), default="json")
+    for p in (p_check, p_compute, p_example, p_frame):
+        p.add_argument("--budget", type=int, default=100_000)
+        p.add_argument("-o", "--output", default=None)
     return parser
 
 
@@ -522,7 +426,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (DocumentError, AlgebroidError) as exc:
+    except AlgebroidError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     finally:

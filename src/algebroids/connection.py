@@ -95,6 +95,8 @@ class Metric:
 
     def __init__(self, g: list[list[Scalar]]):
         r = len(g)
+        if r == 0:
+            raise ShapeError("metric must have rank at least 1")
         if any(len(row) != r for row in g):
             raise ShapeError("metric must be square")
         for a in range(r):

@@ -30,7 +30,8 @@ def random_scalar(
     for _ in range(rng.randint(1, terms)):
         exps = [0] * nvars
         for _ in range(rng.randint(0, degree)):
-            exps[rng.randrange(nvars)] += 1
+            if nvars:  # a dimension-0 scalar is a constant
+                exps[rng.randrange(nvars)] += 1
         c = rng.randint(-3, 3)
         if c:
             poly = poly + Poly(nvars, {tuple(exps): Fraction(c)})

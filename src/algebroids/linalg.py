@@ -232,6 +232,8 @@ def invert_matrix(m: Matrix) -> Matrix:
     size = len(m)
     if any(len(row) != size for row in m):
         raise ShapeError("inverse requires a square matrix")
+    if not size:
+        return []
     nvars = m[0][0].nvars
     zero, one = Scalar.zero(nvars), Scalar.one(nvars)
     coeffs = [{j: v for j, v in enumerate(row) if not v.is_zero()} for row in m]

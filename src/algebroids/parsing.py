@@ -10,7 +10,9 @@
 Whitespace is insignificant.  The optional leading sign covers rational
 literals whose sign is attached to the integer part.  "/" between two
 numeric literals and "/" as field division denote the same exact quotient,
-so both are handled by scalar division.
+so both are handled by scalar division.  Parentheses nest at most
+``MAX_DEPTH`` deep, so a deeply nested input is a ParseError rather than a
+RecursionError.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .errors import DivisionByZeroError, ParseError
 from .scalars import Scalar
 
 _OPS = set("+-*/^()")
+MAX_DEPTH = 100
 
 
 class _Tokenizer:
@@ -75,6 +78,7 @@ class _Parser:
         self.toks = _Tokenizer(text)
         self.names = list(names)
         self.nvars = len(self.names)
+        self.depth = 0
 
     def parse(self) -> Scalar:
         value = self._expr()
@@ -140,7 +144,11 @@ class _Parser:
                 raise ParseError(f"unknown coordinate name {text!r}", pos) from None
             return Scalar.variable(self.nvars, index)
         if kind == "op" and text == "(":
+            if self.depth == MAX_DEPTH:
+                raise ParseError(f"parentheses nest deeper than {MAX_DEPTH}", pos)
+            self.depth += 1
             value = self._expr()
+            self.depth -= 1
             kind, text, pos = self.toks.advance()
             if not (kind == "op" and text == ")"):
                 raise ParseError("expected ')'", pos)

@@ -2,13 +2,15 @@
 
 import json
 import random
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from algebroids import Connection, Metric, dump_document, get_term_budget, make_example
-from algebroids.cli import RunConfig, _Emitter
+from algebroids.cli import _Emitter, build_parser
 from algebroids.cli import main as cli_main
 from algebroids.documents import AlgebroidDocument
 from algebroids.fixtures import random_anticommutable, random_constant_metric
@@ -282,7 +284,7 @@ def test_general_bianchi_line_passes_and_gates(tmp_path):
 
 def test_failing_general_bianchi_line_sets_exit_1(capsys):
     for passed, code in ((True, 0), (False, 1)):
-        emitter = _Emitter(RunConfig())
+        emitter = _Emitter(build_parser().parse_args(["check", "doc.json"]))
         emitter.emit({"identity": "bianchi-algebraic-general", "pass": passed})
         assert emitter.flush() == code
 
@@ -317,3 +319,100 @@ def test_malformed_json_argument_exit_2(args, halfplane_doc, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "obj, code",
+    [
+        pytest.param(
+            {
+                "dimension": 0, "rank": 1, "coordinates": [], "anchor": [],
+                "P": [["1"]], "metric": [{"idx": [1, 1], "val": "1"}],
+                "connection": [{"idx": [1, 1, 1], "val": "1"}],
+            },
+            0,
+            id="dimension-0",
+        ),
+        pytest.param(
+            {"dimension": 1, "rank": 0, "coordinates": ["x1"], "anchor": [[]],
+             "metric": []},
+            2,
+            id="rank-0-metric",
+        ),
+        pytest.param(
+            {"dimension": 1, "rank": 1, "coordinates": ["x1"],
+             "anchor": [["(" * 250 + "x1" + ")" * 250]]},
+            2,
+            id="deep-parentheses",
+        ),
+    ],
+)
+def test_edge_documents_exit_without_traceback(obj, code, tmp_path, capsys):
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(obj))
+    assert cli_main(["check", str(path), "--suite", "all"]) == code
+    out = capsys.readouterr()
+    assert "Traceback" not in out.err
+    if code == 0:
+        # the sampled suites draw constant sections on a point
+        assert len(out.out.splitlines()) == 13
+
+
+def test_readme_commands_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    commands = [
+        shlex.split(line, comments=True)
+        for line in section.splitlines()
+        if line.startswith("algebroids ")
+    ]
+    assert len(commands) >= 4
+    assert {argv[1] for argv in commands} == {"check", "compute", "example", "frame-change"}
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv[1:])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [*head, flag, value]
+        for head in (
+            ["compute", "doc.json", "torsion"],
+            ["example", "tangent_lie"],
+            ["frame-change", "doc.json", "--matrix", "[[1]]"],
+        )
+        for flag, value in (("--seed", "1"), ("--samples", "2"), ("--degree", "1"))
+    ]
+    + [
+        ["example", "tangent_lie", "--format", "table"],
+        ["frame-change", "doc.json", "--matrix", "[[1]]", "--format", "table"],
+        # a negative degree made the sampled suites raise from random.randint
+        ["check", "doc.json", "--samples", "-1"],
+        ["check", "doc.json", "--degree", "-1"],
+    ],
+    ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}",
+)
+def test_refused_flags_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    if argv[0] == "check":
+        assert "expected a non-negative integer" in err
+    else:
+        assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        # the empty frame matrix inverts to the empty matrix
+        (["example", "twisted_frame_lie", "--n", "0", "--matrix", "[]"], 0),
+        (["example", "courant_standard", "--n", "0"], 2),
+    ],
+    ids=["twisted_frame_lie", "courant_standard"],
+)
+def test_zero_size_examples_exit_without_traceback(argv, code, capsys):
+    assert cli_main(argv) == code
+    assert "Traceback" not in capsys.readouterr().err

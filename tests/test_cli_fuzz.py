@@ -1,0 +1,163 @@
+"""Property test of the command line: small valid documents with one field
+perturbed, run under every subcommand, exit with a documented code, exit 1
+only with a failing report line, and never raise out of ``main``."""
+
+import contextlib
+import io
+import json
+import random
+from typing import get_args
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import pytest
+
+from algebroids import make_example
+from algebroids.catalog import ExampleKind
+from algebroids.cli import COMPUTE_NEEDS, SUITES
+from algebroids.cli import main as cli_main
+from algebroids.documents import AlgebroidDocument, document_to_obj
+from algebroids.fixtures import random_anticommutable, random_constant_metric
+
+# expressions over x1, x2 (x2 is undeclared in dimension 1), small enough
+# to stay cheap, or short raw text for the parser
+EXPR = st.one_of(
+    st.recursive(
+        st.sampled_from(("x1", "x2", "0", "1", "-2", "1/2")),
+        lambda inner: st.one_of(
+            st.tuples(inner, st.sampled_from("+-*/"), inner).map(
+                lambda t: f"({t[0]}){t[1]}({t[2]})"
+            ),
+            inner.map(lambda e: f"({e})^2"),
+        ),
+        max_leaves=4,
+    ),
+    st.text(alphabet="x12+-*/^()0 ", max_size=8),
+)
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 4),
+    EXPR,
+    st.just({}),
+    st.lists(EXPR, max_size=3),
+    st.lists(st.lists(EXPR, max_size=3), max_size=3),
+)
+
+
+LIKELY = st.sampled_from((True, True, True, False))
+
+
+@st.composite
+def documents(draw) -> dict:
+    """A small valid document (rank <= 3, dimension <= 2) as JSON."""
+    dim, rank = draw(st.integers(0, 2)), draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 30))
+    if draw(LIKELY):
+        fx = random_anticommutable(seed, dim=dim, rank=rank, degree=1)
+        A, conn = fx.algebroid, fx.connection
+        metric = random_constant_metric(random.Random(seed), dim, rank)
+    else:
+        kind = "courant_standard" if rank == 2 else "tangent_lie"
+        bundle = make_example(kind, n=max(dim, 1))
+        A, metric, conn = bundle.algebroid, bundle.metric, None
+    doc = AlgebroidDocument(
+        A, metric if draw(LIKELY) else None, conn if draw(LIKELY) else None
+    )
+    return document_to_obj(doc)
+
+
+@st.composite
+def argvs(draw, path: str, rank: int) -> list[str]:
+    """A valid command line for a document at path."""
+    command = draw(st.sampled_from(("check", "check", "compute", "example", "frame-change")))
+    if command == "check":
+        argv = ["check", path, "--suite", draw(st.sampled_from(SUITES))]
+        solve = draw(st.sampled_from((None, "torsion-free", "koszul")))
+        argv += ["--solve", solve] if solve else []
+        for flag, lo, hi in (("--seed", 0, 5), ("--samples", 1, 2), ("--degree", 0, 2)):
+            argv += [flag, str(draw(st.integers(lo, hi)))]
+    elif command == "compute":
+        argv = ["compute", path, draw(st.sampled_from(tuple(COMPUTE_NEEDS)))]
+    elif command == "example":
+        argv = ["example", draw(st.sampled_from(get_args(ExampleKind)))]
+        argv += ["--n", str(draw(st.integers(1, 3))), "--p", str(draw(st.integers(1, 3)))]
+        for flag in ("--matrix", "--h", "--params"):
+            if draw(st.booleans()):
+                argv += [flag, json.dumps(draw(JUNK))]
+    else:
+        row = st.lists(EXPR, min_size=rank, max_size=rank)
+        matrix = draw(st.lists(row, min_size=rank, max_size=rank))
+        argv = ["frame-change", path, "--matrix", json.dumps(matrix)]
+    if command in ("check", "compute"):
+        argv += ["--format", draw(st.sampled_from(("json", "table")))]
+    return argv + ["--budget", "100000"]
+
+
+@st.composite
+def perturbed(draw, obj: dict) -> dict:
+    """obj with one field dropped, replaced, or one entry in it changed."""
+    key = draw(st.sampled_from(sorted(obj)))
+    how = draw(st.sampled_from(("drop", "replace", "entry", "entry", "entry")))
+    value = obj[key]
+    if how == "drop":
+        del obj[key]
+    elif how == "replace" or not isinstance(value, list) or not value:
+        obj[key] = draw(JUNK)
+    else:
+        i = draw(st.integers(0, len(value) - 1))
+        item = value[i]
+        if isinstance(item, dict):  # sparse entry
+            if draw(st.booleans()):
+                item["idx"] = draw(st.lists(st.integers(-1, 4), max_size=5))
+            else:
+                item["val"] = draw(EXPR)
+        elif isinstance(item, list) and item:  # matrix row
+            item[draw(st.integers(0, len(item) - 1))] = draw(EXPR)
+        else:
+            value[i] = draw(JUNK)
+    return obj
+
+
+@st.composite
+def perturbed_flag(draw, argv: list[str]) -> list[str]:
+    """argv with the value of one integer flag replaced."""
+    ints = ("--seed", "--samples", "--degree", "--budget", "--n", "--p")
+    i = draw(st.sampled_from([i for i, a in enumerate(argv) if a in ints])) + 1
+    value = draw(st.one_of(st.integers(-2, 3).map(str), JUNK.map(json.dumps)))
+    return argv[:i] + [value] + argv[i + 1:]
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli-fuzz")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_cli_exits_with_a_documented_code(workdir, data):
+    obj = data.draw(documents())
+    path, report = workdir / "doc.json", workdir / "report.out"
+    argv = data.draw(argvs(str(path), obj["rank"]))
+    # one field of the document or one flag value is perturbed
+    if data.draw(st.booleans()):
+        obj = data.draw(perturbed(obj))
+    else:
+        argv = data.draw(perturbed_flag(argv))
+    path.write_text(json.dumps(obj))
+    report.unlink(missing_ok=True)
+    argv += ["-o", str(report)]
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        try:
+            code = cli_main(argv)
+        except SystemExit as exc:  # argparse refuses the arguments
+            code = exc.code
+    assert code in (0, 1, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        lines = report.read_text().splitlines()
+        if "--format" in argv and argv[argv.index("--format") + 1] == "table":
+            assert any(" FAIL" in line for line in lines)
+        else:
+            assert any(json.loads(line).get("pass") is False for line in lines)

@@ -409,14 +409,29 @@ def test_difference_tensorial_while_connections_are_not(courant2):
     assert conn_violation > 0
 
 
-def test_equivalent_connections_share_admissibility():
-    fx = random_anticommutable(24, dim=2, rank=3)
-    A, conn = fx.algebroid, fx.connection
-    # shifting by a difference with antisymmetric contraction stays admissible
+def test_equivalent_connections_share_admissibility(courant1):
+    # on courant_standard n = 1, shifting the zero connection by a difference
+    # whose locality contraction is nonzero but antisymmetric keeps it
+    # equivalent, hence admissible
+    A = courant1.algebroid
     names = A.coords
-    shift = Connection.of(3, {(0, 0, 0): scal("x1", names)})
-    rep = check_equivalent_connections(A, conn, conn)
-    assert rep.passed
+    zero = Connection.zero(2)
+    shifted = Connection.of(
+        2, {(0, 0, 0): scal("-x1", names), (1, 0, 1): scal("x1", names)}
+    )
+    contraction = locality_contraction(
+        A, Connection(2, difference_tensor(shifted, zero))
+    )
+    assert sorted(contraction) == [(1, 0, 1), (1, 1, 0)]
+    assert contraction[(1, 0, 1)].equals(scal("-x1", names))
+    assert contraction[(1, 1, 0)].equals(scal("x1", names))
+    assert check_equivalent_connections(A, zero, shifted).passed
+    assert check_admissible(A, zero).passed
+    assert check_admissible(A, shifted).passed
+    # the first entry alone has a symmetric contraction
+    control = Connection.of(2, {(0, 0, 0): scal("x1", names)})
+    assert not check_equivalent_connections(A, zero, control).passed
+    assert not check_admissible(A, control).passed
 
 
 def test_equivalent_connections_list_each_pair_once():
