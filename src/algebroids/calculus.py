@@ -12,7 +12,8 @@ the zero scalar.
 Each public verifier and derivative builds one ``GeometryContext`` for its
 (algebroid, connection) and passes it down, so the admissibility gate, the
 anholonomies, torsions, curvature, brackets and the D_{X_d} u table of each
-section are computed once per call; the context is dropped when the call
+section are computed once per call; the frame-level ones are also shared
+with the next calls on the same pair, the others are dropped when the call
 returns.  Every modified or projected bracket, every locality correction
 and the rho(v) part of every Leibniz derivative of a form here comes from
 the context, so the bracket kinds share them.

@@ -15,7 +15,8 @@ table, ``GATED``, in report order.
 
 Exit codes: 0 all checks pass; 1 at least one identity fails; 2 input or
 parse error; 3 a requested solve is infeasible; 4 term budget exceeded.
-``--budget`` applies to one run and is restored when ``main`` returns.
+``--budget`` (at least 1) applies to one run and is restored when ``main``
+returns.
 Reports stream line-delimited JSON (or an aligned table) in a
 deterministic order, so identical inputs and seeds give byte-identical
 output.
@@ -359,16 +360,20 @@ def cmd_frame_change(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _count(text: str) -> int:
-    """A flag value that counts: a non-negative integer."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        message = f"expected a non-negative integer, got {text!r}"
-        raise argparse.ArgumentTypeError(message)
-    return value
+def _int_at_least(low: int):
+    """The argparse type of an integer flag whose value is at least low."""
+    noun = "non-negative" if low == 0 else "positive"
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected a {noun} integer, got {text!r}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -385,8 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--solve", choices=("torsion-free", "koszul"), default=None
     )
     p_check.add_argument("--seed", type=int, default=0)
-    p_check.add_argument("--samples", type=_count, default=8)
-    p_check.add_argument("--degree", type=_count, default=2)
+    p_check.add_argument("--samples", type=_int_at_least(0), default=8)
+    p_check.add_argument("--degree", type=_int_at_least(0), default=2)
     p_check.set_defaults(func=cmd_check)
 
     p_compute = sub.add_parser("compute", help="emit one derived tensor")
@@ -411,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (p_check, p_compute):
         p.add_argument("--format", choices=("json", "table"), default="json")
     for p in (p_check, p_compute, p_example, p_frame):
-        p.add_argument("--budget", type=int, default=100_000)
+        p.add_argument("--budget", type=_int_at_least(1), default=100_000)
         p.add_argument("-o", "--output", default=None)
     return parser
 

@@ -23,13 +23,16 @@ anti-symmetric, that is when the symmetric part of the modified anholonomy
 vanishes.  Torsion and the bracket of a connection are Gamma - Gamma^T
 combined with an anholonomy, read with the sparse-array algebra of
 ``core``; ``Metric.raised`` is the one index raising.  A public function
-builds a context when it is called and drops it when it returns, so no
-value outlives the call that computed it.
+builds a context when it is called.  The frame-level values of the last
+(algebroid, connection, term budget) a context was built for are kept
+for the next call on the same pair, and a public function returns its own
+copy of one; values of other sections and forms are dropped when the call
+returns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Literal, Sequence, Union
 
@@ -51,7 +54,7 @@ from .core import (
 from .errors import ProjectorRequiredError, ShapeError, SingularMatrixError
 from .linalg import invert_matrix
 from .reports import CheckReport, report_from_residuals
-from .scalars import Scalar
+from .scalars import Scalar, get_term_budget
 
 BracketKind = Literal["original", "modified", "projected"]
 DerivativeKind = Literal["modified", "projected"]
@@ -237,7 +240,7 @@ def modified_anholonomy(
 ) -> SparseArray:
     """Anholonomy of the modified or projected modified bracket:
     gamma^c_ab minus the frame locality correction of the kind."""
-    return GeometryContext(A, conn).anholonomy(kind)
+    return dict(GeometryContext(A, conn).anholonomy(kind))
 
 
 def modified_bracket(
@@ -257,7 +260,7 @@ def torsion(
     kind: DerivativeKind = "modified",
 ) -> SparseArray:
     """Torsion components Gamma^a_bc - Gamma^a_cb - gamma(kind)^a_bc."""
-    return GeometryContext(A, conn).torsion(kind)
+    return dict(GeometryContext(A, conn).torsion(kind))
 
 
 def curvature(A: AlgebroidData, conn: Connection) -> SparseArray:
@@ -267,7 +270,7 @@ def curvature(A: AlgebroidData, conn: Connection) -> SparseArray:
     makes this operator tensorial, and defaulting to the identity would
     silently hide modelling errors.
     """
-    return GeometryContext(A, conn).curvature()
+    return dict(GeometryContext(A, conn).curvature())
 
 
 def non_metricity(
@@ -304,7 +307,7 @@ def non_metricity(
 def locality_contraction(A: AlgebroidData, conn: Connection) -> SparseArray:
     """Frame components of L(e^d, D_{X_d} u, v): the map A(u, v) that turns
     a connection into an anti-commutable bracket."""
-    return GeometryContext(A, conn).contraction("modified")
+    return dict(GeometryContext(A, conn).contraction("modified"))
 
 
 def check_admissible(A: AlgebroidData, conn: Connection) -> CheckReport:
@@ -317,24 +320,48 @@ def check_admissible(A: AlgebroidData, conn: Connection) -> CheckReport:
     sides is function-multilinear, so the frame check extends to all
     sections.
     """
-    return GeometryContext(A, conn).admissibility()
+    report = GeometryContext(A, conn).admissibility()
+    return replace(
+        report, residuals=list(report.residuals), assumptions=list(report.assumptions)
+    )
 
 
 def is_admissible(A: AlgebroidData, conn: Connection) -> bool:
     return check_admissible(A, conn).passed
 
 
+# The (A, conn, term budget, frames, pair store) of the last context built.
+_pair_slot: tuple = (None, None, None, [], {})
+
+
 class GeometryContext:
-    """Values of one (A, conn) pair, each computed on first use and kept
-    for the life of the context, one public call; all bracket kinds share
-    one plain bracket and one locality correction per section pair.  A
-    memo keyed by an object's id holds that object, so the id stays
+    """Values of one (A, conn) pair, each computed on first use; all
+    bracket kinds share one plain bracket and one locality correction per
+    section pair.
+
+    The frame-level values (admissibility, anholonomies, contractions,
+    torsions, curvature, and the brackets, corrections and D tables of the
+    frames) go to a pair store that later contexts share: one slot per
+    process keeps the frames and the store of the last pair, and a context
+    reuses them when its A and conn are that pair's objects (``is``) and
+    the term budget is the one they were built under.  Values of any other
+    section or form live only as long as this context, one public call.
+    A memo keyed by an object's id holds that object, so the id stays
     unique.  Returned values are shared and must not be mutated."""
 
     def __init__(self, A: AlgebroidData, conn: Connection | None):
+        global _pair_slot
         self.A = A
         self.conn = conn
-        self.frames = [Section.frame(A, a) for a in range(A.rank)]
+        budget = get_term_budget()
+        slot_A, slot_conn, slot_budget, frames, store = _pair_slot
+        if slot_A is not A or slot_conn is not conn or slot_budget != budget:
+            frames = [Section.frame(A, a) for a in range(A.rank)]
+            store = {}
+            _pair_slot = (A, conn, budget, frames, store)
+        self.frames = frames
+        self._frame_ids = {id(x) for x in frames}
+        self._pair_store: dict = store
         self._memo: dict = {}
 
     def _need_conn(self) -> Connection:
@@ -343,10 +370,13 @@ class GeometryContext:
         return self.conn
 
     def _cached(self, key, build, *held):
-        # held: the objects whose ids the key contains, kept alive with it
-        if key not in self._memo:
-            self._memo[key] = (build(), held)
-        return self._memo[key][0]
+        # held: the objects whose ids the key contains, kept alive with it;
+        # an entry that holds frames only belongs to the pair
+        frame_level = self._frame_ids.issuperset(map(id, held))
+        memo = self._pair_store if frame_level else self._memo
+        if key not in memo:
+            memo[key] = (build(), held)
+        return memo[key][0]
 
     def admissibility(self) -> CheckReport:
         return self._cached("admissible", self._admissibility)

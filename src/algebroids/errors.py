@@ -43,7 +43,7 @@ class AdmissibilityError(AlgebroidError):
 
     def __init__(self, message: str, residuals=None):
         super().__init__(message)
-        self.residuals = residuals or []
+        self.residuals = list(residuals or [])
 
 
 class ProjectorRequiredError(AlgebroidError):

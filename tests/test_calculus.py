@@ -332,7 +332,7 @@ def test_bianchi_fails_on_a_corrupted_curvature_entry(kind):
     curv = dict(ctx.curvature())
     key = (0, 0, 1, 2)
     curv[key] = curv.get(key, A.zero()) + A.one()
-    ctx._memo["curvature"] = (curv, ())
+    ctx._pair_store["curvature"] = (curv, ())
     residuals = _bianchi(ctx, kind)
     assert {at[0] for at in residuals} == {"first", "second"}
     assert all(not v.is_zero() for v in residuals.values())

@@ -151,7 +151,7 @@ def test_compute_curvature_requires_projector(tmp_path):
         gamma={}, loc={}, proj=None,
     )
     doc = AlgebroidDocument(algebroid=A, connection=Connection.zero(1))
-    path = "/tmp/no_proj.json"
+    path = str(tmp_path / "no_proj.json")
     dump_document(doc, path)
     out = run_cli("compute", path, "curvature")
     assert out.returncode == 2
@@ -402,6 +402,17 @@ def test_refused_flags_exit_2(argv, capsys):
         assert "expected a non-negative integer" in err
     else:
         assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_budget_below_one_exits_2(value, capsys):
+    # a budget of 0 read as a budget overrun (exit 4) on the first scalar
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["compute", "doc.json", "torsion", "--budget", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"expected a positive integer, got '{value}'" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 """Property test of the command line: small valid documents with one field
 perturbed, run under every subcommand, exit with a documented code, exit 1
-only with a failing report line, and never raise out of ``main``."""
+only with a failing report line, never raise out of ``main``, and give the
+same exit code, streams and report when run a second time in the same
+process."""
 
 import contextlib
 import io
@@ -134,6 +136,20 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("cli-fuzz")
 
 
+def run_main(argv: list[str], report) -> tuple:
+    """Exit code, stdout, stderr and report file of one in-process run; the
+    report file is removed first, so each run writes its own."""
+    report.unlink(missing_ok=True)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            try:
+                code = cli_main(argv)
+            except SystemExit as exc:  # argparse refuses the arguments
+                code = exc.code
+    text = report.read_text() if report.exists() else None
+    return code, out.getvalue(), err.getvalue(), text
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_cli_exits_with_a_documented_code(workdir, data):
@@ -146,15 +162,13 @@ def test_cli_exits_with_a_documented_code(workdir, data):
     else:
         argv = data.draw(perturbed_flag(argv))
     path.write_text(json.dumps(obj))
-    report.unlink(missing_ok=True)
     argv += ["-o", str(report)]
-    with contextlib.redirect_stderr(io.StringIO()) as err:
-        try:
-            code = cli_main(argv)
-        except SystemExit as exc:  # argparse refuses the arguments
-            code = exc.code
+    first = run_main(argv, report)
+    # a second run in the same process sees no state left by the first
+    assert run_main(argv, report) == first
+    code, _, err, _ = first
     assert code in (0, 1, 2, 3, 4)
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
     if code == 1:
         lines = report.read_text().splitlines()
         if "--format" in argv and argv[argv.index("--format") + 1] == "table":

@@ -8,6 +8,7 @@ import pytest
 
 from algebroids import (
     AlgebroidData,
+    BudgetError,
     Connection,
     ETensor,
     Metric,
@@ -23,18 +24,27 @@ from algebroids import (
     classify,
     covariant_derivative,
     curvature,
+    decompose_connection,
     difference_tensor,
+    get_term_budget,
     locality_contraction,
     make_example,
     modified_anholonomy,
     modified_bracket,
     non_metricity,
+    scalar_to_text,
+    set_term_budget,
     torsion,
 )
 import algebroids.connection as connection_module
 from algebroids.calculus import (
     associator,
+    check_bianchi_algebraic,
+    check_bianchi_differential,
+    check_cartan_structure,
     check_magic_and_derivations,
+    check_ricci,
+    check_square_laws,
     leibniz_derivative,
     seeded_sections,
 )
@@ -42,6 +52,7 @@ from algebroids.connection import GeometryContext, _frame_covariants, frame_cova
 from algebroids.core import FrameChange, _locality_correction, project_section
 from algebroids.fixtures import (
     random_anticommutable,
+    random_constant_metric,
     random_scalar,
     random_section,
 )
@@ -715,3 +726,136 @@ def test_contractions_and_covariant_derivative_match_the_written_out_sums(seed, 
             got = covariant_derivative(A, conn, v, u)
             want = reference_covariant(A, conn, v, u)
             assert all(x.equals(y) for x, y in zip(got.comp, want))
+
+
+# -- the pair store shared by consecutive contexts ----------------------------
+
+
+def clear_slot():
+    """Evict the shared pair store by building a context on another pair."""
+    GeometryContext(make_example("tangent_lie", n=1).algebroid, None)
+
+
+def test_consecutive_calls_on_one_pair_share_the_frame_corrections(monkeypatch):
+    fx = random_anticommutable(1, dim=1, rank=3)
+    A, conn = fx.algebroid, fx.connection
+    assert A.loc
+    corrections = count_calls(monkeypatch, "_locality_correction")
+    check_admissible(A, conn)
+    assert len(corrections) == A.rank**2
+    torsion(A, conn, "modified")
+    assert len(corrections) == A.rank**2
+
+
+def test_another_connection_algebroid_or_budget_rebuilds(monkeypatch):
+    fx = random_anticommutable(1, dim=1, rank=3)
+    A, conn = fx.algebroid, fx.connection
+    corrections = count_calls(monkeypatch, "_locality_correction")
+
+    def built(B, conn2, budget=None):
+        """Corrections built by a torsion call on (B, conn2) after one on
+        (A, conn), under the given budget."""
+        torsion(A, conn, "modified")
+        before = len(corrections)
+        old = set_term_budget(budget or get_term_budget())
+        try:
+            torsion(B, conn2, "modified")
+        finally:
+            set_term_budget(old)
+        return len(corrections) - before
+
+    assert built(A, conn) == 0
+    assert built(A, Connection(A.rank, dict(conn.coeff))) == A.rank**2
+    assert built(dataclasses.replace(A), conn) == A.rank**2
+    assert built(A, conn, get_term_budget() + 1) == A.rank**2
+
+
+def test_brackets_of_other_sections_stay_per_call():
+    fx = random_anticommutable(1, dim=1, rank=3)
+    A, conn = fx.algebroid, fx.connection
+    store = GeometryContext(A, conn)._pair_store
+    rng = random.Random(3)
+    modified_bracket(A, conn, random_section(rng, A), random_section(rng, A))
+    size = len(store)
+    for _ in range(3):
+        modified_bracket(A, conn, random_section(rng, A), random_section(rng, A))
+    assert GeometryContext(A, conn)._pair_store is store
+    assert len(store) == size
+
+
+def test_an_edited_result_does_not_reach_the_next_call():
+    fx = random_anticommutable(1, dim=1, rank=3)
+    A, conn = fx.algebroid, fx.connection
+    for call in (torsion, curvature, modified_anholonomy, locality_contraction):
+        first = call(A, conn)
+        want = dict(first)
+        first[(0, 0, 0)] = A.one()
+        assert call(A, conn) == want
+    report = check_admissible(A, conn)
+    assert report.passed
+    report.residuals.append(((0, 0, 0), A.one()))
+    assert check_admissible(A, conn).residuals == []
+
+
+def test_a_lower_budget_is_not_met_from_the_store():
+    fx = random_anticommutable(2, dim=1, rank=4)
+    A, conn = fx.algebroid, fx.connection
+    curvature(A, conn)
+    old = set_term_budget(3)
+    try:
+        with pytest.raises(BudgetError):
+            curvature(A, conn)
+    finally:
+        set_term_budget(old)
+
+
+def suite_reports(A, conn, metric):
+    """Every identity suite on one pair, each as comparable text."""
+    names = A.coords
+
+    def sparse(x):
+        return sorted((idx, scalar_to_text(v, names)) for idx, v in x.items())
+
+    def decomposition():
+        lc, contortion, disformation, report = decompose_connection(A, conn, metric)
+        return (sparse(lc.coeff), sparse(contortion), sparse(disformation),
+                report.to_json_obj(names))
+
+    checks = {
+        "admissible": lambda: check_admissible(A, conn),
+        "cartan": lambda: check_cartan_structure(A, conn),
+        "bianchi-projected": lambda: check_bianchi_algebraic(A, conn, "projected"),
+        "bianchi-general": lambda: check_bianchi_algebraic(A, conn, "general"),
+        "bianchi-differential": lambda: check_bianchi_differential(A, conn),
+        "ricci": lambda: check_ricci(A, conn, samples=2),
+        "magic": lambda: check_magic_and_derivations(A, conn, samples=2),
+        "square-laws": lambda: check_square_laws(A, conn, samples=2),
+    }
+    reports = {
+        name: lambda check=check: check().to_json_obj(names) for name, check in checks.items()
+    }
+    reports.update({
+        "torsion": lambda: sparse(torsion(A, conn, "modified")),
+        "projected-torsion": lambda: sparse(torsion(A, conn, "projected")),
+        "curvature": lambda: sparse(curvature(A, conn)),
+        "decomposition": decomposition,
+    })
+    return reports
+
+
+def test_identity_reports_do_not_depend_on_call_order():
+    pairs = []
+    for seed, twist in ((1, False), (104, True)):
+        fx = random_anticommutable(seed, dim=1, rank=2 + seed % 2, twist=twist)
+        metric = random_constant_metric(random.Random(seed), fx.algebroid.dim, fx.algebroid.rank)
+        pairs.append(suite_reports(fx.algebroid, fx.connection, metric))
+    calls = [(i, name) for i, reports in enumerate(pairs) for name in reports]
+    forward = {call: pairs[call[0]][call[1]]() for call in calls}
+    # the suites in reverse order, alternating between the two pairs
+    interleaved = [(i, name) for name in reversed(pairs[0]) for i in (1, 0)]
+    backward = {call: pairs[call[0]][call[1]]() for call in interleaved}
+    cleared = {}
+    for call in calls:
+        clear_slot()
+        cleared[call] = pairs[call[0]][call[1]]()
+    assert forward == backward == cleared
