@@ -11,12 +11,12 @@ the zero scalar.
 
 Each public verifier and derivative builds one ``GeometryContext`` for its
 (algebroid, connection) and passes it down, so the admissibility gate, the
-anholonomies, torsions, curvature, brackets and the D_{X_d} u table of each
-section are computed once per call; the frame-level ones are also shared
-with the next calls on the same pair, the others are dropped when the call
-returns.  Every modified or projected bracket, every locality correction
-and the rho(v) part of every Leibniz derivative of a form here comes from
-the context, so the bracket kinds share them.
+anholonomies, torsions, curvature and the algebroid of each bracket kind
+are computed once per call and shared with the next calls on the same
+pair.  Every bracket here is ``core.bracket`` of the algebroid of its
+kind, (gamma, L), (W, no L) or (W^, (1 - P) L), memoized per section pair
+for one call; the (1 - P) locality terms of the general Bianchi and Ricci
+identities are the projected bracket minus the modified one.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .core import (
     SparseArray,
     coboundary,
     interior_product,
-    project_section,
     wedge,
 )
 from .errors import AdmissibilityError, ProjectorRequiredError, ShapeError
@@ -419,9 +418,9 @@ def _nested_brackets(ctx: GeometryContext, kind: DerivativeKind):
 
 
 def _complement_locality(ctx: GeometryContext, u: Section, v: Section) -> Section:
-    """(1 - P) L(e^d, D_{X_d} u, v)."""
-    lsec = ctx.correction(u, v)
-    return lsec.sub(project_section(ctx.A, lsec))
+    """(1 - P) L(e^d, D_{X_d} u, v): the projected bracket minus the
+    modified one."""
+    return ctx.bracket(u, v, "projected").sub(ctx.bracket(u, v, "modified"))
 
 
 def _complement_terms(ctx: GeometryContext, inners: dict) -> tuple[dict, dict]:

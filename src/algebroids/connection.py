@@ -10,24 +10,21 @@ tensor, a section being the (1, 0) tensor of its components.
 
 ``GeometryContext`` holds the values that depend only on one (algebroid,
 connection) pair: the admissibility report, the anholonomies, both
-torsions, the curvature, each section's D_{X_d} u table, brackets of
-sections and the rho(v) parts of Leibniz derivatives of forms, each
-computed on first use.  It is the one place that builds a modified or
-projected bracket: the plain bracket minus ``core._locality_correction``
-of the D_{X_d} u table, projected for the projected kind, with one plain
-bracket and one correction per section pair shared by all three kinds.
-The corrections of frame pairs are the context's ``contraction``: since
-[X_a, X_b] = gamma^c_ab X_c, each modified anholonomy is gamma minus it.
-A connection is admissible exactly when the modified bracket is
-anti-symmetric, that is when the symmetric part of the modified anholonomy
-vanishes.  Torsion and the bracket of a connection are Gamma - Gamma^T
-combined with an anholonomy, read with the sparse-array algebra of
-``core``; ``Metric.raised`` is the one index raising.  A public function
-builds a context when it is called.  The frame-level values of the last
-(algebroid, connection, term budget) a context was built for are kept
-for the next call on the same pair, and a public function returns its own
-copy of one; values of other sections and forms are dropped when the call
-returns.
+torsions, the curvature and the algebroid of each bracket kind, computed
+on first use.  Each bracket kind is ``core.bracket`` of an algebroid with
+the same anchor: the original reads (gamma, L), the modified (W, no L) and
+the projected (W^, (1 - P) L), with W and W^ the modified and projected
+anholonomies, gamma minus the frame corrections Gamma^e_da L^{c d}_{e b}
+(projected for W^) that the context's ``contraction`` holds.  A connection
+is admissible exactly when the modified bracket is anti-symmetric, that is
+when the symmetric part of W vanishes.  Torsion and the bracket of a
+connection are Gamma - Gamma^T combined with an anholonomy, read with the
+sparse-array algebra of ``core``; ``Metric.raised`` is the one index
+raising.  A public function builds a context when it is called.  The
+values of the last (algebroid, connection, term budget) a context was
+built for are kept for the next call on the same pair, and a public
+function returns its own copy of one; brackets of sections are dropped
+when the call returns.
 """
 
 from __future__ import annotations
@@ -195,13 +192,6 @@ def covariant_table(A: AlgebroidData, conn: Connection, tensor: ETensor) -> Spar
     }
 
 
-def _frame_covariants(
-    A: AlgebroidData, conn: Connection, u: Section
-) -> dict[tuple[int, int], Scalar]:
-    """The nonzero (D_{X_d} u)^e, keyed (d, e)."""
-    return covariant_table(A, conn, _as_tensor(A, u))
-
-
 def frame_covariant_tensor(
     A: AlgebroidData, conn: Connection, b: int, tensor: ETensor
 ) -> SparseArray:
@@ -330,23 +320,26 @@ def is_admissible(A: AlgebroidData, conn: Connection) -> bool:
     return check_admissible(A, conn).passed
 
 
-# The (A, conn, term budget, frames, pair store) of the last context built.
-_pair_slot: tuple = (None, None, None, [], {})
+# The (A, conn, term budget, pair store) of the last context built.
+_pair_slot: tuple = (None, None, None, {})
 
 
 class GeometryContext:
-    """Values of one (A, conn) pair, each computed on first use; all
-    bracket kinds share one plain bracket and one locality correction per
-    section pair.
+    """Values of one (A, conn) pair, each computed on first use.
 
-    The frame-level values (admissibility, anholonomies, contractions,
-    torsions, curvature, and the brackets, corrections and D tables of the
-    frames) go to a pair store that later contexts share: one slot per
-    process keeps the frames and the store of the last pair, and a context
-    reuses them when its A and conn are that pair's objects (``is``) and
-    the term budget is the one they were built under.  Values of any other
-    section or form live only as long as this context, one public call.
-    A memo keyed by an object's id holds that object, so the id stays
+    Each bracket kind is ``core.bracket`` of ``algebroid(kind)``: A, (gamma,
+    L), for "original"; (W, no L) for "modified"; (W^, (1 - P) L) for
+    "projected".  Written out, [u, v] - L(e^d, D_{X_d} u, v) is u^a v^b
+    W^c_ab + rho(u)(v^c) - rho(v)(u^c): the bracket's locality term cancels
+    against the rho_d(u^e) part of the correction, and projecting the
+    correction leaves (1 - P) of it.
+
+    The values keyed by kind alone go to a pair store that later contexts
+    share: one slot per process keeps the store of the last pair, reused
+    when A and conn are that pair's objects (``is``) and the term budget is
+    the one it was built under.  Brackets of sections and the rho(v) parts
+    of Leibniz derivatives live as long as this context, one public call,
+    in a memo keyed by object ids that holds the objects, so the ids stay
     unique.  Returned values are shared and must not be mutated."""
 
     def __init__(self, A: AlgebroidData, conn: Connection | None):
@@ -354,54 +347,57 @@ class GeometryContext:
         self.A = A
         self.conn = conn
         budget = get_term_budget()
-        slot_A, slot_conn, slot_budget, frames, store = _pair_slot
+        slot_A, slot_conn, slot_budget, store = _pair_slot
         if slot_A is not A or slot_conn is not conn or slot_budget != budget:
-            frames = [Section.frame(A, a) for a in range(A.rank)]
             store = {}
-            _pair_slot = (A, conn, budget, frames, store)
-        self.frames = frames
-        self._frame_ids = {id(x) for x in frames}
+            _pair_slot = (A, conn, budget, store)
         self._pair_store: dict = store
+        self.frames = [Section.frame(A, a) for a in range(A.rank)]
         self._memo: dict = {}
 
-    def _need_conn(self) -> Connection:
-        if self.conn is None:
-            raise ShapeError("modified brackets need a connection")
-        return self.conn
+    def _pair(self, key, build):
+        if key not in self._pair_store:
+            self._pair_store[key] = build()
+        return self._pair_store[key]
 
     def _cached(self, key, build, *held):
-        # held: the objects whose ids the key contains, kept alive with it;
-        # an entry that holds frames only belongs to the pair
-        frame_level = self._frame_ids.issuperset(map(id, held))
-        memo = self._pair_store if frame_level else self._memo
-        if key not in memo:
-            memo[key] = (build(), held)
-        return memo[key][0]
+        # held: the objects whose ids the key contains, kept alive with it
+        if key not in self._memo:
+            self._memo[key] = (build(), held)
+        return self._memo[key][0]
 
     def admissibility(self) -> CheckReport:
-        return self._cached("admissible", self._admissibility)
+        return self._pair("admissible", self._admissibility)
+
+    def algebroid(self, kind: BracketKind) -> AlgebroidData:
+        """The algebroid whose plain bracket is the bracket of the kind."""
+        if kind == "original":
+            return self.A
+        return self._pair(("algebroid", kind), lambda: self._algebroid(kind))
 
     def anholonomy(self, kind: DerivativeKind) -> SparseArray:
         """gamma^c_ab minus the frame correction of the kind: the structure
         functions of [X_a, X_b] of that kind."""
-        return self._cached(
+        return self._pair(
             ("anholonomy", kind), lambda: sparse_sub(self.A.gamma, self.contraction(kind))
         )
 
     def contraction(self, kind: DerivativeKind) -> SparseArray:
         """The frame corrections L(e^d, D_{X_d} X_a, X_b) = Gamma^e_da
         L^{c d}_{e b} X_c, projected for "projected", keyed (c, a, b)."""
-        return self._cached(("contraction", kind), lambda: self._contraction(kind))
+        return self._pair(("contraction", kind), lambda: self._contraction(kind))
 
     def torsion(self, kind: DerivativeKind) -> SparseArray:
-        return self._cached(("torsion", kind), lambda: self._torsion(kind))
+        return self._pair(("torsion", kind), lambda: self._torsion(kind))
 
     def curvature(self) -> SparseArray:
-        return self._cached("curvature", self._curvature)
+        return self._pair("curvature", self._curvature)
 
     def bracket(self, u: Section, v: Section, kind: BracketKind) -> Section:
         """The original, modified or projected bracket of u and v."""
-        return self._cached((id(u), id(v), kind), lambda: self._bracket(u, v, kind), u, v)
+        return self._cached(
+            (id(u), id(v), kind), lambda: bracket(self.algebroid(kind), u, v), u, v
+        )
 
     def frame_brackets(self, v: Section, kind: BracketKind) -> list[Section]:
         """[v, X_a] of the given kind for every frame index a."""
@@ -419,25 +415,27 @@ class GeometryContext:
             for idx in combinations(range(A.rank), form.degree)
         }, v, form)
 
-    def _covariants(self, u: Section) -> dict[tuple[int, int], Scalar]:
-        """The nonzero (D_{X_d} u)^e, keyed (d, e), built once per section."""
-        return self._cached(
-            ("D", id(u)), lambda: _frame_covariants(self.A, self._need_conn(), u), u
-        )
-
-    def correction(self, u: Section, v: Section) -> Section:
-        """The modified bracket's locality correction L(e^d, D_{X_d} u, v)."""
-        return self._cached(
-            ("correction", id(u), id(v)),
-            lambda: _locality_correction(self.A, self._covariants(u), v), u, v
-        )
-
     def _admissibility(self) -> CheckReport:
         """The report of ``check_admissible``: the symmetric part of the
         modified anholonomy, keyed (c, a, b) with a <= b."""
         return report_from_residuals(
             "admissible", symmetric_part(self.anholonomy("modified"))
         )
+
+    def _algebroid(self, kind: DerivativeKind) -> AlgebroidData:
+        A = self.A
+        gamma = self.anholonomy(kind)  # refuses "projected" without a projector
+        if not A.loc:
+            return A
+        loc: SparseArray = {}
+        if kind == "projected":
+            # (1 - P) L: each column L^{. d}_{e b} minus its projection
+            for d, e, b in sorted({idx[1:] for idx in A.loc}):
+                column = Section(tuple(A.loc.get((c, d, e, b), A.zero()) for c in range(A.rank)))
+                for c, val in enumerate(column.sub(project_section(A, column)).comp):
+                    if not val.is_zero():
+                        loc[(c, d, e, b)] = val
+        return replace(A, gamma=gamma, loc=loc)
 
     def _contraction(self, kind: DerivativeKind) -> SparseArray:
         A = self.A
@@ -446,28 +444,20 @@ class GeometryContext:
         out: SparseArray = {}
         if not A.loc:
             return out
-        for a, x in enumerate(self.frames):
+        if self.conn is None:
+            raise ShapeError("modified brackets need a connection")
+        coeff = self.conn.coeff
+        for a in range(A.rank):
+            # (D_{X_d} X_a)^e = Gamma^e_da
+            table = {(d, e): g for (e, d, x), g in coeff.items() if x == a}
             for b, y in enumerate(self.frames):
-                correction = self.correction(x, y)
+                correction = _locality_correction(A, table, y)
                 if kind == "projected":
                     correction = project_section(A, correction)
                 for c, val in enumerate(correction.comp):
                     if not val.is_zero():
                         out[(c, a, b)] = val
         return out
-
-    def _bracket(self, u: Section, v: Section, kind: BracketKind) -> Section:
-        if kind == "original":
-            return bracket(self.A, u, v)
-        if kind == "projected" and self.A.proj is None:
-            raise ProjectorRequiredError("locality projector required")
-        base = self.bracket(u, v, "original")
-        if not self.A.loc:
-            return base
-        correction = self.correction(u, v)
-        if kind == "projected":
-            correction = project_section(self.A, correction)
-        return base.sub(correction)
 
     def _torsion(self, kind: DerivativeKind) -> SparseArray:
         coeff = self.conn.coeff

@@ -19,9 +19,11 @@ extension of the frame data by the right- and left-Leibniz rules:
                + rho^i_d d_i(u^a) v^b L^{c d}_{a b}
 
 The last term is ``_locality_correction``, the one section-valued
-contraction with the locality operator: the modified bracket reuses it
-with D_{X_d} u in place of rho_d(u), and ``apply_locality`` with
-omega_d u^e.  The only P.L loop is condition 1 of
+contraction with the locality operator; ``apply_locality`` reuses it with
+omega_d u^e.  The modified and projected brackets of a connection are this
+same ``bracket`` of other data with the same anchor: (W, no L) and
+(W^, (1 - P) L), W and W^ the modified and projected anholonomies (see
+``connection.GeometryContext``).  The only P.L loop is condition 1 of
 ``check_locality_projector``.  A frame change writes no transformation
 law of its own: each new datum is one of these operations on the new frame
 sections X'_a, read back into the new frame through the inverse matrix.
@@ -34,7 +36,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PoleError, ShapeError
+from .errors import PoleError, ProjectorRequiredError, ShapeError
 from .linalg import invert_matrix, kernel_basis
 from .reports import CheckReport, report_from_residuals
 from .scalars import Point, Scalar
@@ -121,7 +123,7 @@ class AlgebroidData:
 
     def proj_at(self, a: int, b: int) -> Scalar:
         if self.proj is None:
-            raise ShapeError("algebroid has no locality projector")
+            raise ProjectorRequiredError("algebroid has no locality projector")
         return self.proj[a][b]
 
     # -- differentiation along the anchor -------------------------------
@@ -436,9 +438,10 @@ def _locality_correction(
 ) -> Section:
     """L^{c d}_{e b} table[(d, e)] v^b X_c summed over d, e and b, added
     term by term onto ``start`` when given.  With table[(d, e)] =
-    rho_d(u^e) this is the bracket's locality term; with the components
-    (D_{X_d} u)^e it is L(e^d, D_{X_d} u, v), the modified bracket's
-    correction; with omega_d u^e it is L(omega, u, v)."""
+    rho_d(u^e) this is the bracket's locality term; with Gamma^e_da, the
+    components of D_{X_d} X_a, it is the frame correction L(e^d, D_{X_d}
+    X_a, v) of the modified anholonomy; with omega_d u^e it is
+    L(omega, u, v)."""
     out = list(start) if start is not None else [A.zero()] * A.rank
     for (c, d, e, b), lv in A.loc.items():
         w = table.get((d, e))
@@ -474,7 +477,7 @@ def apply_locality(
 
 def project_section(A: AlgebroidData, u: Section) -> Section:
     if A.proj is None:
-        raise ShapeError("algebroid has no locality projector")
+        raise ProjectorRequiredError("algebroid has no locality projector")
     out = []
     for a in range(A.rank):
         acc = A.zero()
@@ -553,7 +556,7 @@ def check_locality_projector(
     mismatch is recorded as an assumption, not a failure.
     """
     if A.proj is None:
-        raise ShapeError("no locality projector present")
+        raise ProjectorRequiredError("no locality projector present")
     residuals: dict[tuple, Scalar] = {}
     # condition 1: rho^i_a (P L)^a_{(d e c)} = 0, the only P.L loop.  Kept
     # as its own loop: equal scalars summed in another order can print

@@ -46,7 +46,7 @@ class AdmissibilityError(AlgebroidError):
         self.residuals = list(residuals or [])
 
 
-class ProjectorRequiredError(AlgebroidError):
+class ProjectorRequiredError(ShapeError):
     """An operation that needs a locality projector was called on an
     algebroid without one."""
 

@@ -2,7 +2,6 @@
 
 import itertools
 import random
-import sys
 from fractions import Fraction
 
 import pytest
@@ -41,11 +40,12 @@ from algebroids.calculus import (
     second_covariant,
     seeded_sections,
 )
-from algebroids.connection import GeometryContext, _frame_covariants, modified_bracket
+import algebroids.connection as connection_module
+from algebroids.connection import GeometryContext, modified_bracket
 from algebroids.core import _locality_correction, project_section
 from algebroids.fixtures import random_anticommutable, random_scalar, random_section
 
-from conftest import scal
+from conftest import frame_covariants, record_calls, scal
 
 
 def halfplane_connection(tangent2):
@@ -332,7 +332,7 @@ def test_bianchi_fails_on_a_corrupted_curvature_entry(kind):
     curv = dict(ctx.curvature())
     key = (0, 0, 1, 2)
     curv[key] = curv.get(key, A.zero()) + A.one()
-    ctx._pair_store["curvature"] = (curv, ())
+    ctx._pair_store["curvature"] = curv
     residuals = _bianchi(ctx, kind)
     assert {at[0] for at in residuals} == {"first", "second"}
     assert all(not v.is_zero() for v in residuals.values())
@@ -393,7 +393,7 @@ def test_curvature_from_second_covariant_for_torsion_free():
     for (u, v, w) in [tuple(sections), (frames[0], frames[1], frames[0])]:
         lhs = curvature_apply(A, curv, u, v, w)
         rhs = second_covariant(A, conn, u, v, w).sub(second_covariant(A, conn, v, u, w))
-        lsec = _locality_correction(A, _frame_covariants(A, conn, u), v)
+        lsec = _locality_correction(A, frame_covariants(A, conn, u), v)
         lsec = lsec.sub(project_section(A, lsec))
         rhs = rhs.sub(covariant_derivative(A, conn, lsec, w))
         assert lhs.sub(rhs).is_zero()
@@ -483,22 +483,18 @@ def test_gated_suite_refuses_a_connection_pushed_off_admissibility(suite):
 
 
 @pytest.mark.parametrize("form", ["general", "projected"])
-def test_bianchi_builds_each_covariant_table_once(form, monkeypatch):
+def test_bianchi_builds_each_bracket_algebroid_once(form, monkeypatch):
     fx = random_anticommutable(1, dim=1, rank=3)
     A = fx.algebroid
     assert A.loc
-    built = []
-    original = _frame_covariants
-
-    def counting(A, conn, u):
-        built.append(u)
-        return original(A, conn, u)
-
-    # rebind the function that builds the table in every package module
-    for name, module in list(sys.modules.items()):
-        if name.startswith("algebroids") and getattr(module, "_frame_covariants", None) is original:
-            monkeypatch.setattr(module, "_frame_covariants", counting)
-    check_bianchi_algebraic(A, fx.connection, form)
-    # one D_{X_d} u table per distinct section: the r frames and the
-    # r^2 inner brackets [X_b, X_c]
-    assert 0 < len(built) <= A.rank + A.rank**2
+    GeometryContext(make_example("tangent_lie", n=1).algebroid, None)  # evict the pair
+    built = record_calls(monkeypatch, GeometryContext, "_algebroid")
+    tables = record_calls(monkeypatch, connection_module, "covariant_table")
+    for _ in range(2):
+        check_bianchi_algebraic(A, fx.connection, form)
+    # the general form reads the (1 - P) terms off the projected bracket
+    kinds = ["modified", "projected"] if form == "general" else ["projected"]
+    assert sorted(kind for _, kind in built) == kinds
+    # no bracket builds a D table: the only covariant tables are those of
+    # the torsion and the curvature, once per call
+    assert [(t[2].q, t[2].s) for t in tables] == [(1, 2), (1, 3)] * 2

@@ -2,6 +2,7 @@
 non-metricity, admissibility, and the connection-to-bracket map."""
 
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from algebroids import (
     ProjectorRequiredError,
     Scalar,
     Section,
+    ShapeError,
     bracket,
     bracket_from_connection,
     change_frame,
@@ -48,7 +50,7 @@ from algebroids.calculus import (
     leibniz_derivative,
     seeded_sections,
 )
-from algebroids.connection import GeometryContext, _frame_covariants, frame_covariant_tensor
+from algebroids.connection import GeometryContext, frame_covariant_tensor
 from algebroids.core import FrameChange, _locality_correction, project_section
 from algebroids.fixtures import (
     random_anticommutable,
@@ -57,7 +59,7 @@ from algebroids.fixtures import (
     random_section,
 )
 
-from conftest import scal
+from conftest import frame_covariants, record_calls, scal
 
 
 def halfplane():
@@ -481,6 +483,24 @@ def test_projected_kind_without_a_projector_is_refused(with_locality):
             call()
 
 
+def test_modified_kinds_need_a_connection_only_with_locality():
+    one = Scalar.one(1)
+    u = Section((Scalar.variable(1, 0),))
+    for loc in ({}, {(0, 0, 0, 0): one}):
+        A = AlgebroidData(
+            dim=1, rank=1, coords=("x1",), anchor=((one,),), gamma={}, loc=loc,
+            proj=((one,),),
+        )
+        ctx = GeometryContext(A, None)
+        plain = ctx.bracket(u, u, "original")
+        for kind in ("modified", "projected"):
+            if loc:
+                with pytest.raises(ShapeError, match="modified brackets need a connection"):
+                    ctx.bracket(u, u, kind)
+            else:
+                assert ctx.bracket(u, u, kind) == plain
+
+
 # -- bracket from a connection ----------------------------------------------
 
 
@@ -583,32 +603,23 @@ def test_anholonomy_decomposition_symmetric_contraction(courant1):
 # -- the per-call geometry context --------------------------------------------
 
 
-def count_calls(monkeypatch, name):
-    """Rebind ``name`` in the connection module, where the context calls
-    it, to a wrapper that records each call; returns the recorded calls."""
-    calls = []
-    original = getattr(connection_module, name)
-
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(connection_module, name, counting)
-    return calls
-
-
-def test_context_builds_one_plain_bracket_and_one_correction_for_all_kinds(monkeypatch):
+def test_context_builds_each_bracket_algebroid_once_and_no_covariant_table(monkeypatch):
     fx = random_anticommutable(1, dim=1, rank=3)
-    A = fx.algebroid
+    A, conn = fx.algebroid, fx.connection
     assert A.loc and A.proj is not None
     u, v = seeded_sections(A, 5, 2, 2)
-    brackets = count_calls(monkeypatch, "bracket")
-    corrections = count_calls(monkeypatch, "_locality_correction")
-    ctx = GeometryContext(A, fx.connection)
-    for kind in ("original", "modified", "projected"):
-        ctx.bracket(u, v, kind)
-    assert len(brackets) == 1
-    assert len(corrections) == 1
+    clear_slot()
+    built = record_calls(monkeypatch, GeometryContext, "_algebroid")
+    tables = record_calls(monkeypatch, connection_module, "frame_covariant_tensor")
+    # two contexts on the pair, as two consecutive public calls build
+    for _ in range(2):
+        ctx = GeometryContext(A, conn)
+        for kind in ("original", "modified", "projected"):
+            ctx.bracket(u, v, kind)
+            ctx.bracket(v, u, kind)
+    modified_bracket(A, conn, u, v, "projected")
+    assert [kind for _, kind in built] == ["modified", "projected"]
+    assert tables == []
 
 
 def test_context_kinds_are_the_plain_bracket_minus_the_correction():
@@ -616,7 +627,7 @@ def test_context_kinds_are_the_plain_bracket_minus_the_correction():
     A, conn = fx.algebroid, fx.connection
     assert A.loc
     u, v = seeded_sections(A, 5, 2, 2)
-    correction = _locality_correction(A, _frame_covariants(A, conn, u), v)
+    correction = _locality_correction(A, frame_covariants(A, conn, u), v)
     base = bracket(A, u, v)
     expected = {
         "original": base,
@@ -630,12 +641,15 @@ def test_context_kinds_are_the_plain_bracket_minus_the_correction():
         assert [(c.num, c.den) for c in got.comp] == [(c.num, c.den) for c in want.comp]
 
 
-def test_magic_suite_shares_plain_brackets_across_kinds(monkeypatch):
+def test_magic_suite_builds_each_bracket_algebroid_once(monkeypatch):
     fx = random_anticommutable(1, dim=1, rank=3)
-    brackets = count_calls(monkeypatch, "bracket")
-    assert check_magic_and_derivations(fx.algebroid, fx.connection, 0, 2).passed
-    # 99 when each kind built its own plain bracket
-    assert len(brackets) < 80
+    clear_slot()
+    built = record_calls(monkeypatch, GeometryContext, "_algebroid")
+    tables = record_calls(monkeypatch, connection_module, "frame_covariant_tensor")
+    for _ in range(2):
+        assert check_magic_and_derivations(fx.algebroid, fx.connection, 0, 2).passed
+    assert sorted(kind for _, kind in built) == ["modified", "projected"]
+    assert tables == []
 
 
 def rational_projector(A):
@@ -728,6 +742,93 @@ def test_contractions_and_covariant_derivative_match_the_written_out_sums(seed, 
             assert all(x.equals(y) for x, y in zip(got.comp, want))
 
 
+# -- each bracket kind is the plain bracket of its own algebroid --------------
+
+
+def random_connection(rng, A, rational: bool):
+    """A random connection, with rational coefficients when asked; such
+    draws are in general not admissible."""
+    def value():
+        num = random_scalar(rng, A.dim, 1)
+        if not rational:
+            return num
+        return num / (Scalar.variable(A.dim, rng.randrange(A.dim)) + A.const(rng.randint(1, 3)))
+
+    return Connection.of(A.rank, {
+        idx: value() for idx in itertools.product(range(A.rank), repeat=3)
+        if rng.random() < 0.3
+    })
+
+
+def bracket_definition_cases():
+    """(algebroid, connection) pairs with a locality operator and a
+    projector, on random connections, two of them rational each."""
+    rng = random.Random(15)
+    names = ("x1", "x2")
+    # a rational diagonal metric of rank 3 over two coordinates: the anchor
+    # sees slots 0 and 1, the slot projector keeps slot 2
+    g = Metric([
+        [scal("1/(x1 + 2)", names), Scalar.zero(2), Scalar.zero(2)],
+        [Scalar.zero(2), scal("(x2 + 1)/(x1 + 3)", names), Scalar.zero(2)],
+        [Scalar.zero(2), Scalar.zero(2), scal("x1 + x2 + 1", names)],
+    ])
+    pairing = make_example("metric_algebroid", n=2, gamma_antisym={}, metric=g).algebroid
+    slot = tuple(
+        tuple(Scalar.one(2) if a == b == 2 else Scalar.zero(2) for b in range(3))
+        for a in range(3)
+    )
+    twisted = random_anticommutable(105, dim=2, rank=3, twist=True)
+    algebroids = [
+        make_example("courant_standard", n=1).algebroid,
+        make_example("courant_standard", n=2).algebroid,
+        dataclasses.replace(pairing, proj=slot),
+        twisted.algebroid,
+    ]
+    for A in algebroids:
+        for rational in (False, True):
+            yield A, random_connection(rng, A, rational)
+    yield twisted.algebroid, twisted.connection
+
+
+def test_each_bracket_kind_is_its_definition():
+    # [u, v] - L(e^d, D_{X_d} u, v), with the correction projected for the
+    # projected kind, against core.bracket of the kind's own algebroid
+    rng = random.Random(16)
+    checked = not_admissible = 0
+    for A, conn in bracket_definition_cases():
+        assert A.loc and A.proj is not None
+        not_admissible += not check_admissible(A, conn).passed
+        ctx = GeometryContext(A, conn)
+        for _ in range(2):
+            u, v = random_section(rng, A, 1), random_section(rng, A, 1)
+            correction = _locality_correction(A, frame_covariants(A, conn, u), v)
+            expected = {
+                "modified": correction,
+                "projected": project_section(A, correction),
+            }
+            for kind, subtracted in expected.items():
+                want = bracket(A, u, v).sub(subtracted)
+                got = ctx.bracket(u, v, kind)
+                assert all(x.equals(y) for x, y in zip(got.comp, want.comp)), kind
+                checked += 1
+    assert checked == 36 and not_admissible >= 6
+
+
+def test_modified_bracket_has_no_locality_term():
+    # [fu, v] = f[u, v] - rho(v)(f) u and [u, fv] = f[u, v] + rho(u)(f) v
+    rng = random.Random(17)
+    for A, conn in bracket_definition_cases():
+        ctx = GeometryContext(A, conn)
+        u, v = random_section(rng, A, 1), random_section(rng, A, 1)
+        f = random_scalar(rng, A.dim, 2)
+        uv = ctx.bracket(u, v, "modified")
+        left = uv.scale(f).sub(u.scale(A.section_derive(v, f)))
+        right = uv.scale(f).add(v.scale(A.section_derive(u, f)))
+        for got, want in ((ctx.bracket(u.scale(f), v, "modified"), left),
+                          (ctx.bracket(u, v.scale(f), "modified"), right)):
+            assert all(x.equals(y) for x, y in zip(got.comp, want.comp))
+
+
 # -- the pair store shared by consecutive contexts ----------------------------
 
 
@@ -740,7 +841,7 @@ def test_consecutive_calls_on_one_pair_share_the_frame_corrections(monkeypatch):
     fx = random_anticommutable(1, dim=1, rank=3)
     A, conn = fx.algebroid, fx.connection
     assert A.loc
-    corrections = count_calls(monkeypatch, "_locality_correction")
+    corrections = record_calls(monkeypatch, connection_module, "_locality_correction")
     check_admissible(A, conn)
     assert len(corrections) == A.rank**2
     torsion(A, conn, "modified")
@@ -750,7 +851,7 @@ def test_consecutive_calls_on_one_pair_share_the_frame_corrections(monkeypatch):
 def test_another_connection_algebroid_or_budget_rebuilds(monkeypatch):
     fx = random_anticommutable(1, dim=1, rank=3)
     A, conn = fx.algebroid, fx.connection
-    corrections = count_calls(monkeypatch, "_locality_correction")
+    corrections = record_calls(monkeypatch, connection_module, "_locality_correction")
 
     def built(B, conn2, budget=None):
         """Corrections built by a torsion call on (B, conn2) after one on

@@ -12,6 +12,7 @@ from algebroids import (
     EForm,
     FrameChange,
     PoleError,
+    ProjectorRequiredError,
     Scalar,
     Section,
     ShapeError,
@@ -26,7 +27,7 @@ from algebroids import (
     torsion,
     wedge,
 )
-from algebroids.core import apply_locality
+from algebroids.core import apply_locality, project_section
 from algebroids.fixtures import (
     random_anticommutable,
     random_constant_metric,
@@ -296,6 +297,28 @@ def test_projector_missing_raises(tangent2):
     )
     with pytest.raises(ShapeError):
         check_locality_projector(A)
+
+
+def test_every_projector_site_raises_the_one_error():
+    one = Scalar.one(1)
+    A = AlgebroidData(
+        dim=1, rank=1, coords=("x1",), anchor=((one,),), gamma={},
+        loc={(0, 0, 0, 0): one},
+    )
+    u = Section((Scalar.variable(1, 0),))
+    calls = {
+        "algebroid has no locality projector": [
+            lambda: A.proj_at(0, 0),
+            lambda: project_section(A, u),
+            lambda: apply_locality(A, [one], u, u, projected=True),
+        ],
+        "no locality projector present": [lambda: check_locality_projector(A)],
+    }
+    for message, sites in calls.items():
+        for call in sites:
+            with pytest.raises(ProjectorRequiredError, match=message):
+                call()
+    assert issubclass(ProjectorRequiredError, ShapeError)
 
 
 # -- frame changes ---------------------------------------------------------
