@@ -14,9 +14,13 @@ Each public verifier and derivative builds one ``GeometryContext`` for its
 anholonomies, torsions, curvature and the algebroid of each bracket kind
 are computed once per call and shared with the next calls on the same
 pair.  Every bracket here is ``core.bracket`` of the algebroid of its
-kind, (gamma, L), (W, no L) or (W^, (1 - P) L), memoized per section pair
-for one call; the (1 - P) locality terms of the general Bianchi and Ricci
-identities are the projected bracket minus the modified one.
+kind, (gamma, L), (W, no L) or (W^, (1 - P) L); the (1 - P) locality terms
+of the general Bianchi and Ricci identities are the projected bracket minus
+the modified one.  Within one call the context memoizes, by the ids of
+their arguments, the brackets, the anchor jets of sections and forms, the
+covariant derivatives D_x y, and the Leibniz and exterior derivatives
+(``_leibniz``, ``_e_exterior``), so each is computed at most once per
+call; the algebraic Bianchi check evaluates each cyclic term once.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from .connection import (
     Connection,
     DerivativeKind,
     GeometryContext,
-    covariant_derivative,
     covariant_table,
 )
 from .core import (
@@ -39,7 +42,9 @@ from .core import (
     ETensor,
     Section,
     SparseArray,
+    _sort_with_sign,
     coboundary,
+    contract_sections,
     interior_product,
     wedge,
 )
@@ -65,26 +70,28 @@ def exterior_derivative_raw(
     """The alternating-sum formula evaluated literally on every ordered
     frame tuple, with no antisymmetry assumed.  Diagnostic: for an
     admissible connection the result is antisymmetric, otherwise not."""
-    gk = GeometryContext(A, conn).anholonomy(kind)
+    ctx = GeometryContext(A, conn)
     indices = itertools.product(range(A.rank), repeat=omega.degree + 1)
-    return _exterior_array(A, gk, omega, indices)
+    return _exterior_array(ctx, ctx.anholonomy(kind), omega, indices)
 
 
-def _exterior_array(A: AlgebroidData, gk: SparseArray, omega: EForm, indices):
-    values = ((idx, _exterior_component(A, gk, omega, idx)) for idx in indices)
+def _exterior_array(ctx: GeometryContext, gk: SparseArray, omega: EForm, indices):
+    jet = ctx.jet(omega)
+    values = ((idx, _exterior_component(ctx.A, jet, gk, omega, idx)) for idx in indices)
     return {idx: v for idx, v in values if not v.is_zero()}
 
 
 def _exterior_component(
-    A: AlgebroidData, gk: SparseArray, omega: EForm, idx: tuple[int, ...]
+    A: AlgebroidData, jet: dict, gk: SparseArray, omega: EForm, idx: tuple[int, ...]
 ) -> Scalar:
     p1 = len(idx)
     acc = A.zero()
     for i in range(p1):
-        rest = idx[:i] + idx[i + 1 :]
-        body = omega.at(rest) if omega.degree else omega.comp.get((), A.zero())
-        term = A.frame_derive(idx[i], body)
-        if not term.is_zero():
+        # rho_{idx[i]} of omega at the other indices, read off omega's jet
+        ss = _sort_with_sign(idx[:i] + idx[i + 1 :])
+        term = None if ss is None else jet.get((idx[i], ss[0]))
+        if term is not None:
+            term = term if ss[1] == 1 else -term
             acc = acc + term if i % 2 == 0 else acc - term
     for i in range(p1):
         for j in range(i + 1, p1):
@@ -119,17 +126,19 @@ def e_exterior_derivative(
 def _e_exterior(
     ctx: GeometryContext, omega: EForm | Scalar, kind: DerivativeKind
 ) -> EForm:
-    A = ctx.A
-    if isinstance(omega, Scalar):
-        omega = EForm.from_scalar(A, omega)
-    if kind == "projected" and A.proj is None:
-        raise ProjectorRequiredError("projected derivative requires a projector")
-    _require_admissible(ctx)
-    if omega.degree == 0:
-        return coboundary(A, omega.comp.get((), A.zero()))
-    indices = itertools.combinations(range(A.rank), omega.degree + 1)
-    out = _exterior_array(A, ctx.anholonomy(kind), omega, indices)
-    return EForm(omega.degree + 1, A.rank, A.dim, out)
+    def build() -> EForm:
+        A = ctx.A
+        form = EForm.from_scalar(A, omega) if isinstance(omega, Scalar) else omega
+        if kind == "projected" and A.proj is None:
+            raise ProjectorRequiredError("projected derivative requires a projector")
+        _require_admissible(ctx)
+        if form.degree == 0:
+            return coboundary(A, form.comp.get((), A.zero()))
+        indices = itertools.combinations(range(A.rank), form.degree + 1)
+        out = _exterior_array(ctx, ctx.anholonomy(kind), form, indices)
+        return EForm(form.degree + 1, A.rank, A.dim, out)
+
+    return ctx._cached(("d", id(omega), kind), build, omega)
 
 
 def leibniz_derivative(
@@ -149,14 +158,16 @@ def leibniz_derivative(
 
 
 def _leibniz(ctx: GeometryContext, v: Section, target, kind: BracketKind):
-    A = ctx.A
-    if kind == "projected" and A.proj is None:
-        raise ProjectorRequiredError("projected derivative requires a projector")
-    if isinstance(target, Scalar):
-        return A.section_derive(v, target)
-    if isinstance(target, Section):
-        return ctx.bracket(v, target, kind)
-    if isinstance(target, EForm):
+    def build():
+        A = ctx.A
+        if kind == "projected" and A.proj is None:
+            raise ProjectorRequiredError("projected derivative requires a projector")
+        if isinstance(target, Scalar):
+            return A.section_derive(v, target)
+        if isinstance(target, Section):
+            return ctx.bracket(v, target, kind)
+        if not isinstance(target, EForm):
+            raise ShapeError(f"cannot differentiate a {type(target).__name__}")
         p = target.degree
         if p == 0:
             f = target.comp.get((), A.zero())
@@ -175,7 +186,8 @@ def _leibniz(ctx: GeometryContext, v: Section, target, kind: BracketKind):
             if not acc.is_zero():
                 out[idx] = acc
         return EForm(p, A.rank, A.dim, out)
-    raise ShapeError(f"cannot differentiate a {type(target).__name__}")
+
+    return ctx._cached(("leibniz", id(v), id(target), kind), build, v, target)
 
 
 def associator(
@@ -322,20 +334,19 @@ def check_bianchi_algebraic(
     )
 
 
-def _cyclic(items: tuple) -> list[tuple]:
-    return [items, items[1:] + items[:1], items[2:] + items[:2]]
-
-
 def _bianchi(ctx: GeometryContext, kind: DerivativeKind) -> dict[tuple, Scalar]:
     """Residuals of both algebraic Bianchi identities with the torsion and
     bracket of the given kind, keyed ("first", a, b, c, d) and
-    ("second", a, b, c, d, e')."""
+    ("second", a, b, c, d, e').  Each term of the cyclic sums, keyed
+    (u, v, w, a) and (u, v, w, e', a), is evaluated once, and the three
+    triples (b, c, d) of one rotation orbit share their residual."""
     A, conn = ctx.A, ctx.conn
     r = A.rank
-    residuals: dict[tuple, Scalar] = {}
+    zero = A.zero()
     curv = ctx.curvature()
     tor = ctx.torsion(kind)
     nabla_t = covariant_table(A, conn, ETensor(1, 2, r, A.dim, tor))
+    nabla_r = covariant_table(A, conn, ETensor(1, 3, r, A.dim, curv))
     # left[(b, c, d)] = [[X_b, X_c], X_d] and right[(b, c, d)] = [X_b, [X_c, X_d]]
     inners, left = _nested_brackets(ctx, kind)
     right = {
@@ -347,56 +358,62 @@ def _bianchi(ctx: GeometryContext, kind: DerivativeKind) -> dict[tuple, Scalar]:
         _complement_terms(ctx, inners) if kind == "modified" else ({}, {})
     )
 
-    for b in range(r):
-        for c in range(r):
-            for d in range(r):
-                for a in range(r):
-                    lhs = A.zero()
-                    rhs = A.zero()
-                    for (u, v, w) in _cyclic((b, c, d)):
-                        lhs = lhs + curv.get((a, u, v, w), A.zero())
-                        rhs = rhs + nabla_t.get((u, a, v, w), A.zero())
-                        for e in range(r):
-                            t1 = tor.get((e, u, v))
-                            if t1 is not None:
-                                t2 = tor.get((a, e, w))
-                                if t2 is not None:
-                                    rhs = rhs + t1 * t2
-                        loc = first_local.get((u, v, w))
-                        if loc is not None:
-                            rhs = rhs + loc.comp[a]
-                        rhs = rhs + right[(u, v, w)].comp[a]
-                    val = lhs - rhs
-                    if not val.is_zero():
-                        residuals[("first", a, b, c, d)] = val
+    def first(u, v, w, a) -> Scalar:
+        # (D_u T)(v, w) + T(T(u, v), w) + [u, [v, w]], component a
+        rhs = nabla_t.get((u, a, v, w), zero)
+        for e in range(r):
+            t1 = tor.get((e, u, v))
+            if t1 is not None:
+                t2 = tor.get((a, e, w))
+                if t2 is not None:
+                    rhs = rhs + t1 * t2
+        loc = first_local.get((u, v, w))
+        if loc is not None:
+            rhs = rhs + loc.comp[a]
+        return rhs + right[(u, v, w)].comp[a]
 
-    nabla_r = covariant_table(A, conn, ETensor(1, 3, r, A.dim, curv))
-    for b in range(r):
-        for c in range(r):
-            for d in range(r):
-                for e2 in range(r):
-                    for a in range(r):
-                        lhs = A.zero()
-                        rhs = A.zero()
-                        for (u, v, w) in _cyclic((b, c, d)):
-                            lhs = lhs + nabla_r.get((u, a, v, w, e2), A.zero())
-                            for f in range(r):
-                                t1 = tor.get((f, v, w))
-                                if t1 is not None:
-                                    t2 = curv.get((a, u, f, e2))
-                                    if t2 is not None:
-                                        rhs = rhs + t1 * t2
-                                db = left[(u, v, w)].comp[f]
-                                if not db.is_zero():
-                                    g = conn.coeff.get((a, f, e2))
-                                    if g is not None:
-                                        rhs = rhs + db * g
-                            loc = second_local.get((u, v, w, e2))
-                            if loc is not None:
-                                rhs = rhs + loc.comp[a]
-                        val = lhs - rhs
-                        if not val.is_zero():
-                            residuals[("second", a, b, c, d, e2)] = val
+    def second(u, v, w, e2, a) -> Scalar:
+        # R(u, T(v, w)) e' + D_{[[u, v], w]} e', component a
+        rhs = zero
+        for f in range(r):
+            t1 = tor.get((f, v, w))
+            if t1 is not None:
+                t2 = curv.get((a, u, f, e2))
+                if t2 is not None:
+                    rhs = rhs + t1 * t2
+            db = left[(u, v, w)].comp[f]
+            if not db.is_zero():
+                g = conn.coeff.get((a, f, e2))
+                if g is not None:
+                    rhs = rhs + db * g
+        loc = second_local.get((u, v, w, e2))
+        if loc is not None:
+            rhs = rhs + loc.comp[a]
+        return rhs
+
+    identities = (
+        ("first", 4, lambda u, v, w, a: curv.get((a, u, v, w), zero), first),
+        ("second", 5, lambda u, v, w, e2, a: nabla_r.get((u, a, v, w, e2), zero), second),
+    )
+    residuals: dict[tuple, Scalar] = {}
+    for label, arity, lhs_term, rhs_term in identities:
+        found: dict[tuple, Scalar] = {}
+        # the three rotations of (b, c, d) share one cyclic sum, so each
+        # orbit is summed once (b = c = d is one term, three times)
+        for b, c, d in itertools.product(range(r), repeat=3):
+            orbit = [(b, c, d), (c, d, b), (d, b, c)]
+            if orbit[0] != min(orbit):
+                continue
+            for rest in itertools.product(range(r), repeat=arity - 3):
+                terms = {rot: rhs_term(*rot, *rest) for rot in orbit}
+                lhs = rhs = zero
+                for rot in orbit:
+                    lhs = lhs + lhs_term(*rot, *rest)
+                    rhs = rhs + terms[rot]
+                if not (val := lhs - rhs).is_zero():
+                    found.update((rot + rest, val) for rot in orbit)
+        for key in sorted(found):  # (b, c, d, [e',] a), reported in key order
+            residuals[(label, key[-1]) + key[:-1]] = found[key]
     return residuals
 
 
@@ -428,12 +445,8 @@ def _complement_terms(ctx: GeometryContext, inners: dict) -> tuple[dict, dict]:
     frames, with C(u, v) = (1 - P) L(e^d, D_{X_d} u, v): D_{C(u, v)} w keyed
     (u, v, w), and D_u D_{C(u, v)} e' - D_{C(u, v)} D_u e' - D_{C([v, w], u)} e'
     keyed (u, v, w, e')."""
-    A, conn, frames = ctx.A, ctx.conn, ctx.frames
-    r = A.rank
-
-    def D(x: Section, y: Section) -> Section:
-        return covariant_derivative(A, conn, x, y)
-
+    frames, D = ctx.frames, ctx.covariant
+    r = ctx.A.rank
     along: dict[tuple, Section] = {}
     swapped: dict[tuple, Section] = {}
     for u, v in itertools.product(range(r), repeat=2):
@@ -519,35 +532,24 @@ def second_covariant(
     A: AlgebroidData, conn: Connection, u: Section, v: Section, w: Section
 ) -> Section:
     """D^2_{u,v} w = D_u D_v w - D_{D_u v} w."""
-    first = covariant_derivative(A, conn, u, covariant_derivative(A, conn, v, w))
-    return first.sub(
-        covariant_derivative(A, conn, covariant_derivative(A, conn, u, v), w)
-    )
+    return _second_covariant(GeometryContext(A, conn), u, v, w)
+
+
+def _second_covariant(ctx: GeometryContext, u: Section, v: Section, w: Section) -> Section:
+    D = ctx.covariant
+    return D(u, D(v, w)).sub(D(D(u, v), w))
 
 
 def curvature_apply(
     A: AlgebroidData, curv: SparseArray, u: Section, v: Section, w: Section
 ) -> Section:
-    out = [A.zero() for _ in range(A.rank)]
-    for (a, b, c, d), val in curv.items():
-        t = u.comp[b] * v.comp[c]
-        if t.is_zero():
-            continue
-        t = t * w.comp[d]
-        if not t.is_zero():
-            out[a] = out[a] + t * val
-    return Section(tuple(out))
+    return Section(tuple(contract_sections(curv, [u, v, w], [A.zero()] * A.rank)))
 
 
 def torsion_apply(
     A: AlgebroidData, tor: SparseArray, u: Section, v: Section
 ) -> Section:
-    out = [A.zero() for _ in range(A.rank)]
-    for (a, b, c), val in tor.items():
-        t = u.comp[b] * v.comp[c]
-        if not t.is_zero():
-            out[a] = out[a] + t * val
-    return Section(tuple(out))
+    return Section(tuple(contract_sections(tor, [u, v], [A.zero()] * A.rank)))
 
 
 def check_ricci(
@@ -565,18 +567,13 @@ def check_ricci(
     residuals: dict[tuple, Scalar] = {}
     curv = ctx.curvature()
     tor = ctx.torsion("modified")
-    frames = ctx.frames
+    frames, D = ctx.frames, ctx.covariant
 
     def residual(u: Section, v: Section, w: Section) -> Section:
-        lhs = second_covariant(A, conn, u, v, w).sub(
-            second_covariant(A, conn, v, u, w)
-        )
+        lhs = _second_covariant(ctx, u, v, w).sub(_second_covariant(ctx, v, u, w))
         rhs = curvature_apply(A, curv, u, v, w)
-        rhs = rhs.sub(
-            covariant_derivative(A, conn, torsion_apply(A, tor, u, v), w)
-        )
-        lsec = _complement_locality(ctx, u, v)
-        rhs = rhs.add(covariant_derivative(A, conn, lsec, w))
+        rhs = rhs.sub(D(torsion_apply(A, tor, u, v), w))
+        rhs = rhs.add(D(_complement_locality(ctx, u, v), w))
         return lhs.sub(rhs)
 
     for b in range(A.rank):

@@ -23,8 +23,12 @@ sparse-array algebra of ``core``; ``Metric.raised`` is the one index
 raising.  A public function builds a context when it is called.  The
 values of the last (algebroid, connection, term budget) a context was
 built for are kept for the next call on the same pair, and a public
-function returns its own copy of one; brackets of sections are dropped
-when the call returns.
+function returns its own copy of one.  Values that hold other sections or
+forms are memoized for one public call and dropped when it returns: the
+brackets, the anchor jets rho_d(x_e) that every bracket kind reads (all
+kinds share A's anchor), the covariant derivatives D_x y and, in
+``calculus``, the Leibniz and exterior derivatives.  So each section and
+form is differentiated at most once per call.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from .core import (
     ETensor,
     Section,
     SparseArray,
-    _locality_correction,
+    anchor_jet,
     bracket,
     project_section,
     sparse_add,
@@ -337,10 +341,11 @@ class GeometryContext:
     The values keyed by kind alone go to a pair store that later contexts
     share: one slot per process keeps the store of the last pair, reused
     when A and conn are that pair's objects (``is``) and the term budget is
-    the one it was built under.  Brackets of sections and the rho(v) parts
-    of Leibniz derivatives live as long as this context, one public call,
-    in a memo keyed by object ids that holds the objects, so the ids stay
-    unique.  Returned values are shared and must not be mutated."""
+    the one it was built under.  Brackets, anchor jets and covariant
+    derivatives of sections and forms, and the rho(v) parts of Leibniz
+    derivatives, live as long as this context, one public call, in a memo
+    keyed by object ids that holds the objects, so the ids stay unique.
+    Returned values are shared and must not be mutated."""
 
     def __init__(self, A: AlgebroidData, conn: Connection | None):
         global _pair_slot
@@ -393,10 +398,20 @@ class GeometryContext:
     def curvature(self) -> SparseArray:
         return self._pair("curvature", self._curvature)
 
+    def jet(self, x: Section | EForm) -> dict[tuple, Scalar]:
+        """The anchor jet rho_d(x_e) of a section or form (``anchor_jet``)."""
+        return self._cached(("jet", id(x)), lambda: anchor_jet(self.A, x), x)
+
     def bracket(self, u: Section, v: Section, kind: BracketKind) -> Section:
         """The original, modified or projected bracket of u and v."""
+        return self._cached((id(u), id(v), kind), lambda: bracket(
+            self.algebroid(kind), u, v, self.jet(u), self.jet(v)
+        ), u, v)
+
+    def covariant(self, x: Section, y: Section) -> Section:
+        """D_x y, by ``covariant_derivative``."""
         return self._cached(
-            (id(u), id(v), kind), lambda: bracket(self.algebroid(kind), u, v), u, v
+            ("D", id(x), id(y)), lambda: covariant_derivative(self.A, self.conn, x, y), x, y
         )
 
     def frame_brackets(self, v: Section, kind: BracketKind) -> list[Section]:
@@ -411,7 +426,7 @@ class GeometryContext:
         changes."""
         A = self.A
         return self._cached(("rho", id(v), id(form)), lambda: {
-            idx: A.section_derive(v, form.at(idx))
+            idx: A.jet_derive(v, self.jet(form), idx)
             for idx in combinations(range(A.rank), form.degree)
         }, v, form)
 
@@ -441,20 +456,19 @@ class GeometryContext:
         A = self.A
         if kind == "projected" and A.proj is None:
             raise ProjectorRequiredError("locality projector required")
-        out: SparseArray = {}
         if not A.loc:
-            return out
+            return {}
         if self.conn is None:
             raise ShapeError("modified brackets need a connection")
-        coeff = self.conn.coeff
+        if kind == "modified":
+            return _frame_contraction(A, self.conn)
+        # the projection of each column C^._ab of the modified contraction
+        modified = self.contraction("modified")
+        out: SparseArray = {}
         for a in range(A.rank):
-            # (D_{X_d} X_a)^e = Gamma^e_da
-            table = {(d, e): g for (e, d, x), g in coeff.items() if x == a}
-            for b, y in enumerate(self.frames):
-                correction = _locality_correction(A, table, y)
-                if kind == "projected":
-                    correction = project_section(A, correction)
-                for c, val in enumerate(correction.comp):
+            for b in range(A.rank):
+                column = Section(tuple(modified.get((c, a, b), A.zero()) for c in range(A.rank)))
+                for c, val in enumerate(project_section(A, column).comp):
                     if not val.is_zero():
                         out[(c, a, b)] = val
         return out
@@ -496,6 +510,25 @@ class GeometryContext:
                         if not acc.is_zero():
                             out[(a, b, c, d)] = acc
         return out
+
+
+def _frame_contraction(A: AlgebroidData, conn: Connection) -> SparseArray:
+    """C^c_ab = Gamma^e_da L^{c d}_{e b}, the corrections L(e^d, D_{X_d} X_a,
+    X_b) of all frame pairs, keyed (c, a, b) in (a, b, c) order, in one pass
+    over L: each entry receives its terms in L's iteration order, as the
+    per-pair ``core._locality_correction`` sums them."""
+    by_de: dict[tuple[int, int], list[tuple[int, Scalar]]] = {}
+    for (e, d, a), g in conn.coeff.items():
+        if not g.is_zero():
+            by_de.setdefault((d, e), []).append((a, g))
+    acc: SparseArray = {}
+    for (c, d, e, b), lv in A.loc.items():
+        for a, g in by_de.get((d, e), ()):
+            s = acc.get((c, a, b))
+            acc[(c, a, b)] = g * lv if s is None else s + g * lv
+    return sparse_clean({
+        (c, a, b): acc[(c, a, b)] for a, b, c in sorted((a, b, c) for c, a, b in acc)
+    })
 
 
 def difference_tensor(conn1: Connection, conn2: Connection) -> SparseArray:

@@ -18,19 +18,23 @@ extension of the frame data by the right- and left-Leibniz rules:
     [u, v]^c = u^a v^b gamma^c_ab + u^a rho^i_a d_i(v^c) - v^b rho^i_b d_i(u^c)
                + rho^i_d d_i(u^a) v^b L^{c d}_{a b}
 
-The last term is ``_locality_correction``, the one section-valued
-contraction with the locality operator; ``apply_locality`` reuses it with
-omega_d u^e.  The modified and projected brackets of a connection are this
-same ``bracket`` of other data with the same anchor: (W, no L) and
-(W^, (1 - P) L), W and W^ the modified and projected anholonomies (see
-``connection.GeometryContext``).  The only P.L loop is condition 1 of
-``check_locality_projector``.  A frame change writes no transformation
-law of its own: each new datum is one of these operations on the new frame
-sections X'_a, read back into the new frame through the inverse matrix.
+Every derivative in it is an entry of the anchor jets rho_d(u^e) and
+rho_d(v^e) (``anchor_jet``), which a caller that brackets one section many
+times passes in.  The last term is ``_locality_correction``, the one
+section-valued contraction with the locality operator; ``apply_locality``
+reuses it with omega_d u^e.  The modified and projected brackets of a
+connection are this same ``bracket`` of other data with the same anchor:
+(W, no L) and (W^, (1 - P) L), W and W^ the modified and projected
+anholonomies (see ``connection.GeometryContext``).  The only P.L loop is
+condition 1 of ``check_locality_projector``.  A frame change writes no
+transformation law of its own: each new datum is one of these operations
+on the new frame sections X'_a, read back into the new frame through the
+inverse matrix.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -147,6 +151,16 @@ class AlgebroidData:
                 acc = acc + ua * self.frame_derive(a, f)
         return acc
 
+    def jet_derive(self, u: "Section", jet: dict[tuple, Scalar], e) -> Scalar:
+        """rho(u)(x_e) read off the anchor jet of x (``anchor_jet``): the
+        ``section_derive`` of the component x_e, summed in the same order."""
+        acc = self.zero()
+        for a, ua in enumerate(u.comp):
+            w = jet.get((a, e))
+            if w is not None and not ua.is_zero():
+                acc = acc + ua * w
+        return acc
+
     def anchor_of(self, u: "Section") -> list[Scalar]:
         """Chart components of rho(u)."""
         return [
@@ -208,8 +222,10 @@ def _perm_sign(perm: tuple[int, ...]) -> int:
     return sign
 
 
+@functools.cache
 def _sort_with_sign(idx: tuple[int, ...]) -> tuple[tuple[int, ...], int] | None:
-    """Sorted tuple and permutation sign; None if an index repeats."""
+    """Sorted tuple and permutation sign; None if an index repeats.  Cached:
+    every form component lookup asks, and there are few distinct tuples."""
     if len(set(idx)) != len(idx):
         return None
     order = sorted(range(len(idx)), key=lambda k: idx[k])
@@ -258,7 +274,7 @@ class EForm:
         """Component at an arbitrary index tuple, using antisymmetry."""
         if len(idx) != self.degree:
             raise ShapeError("index length does not match form degree")
-        ss = _sort_with_sign(idx)
+        ss = _sort_with_sign(tuple(idx))
         if ss is None:
             return self.zero_scalar()
         key, sign = ss
@@ -399,35 +415,65 @@ class FrameChange:
 # -- the bracket engine ------------------------------------------------
 
 
-def bracket(A: AlgebroidData, u: Section, v: Section) -> Section:
-    """Bracket of arbitrary sections via the Leibniz-rule extension."""
+def anchor_jet(A: AlgebroidData, x: Section | EForm) -> dict[tuple, Scalar]:
+    """The anchor jet of a section or form: rho_d(x_e) keyed (d, e), for
+    every frame index d and component e of x (a slot of a section, an
+    increasing index tuple of a form), zero entries omitted."""
+    comps = x.comp.items() if isinstance(x, EForm) else enumerate(x.comp)
+    return {
+        (d, e): val
+        for e, f in comps
+        if not f.is_zero()
+        for d in range(A.rank)
+        if not (val := A.frame_derive(d, f)).is_zero()
+    }
+
+
+def bracket(
+    A: AlgebroidData, u: Section, v: Section, du: dict | None = None, dv: dict | None = None
+) -> Section:
+    """Bracket of arbitrary sections via the Leibniz-rule extension.  du and
+    dv are the anchor jets of u and v, built here when not given; they hold
+    every derivative the bracket takes."""
     if u.rank != A.rank or v.rank != A.rank:
         raise ShapeError("section rank does not match algebroid")
+    du = anchor_jet(A, u) if du is None else du
+    dv = anchor_jet(A, v) if dv is None else dv
     r = A.rank
     zero = A.zero()
     out = [zero for _ in range(r)]
 
     # structure-function term u^a v^b gamma^c_ab
-    for (c, a, b), g in A.gamma.items():
-        t = u.comp[a] * v.comp[b]
-        if not t.is_zero():
-            out[c] = out[c] + t * g
+    contract_sections(A.gamma, [u, v], out)
 
     # derivative terms rho(u)(v^c) - rho(v)(u^c)
     for c in range(r):
-        out[c] = out[c] + A.section_derive(u, v.comp[c]) - A.section_derive(v, u.comp[c])
+        out[c] = out[c] + A.jet_derive(u, dv, c) - A.jet_derive(v, du, c)
 
     # locality term rho^i_d d_i(u^a) v^b L^{c d}_{a b}
     if not A.loc:
         return Section(tuple(out))
-    du = {
-        (d, a): val
-        for a, ua in enumerate(u.comp)
-        if not ua.is_zero()
-        for d in range(r)
-        if not (val := A.frame_derive(d, ua)).is_zero()
-    }
     return _locality_correction(A, du, v, out)
+
+
+def contract_sections(
+    x: SparseArray, sections: list[Section], out: list[Scalar]
+) -> list[Scalar]:
+    """Adds x[(c, b1, .., bk)] u1^b1 .. uk^bk onto out[c] for the k given
+    sections, in x's order; each product u1^b1 .. uk^bk is formed once."""
+    products: dict[tuple, Scalar] = {}
+    for idx, val in x.items():
+        t = products.get(idx[1:])
+        if t is None:
+            t = sections[0].comp[idx[1]]
+            for u, b in zip(sections[1:], idx[2:]):
+                if t.is_zero():
+                    break
+                t = t * u.comp[b]
+            products[idx[1:]] = t
+        if not t.is_zero():
+            out[idx[0]] = out[idx[0]] + t * val
+    return out
 
 
 def _locality_correction(
@@ -438,9 +484,9 @@ def _locality_correction(
 ) -> Section:
     """L^{c d}_{e b} table[(d, e)] v^b X_c summed over d, e and b, added
     term by term onto ``start`` when given.  With table[(d, e)] =
-    rho_d(u^e) this is the bracket's locality term; with Gamma^e_da, the
-    components of D_{X_d} X_a, it is the frame correction L(e^d, D_{X_d}
-    X_a, v) of the modified anholonomy; with omega_d u^e it is
+    rho_d(u^e), the anchor jet of u, this is the bracket's locality term;
+    with (D_{X_d} u)^e it is the correction L(e^d, D_{X_d} u, v) that turns
+    the bracket into the modified one; with omega_d u^e it is
     L(omega, u, v)."""
     out = list(start) if start is not None else [A.zero()] * A.rank
     for (c, d, e, b), lv in A.loc.items():

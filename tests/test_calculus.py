@@ -11,10 +11,12 @@ from algebroids import (
     AlgebroidData,
     Connection,
     EForm,
+    ETensor,
     Scalar,
     Section,
     associator,
     bracket,
+    bracket_from_connection,
     check_admissible,
     check_bianchi_algebraic,
     check_bianchi_differential,
@@ -36,12 +38,15 @@ from algebroids import (
 )
 from algebroids.calculus import (
     _bianchi,
+    _complement_terms,
+    _nested_brackets,
     curvature_apply,
     second_covariant,
     seeded_sections,
 )
+import algebroids.calculus as calculus_module
 import algebroids.connection as connection_module
-from algebroids.connection import GeometryContext, modified_bracket
+from algebroids.connection import GeometryContext, covariant_table, modified_bracket
 from algebroids.core import _locality_correction, project_section
 from algebroids.fixtures import random_anticommutable, random_scalar, random_section
 
@@ -498,3 +503,103 @@ def test_bianchi_builds_each_bracket_algebroid_once(form, monkeypatch):
     # no bracket builds a D table: the only covariant tables are those of
     # the torsion and the curvature, once per call
     assert [(t[2].q, t[2].s) for t in tables] == [(1, 2), (1, 3)] * 2
+
+
+# -- each derivative once per call --------------------------------------------
+
+
+def per_triple_bianchi(ctx, kind):
+    """The algebraic Bianchi residuals summed triple by triple, each cyclic
+    term evaluated again in every triple (b, c, d) whose rotations hold it."""
+    A, conn = ctx.A, ctx.conn
+    r = A.rank
+    residuals = {}
+    curv = ctx.curvature()
+    tor = ctx.torsion(kind)
+    nabla_t = covariant_table(A, conn, ETensor(1, 2, r, A.dim, tor))
+    nabla_r = covariant_table(A, conn, ETensor(1, 3, r, A.dim, curv))
+    inners, left = _nested_brackets(ctx, kind)
+    right = {
+        (b, c, d): ctx.bracket(ctx.frames[b], inners[(c, d)], kind)
+        for (b, c, d) in itertools.product(range(r), repeat=3)
+    }
+    first_local, second_local = (
+        _complement_terms(ctx, inners) if kind == "modified" else ({}, {})
+    )
+
+    def cyclic(b, c, d):
+        return [(b, c, d), (c, d, b), (d, b, c)]
+
+    for b, c, d, a in itertools.product(range(r), repeat=4):
+        lhs = rhs = A.zero()
+        for (u, v, w) in cyclic(b, c, d):
+            lhs = lhs + curv.get((a, u, v, w), A.zero())
+            rhs = rhs + nabla_t.get((u, a, v, w), A.zero())
+            for e in range(r):
+                if (e, u, v) in tor and (a, e, w) in tor:
+                    rhs = rhs + tor[(e, u, v)] * tor[(a, e, w)]
+            if (u, v, w) in first_local:
+                rhs = rhs + first_local[(u, v, w)].comp[a]
+            rhs = rhs + right[(u, v, w)].comp[a]
+        if not (lhs - rhs).is_zero():
+            residuals[("first", a, b, c, d)] = lhs - rhs
+    for b, c, d, e2, a in itertools.product(range(r), repeat=5):
+        lhs = rhs = A.zero()
+        for (u, v, w) in cyclic(b, c, d):
+            lhs = lhs + nabla_r.get((u, a, v, w, e2), A.zero())
+            for f in range(r):
+                if (f, v, w) in tor and (a, u, f, e2) in curv:
+                    rhs = rhs + tor[(f, v, w)] * curv[(a, u, f, e2)]
+                if (a, f, e2) in conn.coeff:
+                    rhs = rhs + left[(u, v, w)].comp[f] * conn.coeff[(a, f, e2)]
+            if (u, v, w, e2) in second_local:
+                rhs = rhs + second_local[(u, v, w, e2)].comp[a]
+        if not (lhs - rhs).is_zero():
+            residuals[("second", a, b, c, d, e2)] = lhs - rhs
+    return residuals
+
+
+@pytest.mark.parametrize("kind", ["modified", "projected"])
+@pytest.mark.parametrize("seed, twist", [(1, False), (105, True)])
+def test_bianchi_terms_read_once_match_the_per_triple_loop_on_failing_input(seed, twist, kind):
+    fx = random_anticommutable(seed, dim=1 + twist, rank=3, twist=twist)
+    A = fx.algebroid
+    ctx = GeometryContext(A, pushed_off(A, fx.connection))
+    assert not ctx.admissibility().passed
+    got, want = _bianchi(ctx, kind), per_triple_bianchi(ctx, kind)
+    assert got and list(got) == list(want)
+    assert all(got[key].equals(want[key]) for key in want)
+
+
+def test_memoized_derivatives_of_the_magic_suite_are_fresh_values(monkeypatch):
+    rng = random.Random(0)
+    conn = Connection.of(2, {
+        idx: random_scalar(rng, 1, 1)
+        for idx in itertools.product(range(2), repeat=3) if rng.random() < 0.5
+    })
+    # conn is admissible for this algebroid, whose two kinds differ, so a
+    # memo that ignored the kind would be seen
+    A = bracket_from_connection(make_example("courant_standard", n=1).algebroid, conn)
+    ctx = GeometryContext(A, conn)
+    assert ctx.anholonomy("modified") != ctx.anholonomy("projected")
+    served = {"_leibniz": [], "_e_exterior": []}
+    for name, calls in served.items():
+        def recording(ctx, *args, original=getattr(calculus_module, name), calls=calls):
+            value = original(ctx, *args)
+            calls.append((args, value))
+            return value
+
+        monkeypatch.setattr(calculus_module, name, recording)
+    check_magic_and_derivations(A, conn, 0, 2)
+    monkeypatch.undo()
+    fresh = {
+        "_leibniz": lambda v, target, kind: leibniz_derivative(A, conn, v, target, kind),
+        "_e_exterior": lambda omega, kind: e_exterior_derivative(A, conn, omega, kind),
+    }
+    for name, calls in served.items():
+        # some (section, form, kind) is requested more than once
+        assert len({tuple(map(id, args)) for args, _ in calls}) < len(calls)
+        for args, value in calls:
+            want = fresh[name](*args)
+            assert (value.degree, set(value.comp)) == (want.degree, set(want.comp))
+            assert all(value.comp[idx].equals(want.comp[idx]) for idx in want.comp)

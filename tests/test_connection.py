@@ -2,10 +2,13 @@
 non-metricity, admissibility, and the connection-to-bracket map."""
 
 import dataclasses
+import functools
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from algebroids import (
     AlgebroidData,
@@ -50,7 +53,7 @@ from algebroids.calculus import (
     leibniz_derivative,
     seeded_sections,
 )
-from algebroids.connection import GeometryContext, frame_covariant_tensor
+from algebroids.connection import GeometryContext, _frame_contraction, frame_covariant_tensor
 from algebroids.core import FrameChange, _locality_correction, project_section
 from algebroids.fixtures import (
     random_anticommutable,
@@ -829,6 +832,91 @@ def test_modified_bracket_has_no_locality_term():
             assert all(x.equals(y) for x, y in zip(got.comp, want.comp))
 
 
+# -- one pass over L, and brackets read off anchor jets ------------------------
+
+
+@functools.cache
+def locality_algebroids() -> tuple:
+    """The algebroids of ``bracket_definition_cases``, all with a locality
+    operator and a projector, and a twisted fixture with a rational
+    projector."""
+    seen = []
+    for A, _ in bracket_definition_cases():
+        if all(A is not B for B in seen):
+            seen.append(A)
+    twisted = random_anticommutable(101, dim=2, rank=3, twist=True).algebroid
+    return (*seen, rational_projector(twisted))
+
+
+def texts(A, values) -> list[str]:
+    return [scalar_to_text(x, A.coords) for x in values]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(case=st.integers(0, 4), seed=st.integers(0, 2**16), rational=st.booleans())
+def test_one_pass_contraction_is_the_correction_of_each_frame_pair(case, seed, rational):
+    A = locality_algebroids()[case]
+    conn = random_connection(random.Random(seed), A, rational)
+    ctx = GeometryContext(A, conn)
+    contraction = {kind: ctx.contraction(kind) for kind in ("modified", "projected")}
+    assert list(contraction["modified"]) == list(_frame_contraction(A, conn))
+    for x in contraction.values():
+        # keyed (c, a, b) in (a, b, c) order, the order the sums are read in
+        assert list(x) == sorted(x, key=lambda idx: (idx[1], idx[2], idx[0]))
+    for a, x in enumerate(ctx.frames):
+        for b, y in enumerate(ctx.frames):
+            correction = _locality_correction(A, frame_covariants(A, conn, x), y)
+            want = {"modified": correction, "projected": project_section(A, correction)}
+            for kind, section in want.items():
+                got = [contraction[kind].get((c, a, b), A.zero()) for c in range(A.rank)]
+                assert all(g.equals(w) for g, w in zip(got, section.comp))
+                # the same summation order: the same printed text
+                assert texts(A, got) == texts(A, section.comp)
+
+
+def leibniz_rule_bracket(B, u, v) -> list:
+    """[u, v]^c of B summed as the bracket formula reads: u^a v^b gamma^c_ab
+    + rho(u)(v^c) - rho(v)(u^c) + rho_d(u^e) v^b L^{c d}_{e b}."""
+    out = [B.zero()] * B.rank
+    for (c, a, b), g in B.gamma.items():
+        t = u.comp[a] * v.comp[b]
+        if not t.is_zero():
+            out[c] = out[c] + t * g
+    for c in range(B.rank):
+        out[c] = out[c] + B.section_derive(u, v.comp[c]) - B.section_derive(v, u.comp[c])
+    for (c, d, e, b), lv in B.loc.items():
+        t = B.frame_derive(d, u.comp[e]) * v.comp[b]
+        if not t.is_zero():
+            out[c] = out[c] + t * lv
+    return out
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(case=st.integers(0, 4), seed=st.integers(0, 2**16), rational=st.booleans())
+def test_jet_bracket_is_the_leibniz_rule_bracket(case, seed, rational):
+    A = locality_algebroids()[case]
+    # a rational projector already makes the data of the kinds rational;
+    # rational connections and sections on top of it take up to minutes
+    rational = rational and all(p.den.is_one() for row in A.proj for p in row)
+    rng = random.Random(seed)
+    conn = random_connection(rng, A, rational)
+
+    def section():
+        u = random_section(rng, A, 1)
+        if not rational:
+            return u
+        x = Scalar.variable(A.dim, rng.randrange(A.dim))
+        return Section(tuple(f / (x + A.const(rng.randint(1, 3))) for f in u.comp))
+
+    u, v = section(), section()
+    ctx = GeometryContext(A, conn)
+    pairs = [(u, v), (u, u), (u, ctx.frames[0]), (ctx.frames[1], v)]
+    for kind in ("original", "modified", "projected"):
+        B = ctx.algebroid(kind)
+        for x, y in pairs:
+            assert texts(A, ctx.bracket(x, y, kind).comp) == texts(A, leibniz_rule_bracket(B, x, y))
+
+
 # -- the pair store shared by consecutive contexts ----------------------------
 
 
@@ -841,21 +929,21 @@ def test_consecutive_calls_on_one_pair_share_the_frame_corrections(monkeypatch):
     fx = random_anticommutable(1, dim=1, rank=3)
     A, conn = fx.algebroid, fx.connection
     assert A.loc
-    corrections = record_calls(monkeypatch, connection_module, "_locality_correction")
+    corrections = record_calls(monkeypatch, connection_module, "_frame_contraction")
     check_admissible(A, conn)
-    assert len(corrections) == A.rank**2
+    assert len(corrections) == 1
     torsion(A, conn, "modified")
-    assert len(corrections) == A.rank**2
+    assert len(corrections) == 1
 
 
 def test_another_connection_algebroid_or_budget_rebuilds(monkeypatch):
     fx = random_anticommutable(1, dim=1, rank=3)
     A, conn = fx.algebroid, fx.connection
-    corrections = record_calls(monkeypatch, connection_module, "_locality_correction")
+    corrections = record_calls(monkeypatch, connection_module, "_frame_contraction")
 
     def built(B, conn2, budget=None):
-        """Corrections built by a torsion call on (B, conn2) after one on
-        (A, conn), under the given budget."""
+        """Frame contractions built by a torsion call on (B, conn2) after
+        one on (A, conn), under the given budget."""
         torsion(A, conn, "modified")
         before = len(corrections)
         old = set_term_budget(budget or get_term_budget())
@@ -866,9 +954,9 @@ def test_another_connection_algebroid_or_budget_rebuilds(monkeypatch):
         return len(corrections) - before
 
     assert built(A, conn) == 0
-    assert built(A, Connection(A.rank, dict(conn.coeff))) == A.rank**2
-    assert built(dataclasses.replace(A), conn) == A.rank**2
-    assert built(A, conn, get_term_budget() + 1) == A.rank**2
+    assert built(A, Connection(A.rank, dict(conn.coeff))) == 1
+    assert built(dataclasses.replace(A), conn) == 1
+    assert built(A, conn, get_term_budget() + 1) == 1
 
 
 def test_brackets_of_other_sections_stay_per_call():

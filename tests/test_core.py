@@ -164,6 +164,10 @@ def test_interior_duality_and_antisymmetry(tangent2):
     ie = interior_product(two_form, x2)
     assert ie.at((0,)).equals(Scalar.constant(2, -1))
     assert interior_product(ie, x2).is_zero() or ie.degree == 1
+    # components read through antisymmetry, the index given as any sequence
+    assert two_form.at((1, 0)).equals(Scalar.constant(2, -1))
+    assert two_form.at([1, 0]).equals(Scalar.constant(2, -1))
+    assert two_form.at((1, 1)).is_zero()
 
 
 def test_interior_twice_with_same_section_vanishes(courant2):
