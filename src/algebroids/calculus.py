@@ -10,17 +10,22 @@ components.  All verdicts are exact: a check passes iff every residual is
 the zero scalar.
 
 Each public verifier and derivative builds one ``GeometryContext`` for its
-(algebroid, connection) and passes it down, so the admissibility gate, the
-anholonomies, torsions, curvature and the algebroid of each bracket kind
-are computed once per call and shared with the next calls on the same
-pair.  Every bracket here is ``core.bracket`` of the algebroid of its
-kind, (gamma, L), (W, no L) or (W^, (1 - P) L); the (1 - P) locality terms
-of the general Bianchi and Ricci identities are the projected bracket minus
-the modified one.  Within one call the context memoizes, by the ids of
-their arguments, the brackets, the anchor jets of sections and forms, the
-covariant derivatives D_x y, and the Leibniz and exterior derivatives
-(``_leibniz``, ``_e_exterior``), so each is computed at most once per
-call; the algebraic Bianchi check evaluates each cyclic term once.
+(algebroid, connection), so the admissibility gate, the algebroid of each
+bracket kind, the torsions and the curvature are computed once per call
+and shared with the next calls on the same pair.  A public entry resolves
+the algebroid B = ``ctx.algebroid(kind)`` of each kind it reads, which
+refuses the projected kind without a projector, and the helpers below it
+take B: the exterior derivative reads B.gamma, and the Leibniz
+derivative, the associator and the nested brackets of the Bianchi
+identities bracket in B.  The kind survives in the public signatures and
+the report keys only.  The locality terms C(u, v) = (1 - P) L(e^d,
+D_{X_d} u, v) of the general Bianchi and Ricci identities are the
+projected bracket minus the modified one.  Within one call the context
+memoizes, by the ids of their arguments, the brackets, the anchor jets of
+sections and forms, the covariant derivatives D_x y, and the Leibniz and
+exterior derivatives (``_leibniz``, ``_e_exterior``), so each is computed
+at most once per call; the algebraic Bianchi check evaluates each cyclic
+term once.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from .core import (
     interior_product,
     wedge,
 )
-from .errors import AdmissibilityError, ProjectorRequiredError, ShapeError
+from .errors import AdmissibilityError, ShapeError
 from .fixtures import random_scalar
 from .reports import CheckReport, report_from_residuals
 from .scalars import Scalar
@@ -72,20 +77,20 @@ def exterior_derivative_raw(
     admissible connection the result is antisymmetric, otherwise not."""
     ctx = GeometryContext(A, conn)
     indices = itertools.product(range(A.rank), repeat=omega.degree + 1)
-    return _exterior_array(ctx, ctx.anholonomy(kind), omega, indices)
+    return _exterior_array(ctx, ctx.algebroid(kind), omega, indices)
 
 
-def _exterior_array(ctx: GeometryContext, gk: SparseArray, omega: EForm, indices):
+def _exterior_array(ctx: GeometryContext, B: AlgebroidData, omega: EForm, indices):
     jet = ctx.jet(omega)
-    values = ((idx, _exterior_component(ctx.A, jet, gk, omega, idx)) for idx in indices)
+    values = ((idx, _exterior_component(B, jet, omega, idx)) for idx in indices)
     return {idx: v for idx, v in values if not v.is_zero()}
 
 
 def _exterior_component(
-    A: AlgebroidData, jet: dict, gk: SparseArray, omega: EForm, idx: tuple[int, ...]
+    B: AlgebroidData, jet: dict, omega: EForm, idx: tuple[int, ...]
 ) -> Scalar:
     p1 = len(idx)
-    acc = A.zero()
+    acc = B.zero()
     for i in range(p1):
         # rho_{idx[i]} of omega at the other indices, read off omega's jet
         ss = _sort_with_sign(idx[:i] + idx[i + 1 :])
@@ -96,9 +101,9 @@ def _exterior_component(
     for i in range(p1):
         for j in range(i + 1, p1):
             rest = tuple(idx[k] for k in range(p1) if k != i and k != j)
-            sub = A.zero()
-            for e in range(A.rank):
-                g = gk.get((e, idx[i], idx[j]))
+            sub = B.zero()
+            for e in range(B.rank):
+                g = B.gamma.get((e, idx[i], idx[j]))
                 if g is None:
                     continue
                 w = omega.at((e,) + rest)
@@ -120,25 +125,21 @@ def e_exterior_derivative(
     modified) bracket.  Admissibility is required: without it the raw
     alternating sum is not antisymmetric and does not define a form.  On
     scalars both kinds reduce to the coboundary."""
-    return _e_exterior(GeometryContext(A, conn), omega, kind)
+    ctx = GeometryContext(A, conn)
+    return _e_exterior(ctx, ctx.algebroid(kind), omega)
 
 
-def _e_exterior(
-    ctx: GeometryContext, omega: EForm | Scalar, kind: DerivativeKind
-) -> EForm:
+def _e_exterior(ctx: GeometryContext, B: AlgebroidData, omega: EForm | Scalar) -> EForm:
     def build() -> EForm:
-        A = ctx.A
-        form = EForm.from_scalar(A, omega) if isinstance(omega, Scalar) else omega
-        if kind == "projected" and A.proj is None:
-            raise ProjectorRequiredError("projected derivative requires a projector")
+        form = EForm.from_scalar(B, omega) if isinstance(omega, Scalar) else omega
         _require_admissible(ctx)
         if form.degree == 0:
-            return coboundary(A, form.comp.get((), A.zero()))
-        indices = itertools.combinations(range(A.rank), form.degree + 1)
-        out = _exterior_array(ctx, ctx.anholonomy(kind), form, indices)
-        return EForm(form.degree + 1, A.rank, A.dim, out)
+            return coboundary(B, form.comp.get((), B.zero()))
+        indices = itertools.combinations(range(B.rank), form.degree + 1)
+        out = _exterior_array(ctx, B, form, indices)
+        return EForm(form.degree + 1, B.rank, B.dim, out)
 
-    return ctx._cached(("d", id(omega), kind), build, omega)
+    return ctx._cached(("d", id(omega), id(B)), build, omega, B)
 
 
 def leibniz_derivative(
@@ -154,30 +155,28 @@ def leibniz_derivative(
     Forms: duality, (L_v W)(u_1..u_p) = rho(v)(W(u_1..u_p))
     - sum_i W(u_1, .., [v, u_i], .., u_p).
     """
-    return _leibniz(GeometryContext(A, conn), v, target, kind)
+    ctx = GeometryContext(A, conn)
+    return _leibniz(ctx, ctx.algebroid(kind), v, target)
 
 
-def _leibniz(ctx: GeometryContext, v: Section, target, kind: BracketKind):
+def _leibniz(ctx: GeometryContext, B: AlgebroidData, v: Section, target):
     def build():
-        A = ctx.A
-        if kind == "projected" and A.proj is None:
-            raise ProjectorRequiredError("projected derivative requires a projector")
         if isinstance(target, Scalar):
-            return A.section_derive(v, target)
+            return B.section_derive(v, target)
         if isinstance(target, Section):
-            return ctx.bracket(v, target, kind)
+            return ctx.bracket(v, target, B)
         if not isinstance(target, EForm):
             raise ShapeError(f"cannot differentiate a {type(target).__name__}")
         p = target.degree
         if p == 0:
-            f = target.comp.get((), A.zero())
-            return EForm.from_scalar(A, A.section_derive(v, f))
-        frame_brackets = ctx.frame_brackets(v, kind)
+            f = target.comp.get((), B.zero())
+            return EForm.from_scalar(B, B.section_derive(v, f))
+        frame_brackets = ctx.frame_brackets(v, B)
         out: SparseArray = {}
         for idx, acc in ctx.anchor_derivatives(v, target).items():
             for pos in range(p):
                 br = frame_brackets[idx[pos]]
-                for e in range(A.rank):
+                for e in range(B.rank):
                     if br.comp[e].is_zero():
                         continue
                     w = target.at(idx[:pos] + (e,) + idx[pos + 1 :])
@@ -185,9 +184,9 @@ def _leibniz(ctx: GeometryContext, v: Section, target, kind: BracketKind):
                         acc = acc - br.comp[e] * w
             if not acc.is_zero():
                 out[idx] = acc
-        return EForm(p, A.rank, A.dim, out)
+        return EForm(p, B.rank, B.dim, out)
 
-    return ctx._cached(("leibniz", id(v), id(target), kind), build, v, target)
+    return ctx._cached(("leibniz", id(v), id(target), id(B)), build, v, target, B)
 
 
 def associator(
@@ -200,14 +199,15 @@ def associator(
 ) -> Section:
     """Leibniz-identity defect [u,[v,w]] - [[u,v],w] - [v,[u,w]] of the
     chosen bracket."""
-    return _associator(GeometryContext(A, conn), kind, u, v, w)
+    ctx = GeometryContext(A, conn)
+    return _associator(ctx, ctx.algebroid(kind), u, v, w)
 
 
 def _associator(
-    ctx: GeometryContext, kind: BracketKind, u: Section, v: Section, w: Section
+    ctx: GeometryContext, B: AlgebroidData, u: Section, v: Section, w: Section
 ) -> Section:
     def br(x, y):
-        return ctx.bracket(x, y, kind)
+        return ctx.bracket(x, y, B)
 
     return br(u, br(v, w)).sub(br(br(u, v), w)).sub(br(v, br(u, w)))
 
@@ -256,18 +256,17 @@ def check_cartan_structure(A: AlgebroidData, conn: Connection) -> CheckReport:
     equations on all frame pairs."""
     ctx = GeometryContext(A, conn)
     _require_admissible(ctx)
-    if A.proj is None:
-        raise ProjectorRequiredError("second structure equation needs a projector")
+    M, P = ctx.algebroid("modified"), ctx.algebroid("projected")
     residuals: dict[tuple, Scalar] = {}
     r = A.rank
-    tor = ctx.torsion("modified")
-    tor_hat = ctx.torsion("projected")
+    tor = ctx.torsion(M)
+    tor_hat = ctx.torsion(P)
     curv = ctx.curvature()
     omegas = [[conn.omega(A, a, b) for b in range(r)] for a in range(r)]
     coframes = [EForm.coframe(A, a) for a in range(r)]
     for a in range(r):
-        de = _e_exterior(ctx, coframes[a], "modified")
-        de_hat = _e_exterior(ctx, coframes[a], "projected")
+        de = _e_exterior(ctx, M, coframes[a])
+        de_hat = _e_exterior(ctx, P, coframes[a])
         rhs = de
         rhs_hat = de_hat
         for b in range(r):
@@ -284,7 +283,7 @@ def check_cartan_structure(A: AlgebroidData, conn: Connection) -> CheckReport:
                 ) - rhs_hat.at((b, c))
     for a in range(r):
         for b in range(r):
-            rhs = _e_exterior(ctx, omegas[a][b], "projected")
+            rhs = _e_exterior(ctx, P, omegas[a][b])
             for c in range(r):
                 rhs = rhs.add(wedge(omegas[a][c], omegas[c][b]))
             for c in range(r):
@@ -311,55 +310,63 @@ def check_bianchi_algebraic(
         sum R(u, v) w = sum ( (D_u T)(v, w) + T(T(u, v), w) + [u, [v, w]] )
         sum (D_u R)(v, w) e' = sum ( R(u, T(v, w)) e' + D_{[[u, v], w]} e' )
 
-    The projected form uses the projected torsion and the projected
-    modified bracket.  The general form uses the modified torsion and
-    bracket; the (1 - P) part of the locality term L(e^d, D_{X_d} u, v)
-    that the projection removes then appears explicitly: C(u, v) adds
-    D_{C(u, v)} w to the first identity, and D_u D_{C(u, v)} e' -
-    D_{C(u, v)} D_u e' - D_{C([v, w], u)} e' to the second.
-
-    Every term is tensorial, so no sections are drawn and ``seed``,
-    ``samples`` and ``degree`` are unused.
+    The projected form uses the projected torsion and bracket.  The general
+    form uses the modified ones and writes out C(u, v) = [u, v]^proj -
+    [u, v]^mod = (1 - P) L(e^d, D_{X_d} u, v).  Substituting [u, v]^proj =
+    [u, v]^mod + C and T^proj = T^mod - C into the projected pair, with the
+    same curvature R, adds - D_{C(u, v)} w to the first identity, where both
+    brackets and C are antisymmetric for an admissible connection, and
+    - R(u, C(v, w)) e' + D_{[C(u, v), w]^mod + C([u, v]^proj, w)} e' to the
+    second.  Both forms are evaluated on frame tuples only, so no sections
+    are drawn and ``seed``, ``samples`` and ``degree`` are unused.
     """
     ctx = GeometryContext(A, conn)
     _require_admissible(ctx)
-    if A.proj is None:
-        raise ProjectorRequiredError("Bianchi identities need a projector")
+    P = ctx.algebroid("projected")
     if form == "projected":
-        name, kind = "bianchi-algebraic-projected", "projected"
+        name, B = "bianchi-algebraic-projected", P
     else:
-        name, kind = "bianchi-algebraic-general", "modified"
+        name, B = "bianchi-algebraic-general", ctx.algebroid("modified")
     return report_from_residuals(
-        name, _bianchi(ctx, kind), ["evaluated on frame tuples"]
+        name, _bianchi(ctx, B, P), ["evaluated on frame tuples"]
     )
 
 
-def _bianchi(ctx: GeometryContext, kind: DerivativeKind) -> dict[tuple, Scalar]:
+def _bianchi(ctx: GeometryContext, B: AlgebroidData, P: AlgebroidData) -> dict[tuple, Scalar]:
     """Residuals of both algebraic Bianchi identities with the torsion and
-    bracket of the given kind, keyed ("first", a, b, c, d) and
-    ("second", a, b, c, d, e').  Each term of the cyclic sums, keyed
-    (u, v, w, a) and (u, v, w, e', a), is evaluated once, and the three
-    triples (b, c, d) of one rotation orbit share their residual."""
-    A, conn = ctx.A, ctx.conn
+    bracket of B, plus the locality terms of C = [., .]^P - [., .]^B when B
+    is not the projected algebroid P, keyed ("first", a, b, c, d) and
+    ("second", a, b, c, d, e').  Each term of the cyclic sums, keyed (u, v,
+    w, a) and (u, v, w, e', a), is evaluated once, and the three triples
+    (b, c, d) of one rotation orbit share their residual."""
+    A, conn, frames = ctx.A, ctx.conn, ctx.frames
     r = A.rank
     zero = A.zero()
     curv = ctx.curvature()
-    tor = ctx.torsion(kind)
+    tor = ctx.torsion(B)
     nabla_t = covariant_table(A, conn, ETensor(1, 2, r, A.dim, tor))
     nabla_r = covariant_table(A, conn, ETensor(1, 3, r, A.dim, curv))
     # left[(b, c, d)] = [[X_b, X_c], X_d] and right[(b, c, d)] = [X_b, [X_c, X_d]]
-    inners, left = _nested_brackets(ctx, kind)
+    inners, left = _nested_brackets(ctx, B)
     right = {
-        (b, c, d): ctx.bracket(ctx.frames[b], inners[(c, d)], kind)
+        (b, c, d): ctx.bracket(frames[b], inners[(c, d)], B)
         for (b, c, d) in itertools.product(range(r), repeat=3)
     }
-    # the projected bracket has already removed the (1 - P) locality terms
-    first_local, second_local = (
-        _complement_terms(ctx, inners) if kind == "modified" else ({}, {})
-    )
+    # C(X_u, X_v), once per frame pair, and [C(u, v), w]^B + C([u, v]^P, w);
+    # none when B is P
+    complement, shifted = {}, {}
+    if B is not P:
+        pairs = list(itertools.product(range(r), repeat=2))
+        for u, v in pairs:
+            complement[(u, v)] = _complement_locality(ctx, B, P, frames[u], frames[v])
+        projected_inners, _ = _nested_brackets(ctx, P)
+        for (u, v), w in itertools.product(pairs, range(r)):
+            shifted[(u, v, w)] = ctx.frame_brackets(complement[(u, v)], B)[w].add(
+                _complement_locality(ctx, B, P, projected_inners[(u, v)], frames[w])
+            )
 
     def first(u, v, w, a) -> Scalar:
-        # (D_u T)(v, w) + T(T(u, v), w) + [u, [v, w]], component a
+        # (D_u T)(v, w) + T(T(u, v), w) + [u, [v, w]] - D_{C(u, v)} w, component a
         rhs = nabla_t.get((u, a, v, w), zero)
         for e in range(r):
             t1 = tor.get((e, u, v))
@@ -367,9 +374,8 @@ def _bianchi(ctx: GeometryContext, kind: DerivativeKind) -> dict[tuple, Scalar]:
                 t2 = tor.get((a, e, w))
                 if t2 is not None:
                     rhs = rhs + t1 * t2
-        loc = first_local.get((u, v, w))
-        if loc is not None:
-            rhs = rhs + loc.comp[a]
+        if complement:
+            rhs = rhs - ctx.covariant(complement[(u, v)], frames[w]).comp[a]
         return rhs + right[(u, v, w)].comp[a]
 
     def second(u, v, w, e2, a) -> Scalar:
@@ -386,9 +392,13 @@ def _bianchi(ctx: GeometryContext, kind: DerivativeKind) -> dict[tuple, Scalar]:
                 g = conn.coeff.get((a, f, e2))
                 if g is not None:
                     rhs = rhs + db * g
-        loc = second_local.get((u, v, w, e2))
-        if loc is not None:
-            rhs = rhs + loc.comp[a]
+        if complement:
+            # - R(u, C(v, w)) e' + D_{[C(u, v), w] + C([u, v]^P, w)} e'
+            for f, x in enumerate(complement[(v, w)].comp):
+                t2 = curv.get((a, u, f, e2))
+                if t2 is not None and not x.is_zero():
+                    rhs = rhs - x * t2
+            rhs = rhs + ctx.covariant(shifted[(u, v, w)], frames[e2]).comp[a]
         return rhs
 
     identities = (
@@ -417,51 +427,28 @@ def _bianchi(ctx: GeometryContext, kind: DerivativeKind) -> dict[tuple, Scalar]:
     return residuals
 
 
-def _nested_brackets(ctx: GeometryContext, kind: DerivativeKind):
-    """[X_b, X_c] of the given kind, read off its anholonomy and keyed
-    (b, c), and [[X_b, X_c], X_d], keyed (b, c, d)."""
-    A, r = ctx.A, ctx.A.rank
-    anhol = ctx.anholonomy(kind)
+def _nested_brackets(ctx: GeometryContext, B: AlgebroidData):
+    """[X_b, X_c] in B, read off B.gamma and keyed (b, c), and [[X_b, X_c],
+    X_d] in B, keyed (b, c, d)."""
+    r = B.rank
     inners = {
-        (b, c): Section(tuple(anhol.get((e, b, c), A.zero()) for e in range(r)))
+        (b, c): Section(tuple(B.gamma.get((e, b, c), B.zero()) for e in range(r)))
         for b in range(r)
         for c in range(r)
     }
     outer = {
-        (b, c, d): ctx.frame_brackets(inners[(b, c)], kind)[d]
+        (b, c, d): ctx.frame_brackets(inners[(b, c)], B)[d]
         for (b, c, d) in itertools.product(range(r), repeat=3)
     }
     return inners, outer
 
 
-def _complement_locality(ctx: GeometryContext, u: Section, v: Section) -> Section:
-    """(1 - P) L(e^d, D_{X_d} u, v): the projected bracket minus the
-    modified one."""
-    return ctx.bracket(u, v, "projected").sub(ctx.bracket(u, v, "modified"))
-
-
-def _complement_terms(ctx: GeometryContext, inners: dict) -> tuple[dict, dict]:
-    """The explicit (1 - P) locality terms of the modified Bianchi pair on
-    frames, with C(u, v) = (1 - P) L(e^d, D_{X_d} u, v): D_{C(u, v)} w keyed
-    (u, v, w), and D_u D_{C(u, v)} e' - D_{C(u, v)} D_u e' - D_{C([v, w], u)} e'
-    keyed (u, v, w, e')."""
-    frames, D = ctx.frames, ctx.covariant
-    r = ctx.A.rank
-    along: dict[tuple, Section] = {}
-    swapped: dict[tuple, Section] = {}
-    for u, v in itertools.product(range(r), repeat=2):
-        comp = _complement_locality(ctx, frames[u], frames[v])
-        for x in range(r):
-            along[(u, v, x)] = D(comp, frames[x])
-            swapped[(u, v, x)] = D(frames[u], along[(u, v, x)]).sub(
-                D(comp, D(frames[u], frames[x]))
-            )
-    second: dict[tuple, Section] = {}
-    for u, v, w in itertools.product(range(r), repeat=3):
-        shifted = _complement_locality(ctx, inners[(v, w)], frames[u])
-        for e2 in range(r):
-            second[(u, v, w, e2)] = swapped[(u, v, e2)].sub(D(shifted, frames[e2]))
-    return along, second
+def _complement_locality(
+    ctx: GeometryContext, B: AlgebroidData, P: AlgebroidData, u: Section, v: Section
+) -> Section:
+    """C(u, v) = [u, v]^P - [u, v]^B: with B the modified algebroid and P
+    the projected one, (1 - P) L(e^d, D_{X_d} u, v)."""
+    return ctx.bracket(u, v, P).sub(ctx.bracket(u, v, B))
 
 
 def check_bianchi_differential(A: AlgebroidData, conn: Connection) -> CheckReport:
@@ -469,42 +456,34 @@ def check_bianchi_differential(A: AlgebroidData, conn: Connection) -> CheckRepor
     square-of-the-derivative anomaly terms."""
     ctx = GeometryContext(A, conn)
     _require_admissible(ctx)
-    if A.proj is None:
-        raise ProjectorRequiredError("differential Bianchi needs a projector")
+    P = ctx.algebroid("projected")
     r = A.rank
     residuals: dict[tuple, Scalar] = {}
-    tor_hat = ctx.torsion("projected")
+    tor_hat = ctx.torsion(P)
     curv = ctx.curvature()
     coframes = [EForm.coframe(A, a) for a in range(r)]
     omegas = [[conn.omega(A, a, b) for b in range(r)] for a in range(r)]
-    t_forms = []
-    for a in range(r):
-        comp: SparseArray = {}
-        for b in range(r):
-            for c in range(b + 1, r):
-                v = tor_hat.get((a, b, c))
-                if v is not None and not v.is_zero():
-                    comp[(b, c)] = v
-        t_forms.append(EForm(2, r, A.dim, comp))
-    r_forms = [[None] * r for _ in range(r)]
-    for a in range(r):
-        for b in range(r):
-            comp = {}
-            for c in range(r):
-                for d in range(c + 1, r):
-                    v = curv.get((a, c, d, b))
-                    if v is not None and not v.is_zero():
-                        comp[(c, d)] = v
-            r_forms[a][b] = EForm(2, r, A.dim, comp)
+
+    def two_form(entries: SparseArray, head: tuple, tail: tuple = ()) -> EForm:
+        # the 2-form with components entries[head + (c, d) + tail], c < d
+        comp = {}
+        for cd in itertools.combinations(range(r), 2):
+            v = entries.get(head + cd + tail)
+            if v is not None and not v.is_zero():
+                comp[cd] = v
+        return EForm(2, r, A.dim, comp)
+
+    t_forms = [two_form(tor_hat, (a,)) for a in range(r)]
+    r_forms = [[two_form(curv, (a,), (b,)) for b in range(r)] for a in range(r)]
 
     for a in range(r):
-        lhs = _e_exterior(ctx, t_forms[a], "projected")
+        lhs = _e_exterior(ctx, P, t_forms[a])
         for b in range(r):
             lhs = lhs.add(wedge(omegas[a][b], t_forms[b]))
         rhs = EForm.zero(A, 3)
         for b in range(r):
             rhs = rhs.add(wedge(r_forms[a][b], coframes[b]))
-        dd = _e_exterior(ctx, _e_exterior(ctx, coframes[a], "projected"), "projected")
+        dd = _e_exterior(ctx, P, _e_exterior(ctx, P, coframes[a]))
         rhs = rhs.add(dd)
         diff = lhs.sub(rhs)
         for idx, v in diff.comp.items():
@@ -512,15 +491,13 @@ def check_bianchi_differential(A: AlgebroidData, conn: Connection) -> CheckRepor
 
     for a in range(r):
         for b in range(r):
-            lhs = _e_exterior(ctx, r_forms[a][b], "projected")
+            lhs = _e_exterior(ctx, P, r_forms[a][b])
             for c in range(r):
                 lhs = lhs.add(wedge(omegas[a][c], r_forms[c][b]))
             rhs = EForm.zero(A, 3)
             for c in range(r):
                 rhs = rhs.add(wedge(r_forms[a][c], omegas[c][b]))
-            dd = _e_exterior(
-                ctx, _e_exterior(ctx, omegas[a][b], "projected"), "projected"
-            )
+            dd = _e_exterior(ctx, P, _e_exterior(ctx, P, omegas[a][b]))
             rhs = rhs.add(dd)
             diff = lhs.sub(rhs)
             for idx, v in diff.comp.items():
@@ -561,19 +538,18 @@ def check_ricci(
 ) -> CheckReport:
     """Ricci identity, valid for any linear connection (admissibility not
     required); a projector must be present for the curvature operator."""
-    if A.proj is None:
-        raise ProjectorRequiredError("Ricci identity needs a projector")
     ctx = GeometryContext(A, conn)
+    P, M = ctx.algebroid("projected"), ctx.algebroid("modified")
     residuals: dict[tuple, Scalar] = {}
     curv = ctx.curvature()
-    tor = ctx.torsion("modified")
+    tor = ctx.torsion(M)
     frames, D = ctx.frames, ctx.covariant
 
     def residual(u: Section, v: Section, w: Section) -> Section:
         lhs = _second_covariant(ctx, u, v, w).sub(_second_covariant(ctx, v, u, w))
         rhs = curvature_apply(A, curv, u, v, w)
         rhs = rhs.sub(D(torsion_apply(A, tor, u, v), w))
-        rhs = rhs.add(D(_complement_locality(ctx, u, v), w))
+        rhs = rhs.add(D(_complement_locality(ctx, M, P, u, v), w))
         return lhs.sub(rhs)
 
     for b in range(A.rank):
@@ -607,8 +583,8 @@ def check_magic_and_derivations(
     gated on a vanishing associator, the derivative-commutation pair."""
     ctx = GeometryContext(A, conn)
     _require_admissible(ctx)
-    if A.proj is None:
-        raise ProjectorRequiredError("derivation suite needs a projector")
+    # the algebroid of each bracket kind, keyed by the kind its residuals name
+    kinds = {kind: ctx.algebroid(kind) for kind in ("original", "modified", "projected")}
     residuals: dict[tuple, Scalar] = {}
     assumptions = [_sample_note(seed, samples, degree)]
     rng_forms1 = seeded_forms(A, seed + 1, samples, 1, degree)
@@ -636,52 +612,52 @@ def check_magic_and_derivations(
         contracted = {lb: interior_product(om, v) for lb, om in pairs if om.degree >= 1}
         wedged = wedge(omA, omB)
         for kind in ("modified", "projected"):
-            dk: DerivativeKind = kind  # type: ignore[assignment]
+            B = kinds[kind]
             for label, omega in pairs:
                 # magic formula
-                lie = _leibniz(ctx, v, omega, kind)
-                d_iv = _e_exterior(ctx, contracted[label], dk) \
+                lie = _leibniz(ctx, B, v, omega)
+                d_iv = _e_exterior(ctx, B, contracted[label]) \
                     if omega.degree >= 1 else EForm.zero(A, 1)
-                iv_d = interior_product(_e_exterior(ctx, omega, dk), v)
+                iv_d = interior_product(_e_exterior(ctx, B, omega), v)
                 add_form_residual(("magic", kind, label, k), lie.sub(d_iv.add(iv_d)))
                 # rescaling corollary
-                lie_fv = _leibniz(ctx, fv, omega, kind)
+                lie_fv = _leibniz(ctx, B, fv, omega)
                 rhs = lie.scale(f).add(
-                    wedge(_e_exterior(ctx, f, dk), contracted[label])
+                    wedge(_e_exterior(ctx, B, f), contracted[label])
                 ) if omega.degree >= 1 else lie.scale(f)
                 add_form_residual(("rescale", kind, label, k), lie_fv.sub(rhs))
             # commutator with the same section vanishes for admissible conn
             if om2.degree >= 1:
-                lhs = _leibniz(ctx, v, contracted["p2"], kind)
-                rhs = interior_product(_leibniz(ctx, v, om2, kind), v)
+                lhs = _leibniz(ctx, B, v, contracted["p2"])
+                rhs = interior_product(_leibniz(ctx, B, v, om2), v)
                 add_form_residual(("self-commute", kind, k), lhs.sub(rhs))
         # derivation commutator with the original bracket, all three kinds
-        for kind in ("original", "modified", "projected"):
+        for kind, B in kinds.items():
             if om2.degree >= 1:
-                lhs = _leibniz(ctx, u, contracted["p2"], kind)
-                rhs = interior_product(_leibniz(ctx, u, om2, kind), v)
-                uv = ctx.bracket(u, v, kind)
+                lhs = _leibniz(ctx, B, u, contracted["p2"])
+                rhs = interior_product(_leibniz(ctx, B, u, om2), v)
+                uv = ctx.bracket(u, v, B)
                 rhs = rhs.add(interior_product(om2, uv))
                 add_form_residual(("commutator", kind, k), lhs.sub(rhs))
             # Leibniz rule of the derivative over wedges
-            lw = _leibniz(ctx, v, wedged, kind)
-            rhs = wedge(_leibniz(ctx, v, omA, kind), omB).add(
-                wedge(omA, _leibniz(ctx, v, omB, kind))
+            lw = _leibniz(ctx, B, v, wedged)
+            rhs = wedge(_leibniz(ctx, B, v, omA), omB).add(
+                wedge(omA, _leibniz(ctx, B, v, omB))
             )
             add_form_residual(("wedge-leibniz", kind, k), lw.sub(rhs))
         # graded Leibniz of both exterior derivatives
         for kind in ("modified", "projected"):
-            dk = kind  # type: ignore[assignment]
-            lhs = _e_exterior(ctx, wedged, dk)
-            rhs = wedge(_e_exterior(ctx, omA, dk), omB).sub(
-                wedge(omA, _e_exterior(ctx, omB, dk))
+            B = kinds[kind]
+            lhs = _e_exterior(ctx, B, wedged)
+            rhs = wedge(_e_exterior(ctx, B, omA), omB).sub(
+                wedge(omA, _e_exterior(ctx, B, omB))
             )
             add_form_residual(("graded-leibniz", kind, k), lhs.sub(rhs))
 
     # conditional pair: only valid when the bracket's associator vanishes
     frames = ctx.frames
     gate_sections = seeded_sections(A, seed + 9, 6, degree)
-    for kind in ("original", "modified", "projected"):
+    for kind, B in kinds.items():
         assoc_zero = True
         triples = [
             (frames[b], frames[c], frames[d])
@@ -690,7 +666,7 @@ def check_magic_and_derivations(
             for d in range(A.rank)
         ] + [tuple(gate_sections[3 * i : 3 * i + 3]) for i in range(2)]
         for (su, sv, sw) in triples:
-            if not _associator(ctx, kind, su, sv, sw).is_zero():
+            if not _associator(ctx, B, su, sv, sw).is_zero():
                 assoc_zero = False
                 break
         if not assoc_zero:
@@ -703,15 +679,15 @@ def check_magic_and_derivations(
             u = sections[2 * k]
             v = sections[2 * k + 1]
             om1 = rng_forms1[k]
-            lhs = _leibniz(ctx, u, _leibniz(ctx, v, om1, kind), kind)
-            rhs = _leibniz(ctx, v, _leibniz(ctx, u, om1, kind), kind)
-            uv = ctx.bracket(u, v, kind)
-            rhs = rhs.add(_leibniz(ctx, uv, om1, kind))
+            lhs = _leibniz(ctx, B, u, _leibniz(ctx, B, v, om1))
+            rhs = _leibniz(ctx, B, v, _leibniz(ctx, B, u, om1))
+            uv = ctx.bracket(u, v, B)
+            rhs = rhs.add(_leibniz(ctx, B, uv, om1))
             for idx, val in lhs.sub(rhs).comp.items():
                 residuals[("lie-commutator", kind, k) + idx] = val
             if kind == "projected":
-                dlie = _e_exterior(ctx, _leibniz(ctx, v, om1, kind), "projected")
-                lied = _leibniz(ctx, v, _e_exterior(ctx, om1, "projected"), kind)
+                dlie = _e_exterior(ctx, B, _leibniz(ctx, B, v, om1))
+                lied = _leibniz(ctx, B, v, _e_exterior(ctx, B, om1))
                 for idx, val in dlie.sub(lied).comp.items():
                     residuals[("d-commute", kind, k) + idx] = val
     return report_from_residuals("magic-and-derivations", residuals, assumptions)
@@ -732,23 +708,22 @@ def check_square_laws(
     """
     ctx = GeometryContext(A, conn)
     _require_admissible(ctx)
-    if A.proj is None:
-        raise ProjectorRequiredError("square laws need a projector")
+    P = ctx.algebroid("projected")
     residuals: dict[tuple, Scalar] = {}
     rng = random.Random(seed)
     for k in range(samples):
         f = random_scalar(rng, A.dim, degree, terms=3)
-        ddf = _e_exterior(ctx, _e_exterior(ctx, f, "projected"), "projected")
+        ddf = _e_exterior(ctx, P, _e_exterior(ctx, P, f))
         for idx, v in ddf.comp.items():
             residuals[("ddf", k) + idx] = v
     forms = seeded_forms(A, seed + 1, samples, 1, degree)
     sections = seeded_sections(A, seed + 2, 3 * samples, degree)
     for k in range(samples):
         omega = forms[k]
-        dd = _e_exterior(ctx, _e_exterior(ctx, omega, "projected"), "projected")
+        dd = _e_exterior(ctx, P, _e_exterior(ctx, P, omega))
         u, v, w = sections[3 * k : 3 * k + 3]
         lhs = dd.apply([u, v, w]) if dd.degree <= A.rank else A.zero()
-        assoc = _associator(ctx, "projected", u, v, w)
+        assoc = _associator(ctx, P, u, v, w)
         rhs = -omega.apply([assoc])
         val = lhs - rhs
         if not val.is_zero():

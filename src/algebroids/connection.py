@@ -9,32 +9,36 @@ duplicate.  A covariant derivative is sum_b v^b D_{X_b} on a (q, s)
 tensor, a section being the (1, 0) tensor of its components.
 
 ``GeometryContext`` holds the values that depend only on one (algebroid,
-connection) pair: the admissibility report, the anholonomies, both
-torsions, the curvature and the algebroid of each bracket kind, computed
-on first use.  Each bracket kind is ``core.bracket`` of an algebroid with
-the same anchor: the original reads (gamma, L), the modified (W, no L) and
-the projected (W^, (1 - P) L), with W and W^ the modified and projected
-anholonomies, gamma minus the frame corrections Gamma^e_da L^{c d}_{e b}
-(projected for W^) that the context's ``contraction`` holds.  A connection
-is admissible exactly when the modified bracket is anti-symmetric, that is
-when the symmetric part of W vanishes.  Torsion and the bracket of a
-connection are Gamma - Gamma^T combined with an anholonomy, read with the
-sparse-array algebra of ``core``; ``Metric.raised`` is the one index
-raising.  A public function builds a context when it is called.  The
-values of the last (algebroid, connection, term budget) a context was
-built for are kept for the next call on the same pair, and a public
-function returns its own copy of one.  Values that hold other sections or
-forms are memoized for one public call and dropped when it returns: the
-brackets, the anchor jets rho_d(x_e) that every bracket kind reads (all
-kinds share A's anchor), the covariant derivatives D_x y and, in
-``calculus``, the Leibniz and exterior derivatives.  So each section and
-form is differentiated at most once per call.
+connection) pair, computed on first use: the admissibility report, the
+frame corrections, the torsions, the curvature and the algebroid of each
+bracket kind.  ``GeometryContext.algebroid(kind)`` is the one place where a
+kind becomes structure, and the projected kind is refused, without a
+projector, where its frame corrections are built.  Public functions
+resolve the algebroid B of their kind once, and nothing below them takes a
+kind: the anholonomy of a kind is B.gamma, its torsion Gamma - Gamma^T -
+B.gamma and its bracket ``core.bracket`` of B.  A connection is admissible
+exactly when the modified bracket is anti-symmetric, that is when the
+symmetric part of the modified anholonomy vanishes.  Torsion and the
+bracket of a connection are read with the sparse-array algebra of
+``core``; ``Metric.raised`` is the one index raising.  A public function
+builds a context when it is called.  The values of the last (algebroid,
+connection, term budget) a context was built for are kept for the next
+call on the same pair, and a public function returns its own copy of one.
+So that no edit in place can meet a kept value, ``Connection.coeff``,
+``AlgebroidData.gamma`` and ``loc`` are read-only copies and ``Metric.g``
+is tuples.  Values that hold other sections or forms are memoized for one
+public call and dropped when it returns: the brackets, the anchor jets
+rho_d(x_e) that every bracket kind reads (all kinds share A's anchor), the
+covariant derivatives D_x y and, in ``calculus``, the Leibniz and exterior
+derivatives.  So each section and form is differentiated at most once per
+call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import combinations
+from types import MappingProxyType
 from typing import Literal, Sequence, Union
 
 from .core import (
@@ -72,6 +76,9 @@ class Connection:
         for idx in self.coeff:
             if len(idx) != 3 or not all(0 <= k < self.rank for k in idx):
                 raise ShapeError(f"bad connection index {idx}")
+        # a read-only copy: contexts reuse a pair's values while conn is the
+        # same object, so its coefficients must not change in place
+        object.__setattr__(self, "coeff", MappingProxyType(dict(self.coeff)))
 
     @classmethod
     def zero(cls, rank: int) -> Connection:
@@ -97,7 +104,7 @@ class Connection:
 class Metric:
     """Symmetric non-degenerate pairing with a cached exact inverse."""
 
-    def __init__(self, g: list[list[Scalar]]):
+    def __init__(self, g: Sequence[Sequence[Scalar]]):
         r = len(g)
         if r == 0:
             raise ShapeError("metric must have rank at least 1")
@@ -107,7 +114,7 @@ class Metric:
             for b in range(a + 1, r):
                 if not g[a][b].equals(g[b][a]):
                     raise ShapeError("metric must be symmetric")
-        self.g = [list(row) for row in g]
+        self.g = tuple(tuple(row) for row in g)
         try:
             self.ginv = invert_matrix(self.g)
         except SingularMatrixError:
@@ -234,7 +241,7 @@ def modified_anholonomy(
 ) -> SparseArray:
     """Anholonomy of the modified or projected modified bracket:
     gamma^c_ab minus the frame locality correction of the kind."""
-    return dict(GeometryContext(A, conn).anholonomy(kind))
+    return dict(GeometryContext(A, conn).algebroid(kind).gamma)
 
 
 def modified_bracket(
@@ -245,7 +252,8 @@ def modified_bracket(
     kind: DerivativeKind = "modified",
 ) -> Section:
     """[u, v] minus the locality correction L(e^a, D_{X_a} u, v)."""
-    return GeometryContext(A, conn).bracket(u, v, kind)
+    ctx = GeometryContext(A, conn)
+    return ctx.bracket(u, v, ctx.algebroid(kind))
 
 
 def torsion(
@@ -254,7 +262,8 @@ def torsion(
     kind: DerivativeKind = "modified",
 ) -> SparseArray:
     """Torsion components Gamma^a_bc - Gamma^a_cb - gamma(kind)^a_bc."""
-    return dict(GeometryContext(A, conn).torsion(kind))
+    ctx = GeometryContext(A, conn)
+    return dict(ctx.torsion(ctx.algebroid(kind)))
 
 
 def curvature(A: AlgebroidData, conn: Connection) -> SparseArray:
@@ -331,17 +340,22 @@ _pair_slot: tuple = (None, None, None, {})
 class GeometryContext:
     """Values of one (A, conn) pair, each computed on first use.
 
-    Each bracket kind is ``core.bracket`` of ``algebroid(kind)``: A, (gamma,
-    L), for "original"; (W, no L) for "modified"; (W^, (1 - P) L) for
-    "projected".  Written out, [u, v] - L(e^d, D_{X_d} u, v) is u^a v^b
-    W^c_ab + rho(u)(v^c) - rho(v)(u^c): the bracket's locality term cancels
-    against the rho_d(u^e) part of the correction, and projecting the
-    correction leaves (1 - P) of it.
+    ``algebroid(kind)`` is the one place where a bracket kind becomes
+    structure: A, (gamma, L), for "original"; (W, no L) for "modified";
+    (W^, (1 - P) L) for "projected", where W and W^ are gamma minus the
+    frame corrections ``contraction(kind)``.  Written out, [u, v] - L(e^d,
+    D_{X_d} u, v) is u^a v^b W^c_ab + rho(u)(v^c) - rho(v)(u^c): the
+    bracket's locality term cancels against the rho_d(u^e) part of the
+    correction, and projecting the correction leaves (1 - P) of it.  Every
+    other value of a kind is the plain value of its algebroid B: its
+    bracket is ``core.bracket`` of B, its anholonomy B.gamma and its
+    torsion Gamma - Gamma^T - B.gamma.  The projected kind is refused,
+    without a projector, where its contraction is built.
 
-    The values keyed by kind alone go to a pair store that later contexts
-    share: one slot per process keeps the store of the last pair, reused
-    when A and conn are that pair's objects (``is``) and the term budget is
-    the one it was built under.  Brackets, anchor jets and covariant
+    The values of the pair go to a pair store that later contexts share:
+    one slot per process keeps the store of the last pair, reused when A
+    and conn are that pair's objects (``is``) and the term budget is the
+    one it was built under.  Brackets, anchor jets and covariant
     derivatives of sections and forms, and the rho(v) parts of Leibniz
     derivatives, live as long as this context, one public call, in a memo
     keyed by object ids that holds the objects, so the ids stay unique.
@@ -380,20 +394,16 @@ class GeometryContext:
             return self.A
         return self._pair(("algebroid", kind), lambda: self._algebroid(kind))
 
-    def anholonomy(self, kind: DerivativeKind) -> SparseArray:
-        """gamma^c_ab minus the frame correction of the kind: the structure
-        functions of [X_a, X_b] of that kind."""
-        return self._pair(
-            ("anholonomy", kind), lambda: sparse_sub(self.A.gamma, self.contraction(kind))
-        )
-
     def contraction(self, kind: DerivativeKind) -> SparseArray:
         """The frame corrections L(e^d, D_{X_d} X_a, X_b) = Gamma^e_da
         L^{c d}_{e b} X_c, projected for "projected", keyed (c, a, b)."""
         return self._pair(("contraction", kind), lambda: self._contraction(kind))
 
-    def torsion(self, kind: DerivativeKind) -> SparseArray:
-        return self._pair(("torsion", kind), lambda: self._torsion(kind))
+    def torsion(self, B: AlgebroidData) -> SparseArray:
+        """Gamma - Gamma^T - B.gamma, the torsion of the kind whose algebroid
+        B is; B is one of ``algebroid``'s values, which the store or the
+        slot keeps alive, so its id stays unique."""
+        return self._pair(("torsion", id(B)), lambda: self._torsion(B))
 
     def curvature(self) -> SparseArray:
         return self._pair("curvature", self._curvature)
@@ -402,11 +412,11 @@ class GeometryContext:
         """The anchor jet rho_d(x_e) of a section or form (``anchor_jet``)."""
         return self._cached(("jet", id(x)), lambda: anchor_jet(self.A, x), x)
 
-    def bracket(self, u: Section, v: Section, kind: BracketKind) -> Section:
-        """The original, modified or projected bracket of u and v."""
-        return self._cached((id(u), id(v), kind), lambda: bracket(
-            self.algebroid(kind), u, v, self.jet(u), self.jet(v)
-        ), u, v)
+    def bracket(self, u: Section, v: Section, B: AlgebroidData) -> Section:
+        """[u, v] in B, the algebroid of a bracket kind."""
+        return self._cached((id(u), id(v), id(B)), lambda: bracket(
+            B, u, v, self.jet(u), self.jet(v)
+        ), u, v, B)
 
     def covariant(self, x: Section, y: Section) -> Section:
         """D_x y, by ``covariant_derivative``."""
@@ -414,10 +424,10 @@ class GeometryContext:
             ("D", id(x), id(y)), lambda: covariant_derivative(self.A, self.conn, x, y), x, y
         )
 
-    def frame_brackets(self, v: Section, kind: BracketKind) -> list[Section]:
-        """[v, X_a] of the given kind for every frame index a."""
+    def frame_brackets(self, v: Section, B: AlgebroidData) -> list[Section]:
+        """[v, X_a] in B for every frame index a."""
         return self._cached(
-            (id(v), kind), lambda: [self.bracket(v, x, kind) for x in self.frames], v
+            (id(v), id(B)), lambda: [self.bracket(v, x, B) for x in self.frames], v, B
         )
 
     def anchor_derivatives(self, v: Section, form: EForm) -> dict[tuple, Scalar]:
@@ -434,22 +444,19 @@ class GeometryContext:
         """The report of ``check_admissible``: the symmetric part of the
         modified anholonomy, keyed (c, a, b) with a <= b."""
         return report_from_residuals(
-            "admissible", symmetric_part(self.anholonomy("modified"))
+            "admissible", symmetric_part(self.algebroid("modified").gamma)
         )
 
     def _algebroid(self, kind: DerivativeKind) -> AlgebroidData:
         A = self.A
-        gamma = self.anholonomy(kind)  # refuses "projected" without a projector
+        gamma = sparse_sub(A.gamma, self.contraction(kind))
         if not A.loc:
-            return A
+            # the bracket is A's: A itself, unless its gamma holds zeros
+            return A if len(gamma) == len(A.gamma) else replace(A, gamma=gamma)
         loc: SparseArray = {}
         if kind == "projected":
             # (1 - P) L: each column L^{. d}_{e b} minus its projection
-            for d, e, b in sorted({idx[1:] for idx in A.loc}):
-                column = Section(tuple(A.loc.get((c, d, e, b), A.zero()) for c in range(A.rank)))
-                for c, val in enumerate(column.sub(project_section(A, column)).comp):
-                    if not val.is_zero():
-                        loc[(c, d, e, b)] = val
+            loc = _map_columns(A, A.loc, lambda x: x.sub(project_section(A, x)))
         return replace(A, gamma=gamma, loc=loc)
 
     def _contraction(self, kind: DerivativeKind) -> SparseArray:
@@ -463,26 +470,16 @@ class GeometryContext:
         if kind == "modified":
             return _frame_contraction(A, self.conn)
         # the projection of each column C^._ab of the modified contraction
-        modified = self.contraction("modified")
-        out: SparseArray = {}
-        for a in range(A.rank):
-            for b in range(A.rank):
-                column = Section(tuple(modified.get((c, a, b), A.zero()) for c in range(A.rank)))
-                for c, val in enumerate(project_section(A, column).comp):
-                    if not val.is_zero():
-                        out[(c, a, b)] = val
-        return out
+        return _map_columns(A, self.contraction("modified"), lambda x: project_section(A, x))
 
-    def _torsion(self, kind: DerivativeKind) -> SparseArray:
+    def _torsion(self, B: AlgebroidData) -> SparseArray:
         coeff = self.conn.coeff
         skew = sparse_sub(coeff, transposed(coeff))
-        return dict(sorted(sparse_sub(skew, self.anholonomy(kind)).items()))
+        return dict(sorted(sparse_sub(skew, B.gamma).items()))
 
     def _curvature(self) -> SparseArray:
         A, conn = self.A, self.conn
-        if A.proj is None:
-            raise ProjectorRequiredError("curvature requires a locality projector")
-        anhol = self.anholonomy("projected")
+        anhol = self.algebroid("projected").gamma
         r = A.rank
         out: SparseArray = {}
         for a in range(r):
@@ -510,6 +507,19 @@ class GeometryContext:
                         if not acc.is_zero():
                             out[(a, b, c, d)] = acc
         return out
+
+
+def _map_columns(A: AlgebroidData, x: SparseArray, f) -> SparseArray:
+    """f of each nonzero column x^._rest of an array keyed (c, *rest), as
+    a section, keyed back (c, *rest) in sorted (rest, c) order, zeros
+    omitted."""
+    out: SparseArray = {}
+    for rest in sorted({idx[1:] for idx in x}):
+        column = Section(tuple(x.get((c,) + rest, A.zero()) for c in range(A.rank)))
+        for c, val in enumerate(f(column).comp):
+            if not val.is_zero():
+                out[(c,) + rest] = val
+    return out
 
 
 def _frame_contraction(A: AlgebroidData, conn: Connection) -> SparseArray:
@@ -560,7 +570,7 @@ def check_anholonomy_decomposition(A: AlgebroidData, conn: Connection) -> CheckR
     contraction, zero exactly when the splitting hypothesis holds).
     """
     ctx = GeometryContext(A, conn)
-    anhol = ctx.anholonomy("modified")
+    anhol = ctx.algebroid("modified").gamma
     lc = ctx.contraction("modified")
     groups = {
         "reconstruction": sparse_sub(sparse_sub(A.gamma, anhol), lc),

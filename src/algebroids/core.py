@@ -39,6 +39,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 from .errors import PoleError, ProjectorRequiredError, ShapeError
 from .linalg import invert_matrix, kernel_basis
@@ -110,6 +111,10 @@ class AlgebroidData:
             or any(len(row) != self.rank for row in self.proj)
         ):
             raise ShapeError("projector must be a rank x rank matrix")
+        # read-only copies: contexts reuse a pair's values while A is the
+        # same object, so its structure must not change in place
+        object.__setattr__(self, "gamma", MappingProxyType(dict(self.gamma)))
+        object.__setattr__(self, "loc", MappingProxyType(dict(self.loc)))
 
     # -- scalar helpers ------------------------------------------------
 

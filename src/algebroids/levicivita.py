@@ -259,8 +259,9 @@ def decompose_connection(
         raise AdmissibilityError(
             "decomposition requires an admissible connection", adm.residuals
         )
-    lc = levicivita_frame(A, ctx.anholonomy("modified"), metric)
-    tor = ctx.torsion("modified")
+    modified = ctx.algebroid("modified")
+    lc = levicivita_frame(A, modified.gamma, metric)
+    tor = ctx.torsion(modified)
     q = non_metricity(A, conn, metric)
     zero = A.zero()
 
@@ -315,7 +316,8 @@ def check_levicivita_props(
     ctx = GeometryContext(A, conn)
     adm = ctx.admissibility().passed
     kres = koszul_residual(A, conn, metric)
-    tor = ctx.torsion("modified")
+    modified = ctx.algebroid("modified")
+    tor = ctx.torsion(modified)
     q = non_metricity(A, conn, metric)
     koszul_ok = not kres
     torsion_free = not tor
@@ -348,8 +350,8 @@ def check_levicivita_props(
         for k, (u, v, w) in enumerate(triples):
             # (L^mod_v g)(u, w) = rho(v)(g(u,w)) - g([v,u]^mod, w) - g(u, [v,w]^mod)
             lhs = A.section_derive(v, metric.inner(u, w))
-            lhs = lhs - metric.inner(ctx.bracket(v, u, "modified"), w)
-            lhs = lhs - metric.inner(u, ctx.bracket(v, w, "modified"))
+            lhs = lhs - metric.inner(ctx.bracket(v, u, modified), w)
+            lhs = lhs - metric.inner(u, ctx.bracket(v, w, modified))
             rhs = metric.inner(covariant_derivative(A, conn, u, v), w)
             rhs = rhs + metric.inner(u, covariant_derivative(A, conn, w, v))
             val = lhs - rhs

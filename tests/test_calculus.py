@@ -38,7 +38,6 @@ from algebroids import (
 )
 from algebroids.calculus import (
     _bianchi,
-    _complement_terms,
     _nested_brackets,
     curvature_apply,
     second_covariant,
@@ -338,9 +337,33 @@ def test_bianchi_fails_on_a_corrupted_curvature_entry(kind):
     key = (0, 0, 1, 2)
     curv[key] = curv.get(key, A.zero()) + A.one()
     ctx._pair_store["curvature"] = curv
-    residuals = _bianchi(ctx, kind)
+    residuals = _bianchi(ctx, ctx.algebroid(kind), ctx.algebroid("projected"))
     assert {at[0] for at in residuals} == {"first", "second"}
     assert all(not v.is_zero() for v in residuals.values())
+
+
+@pytest.mark.parametrize("member", range(3))
+def test_general_bianchi_passes_where_the_complement_is_nonzero(member):
+    # C = [., .]^proj - [., .]^mod is nonzero on frames for every
+    # torsion-free connection of the standard Courant algebroid of dimension 2
+    A, conn = courant2_torsion_free(3 + member)
+    assert check_admissible(A, conn).passed and not torsion(A, conn, "modified")
+    ctx = GeometryContext(A, conn)
+    assert ctx.algebroid("modified").gamma != ctx.algebroid("projected").gamma
+    for form in ("projected", "general"):
+        assert check_bianchi_algebraic(A, conn, form).passed
+
+
+def test_general_bianchi_fails_on_a_corrupted_curvature_entry_where_the_complement_is_nonzero():
+    A, conn = courant2_torsion_free(3)
+    ctx = GeometryContext(A, conn)
+    curv = dict(ctx.curvature())
+    key = (0, 0, 1, 2)
+    curv[key] = curv.get(key, A.zero()) + A.one()
+    ctx._pair_store["curvature"] = curv
+    report = check_bianchi_algebraic(A, conn, "general")
+    assert not report.passed
+    assert {at[0] for at, _ in report.residuals} == {"first", "second"}
 
 
 def test_bianchi_differential_cases(tangent2, courant2):
@@ -497,9 +520,9 @@ def test_bianchi_builds_each_bracket_algebroid_once(form, monkeypatch):
     tables = record_calls(monkeypatch, connection_module, "covariant_table")
     for _ in range(2):
         check_bianchi_algebraic(A, fx.connection, form)
-    # the general form reads the (1 - P) terms off the projected bracket
-    kinds = ["modified", "projected"] if form == "general" else ["projected"]
-    assert sorted(kind for _, kind in built) == kinds
+    # the admissibility gate reads the modified algebroid, and the general
+    # form reads its (1 - P) terms off the projected bracket
+    assert sorted(kind for _, kind in built) == ["modified", "projected"]
     # no bracket builds a D table: the only covariant tables are those of
     # the torsion and the curvature, once per call
     assert [(t[2].q, t[2].s) for t in tables] == [(1, 2), (1, 3)] * 2
@@ -510,22 +533,43 @@ def test_bianchi_builds_each_bracket_algebroid_once(form, monkeypatch):
 
 def per_triple_bianchi(ctx, kind):
     """The algebraic Bianchi residuals summed triple by triple, each cyclic
-    term evaluated again in every triple (b, c, d) whose rotations hold it."""
+    term evaluated again in every triple (b, c, d) whose rotations hold it.
+    For the modified kind the locality terms of C(x, y) = [x, y]^proj -
+    [x, y]^mod are written out from the public brackets: - D_{C(u, v)} w in
+    the first identity, and - R(u, C(v, w)) e' + D_{[C(u, v), w]^mod +
+    C([u, v]^proj, w)} e' in the second."""
     A, conn = ctx.A, ctx.conn
     r = A.rank
+    B = ctx.algebroid(kind)
     residuals = {}
     curv = ctx.curvature()
-    tor = ctx.torsion(kind)
+    tor = ctx.torsion(B)
     nabla_t = covariant_table(A, conn, ETensor(1, 2, r, A.dim, tor))
     nabla_r = covariant_table(A, conn, ETensor(1, 3, r, A.dim, curv))
-    inners, left = _nested_brackets(ctx, kind)
+    inners, left = _nested_brackets(ctx, B)
     right = {
-        (b, c, d): ctx.bracket(ctx.frames[b], inners[(c, d)], kind)
+        (b, c, d): ctx.bracket(ctx.frames[b], inners[(c, d)], B)
         for (b, c, d) in itertools.product(range(r), repeat=3)
     }
-    first_local, second_local = (
-        _complement_terms(ctx, inners) if kind == "modified" else ({}, {})
-    )
+    X = ctx.frames
+
+    def brackets(x, y, k):
+        return ctx.bracket(x, y, ctx.algebroid(k))
+
+    def C(x, y):
+        if kind == "projected":
+            return Section.zero(A)
+        return brackets(x, y, "projected").sub(brackets(x, y, "modified"))
+
+    def first_local(u, v, w):
+        return covariant_derivative(A, conn, C(X[u], X[v]), X[w]).comp
+
+    def second_local(u, v, w, e2):
+        shift = brackets(C(X[u], X[v]), X[w], "modified").add(
+            C(brackets(X[u], X[v], "projected"), X[w])
+        )
+        along = covariant_derivative(A, conn, shift, X[e2])
+        return along.sub(curvature_apply(A, curv, X[u], C(X[v], X[w]), X[e2])).comp
 
     def cyclic(b, c, d):
         return [(b, c, d), (c, d, b), (d, b, c)]
@@ -538,8 +582,7 @@ def per_triple_bianchi(ctx, kind):
             for e in range(r):
                 if (e, u, v) in tor and (a, e, w) in tor:
                     rhs = rhs + tor[(e, u, v)] * tor[(a, e, w)]
-            if (u, v, w) in first_local:
-                rhs = rhs + first_local[(u, v, w)].comp[a]
+            rhs = rhs - first_local(u, v, w)[a]
             rhs = rhs + right[(u, v, w)].comp[a]
         if not (lhs - rhs).is_zero():
             residuals[("first", a, b, c, d)] = lhs - rhs
@@ -552,11 +595,21 @@ def per_triple_bianchi(ctx, kind):
                     rhs = rhs + tor[(f, v, w)] * curv[(a, u, f, e2)]
                 if (a, f, e2) in conn.coeff:
                     rhs = rhs + left[(u, v, w)].comp[f] * conn.coeff[(a, f, e2)]
-            if (u, v, w, e2) in second_local:
-                rhs = rhs + second_local[(u, v, w, e2)].comp[a]
+            rhs = rhs + second_local(u, v, w, e2)[a]
         if not (lhs - rhs).is_zero():
             residuals[("second", a, b, c, d, e2)] = lhs - rhs
     return residuals
+
+
+def courant2_torsion_free(weights_seed: int):
+    """A torsion-free member of the affine space of ``solve_torsion_free``
+    on the standard Courant algebroid of dimension 2, with integer weights;
+    admissible, and its complement C = [., .]^proj - [., .]^mod is nonzero
+    on frames."""
+    A = make_example("courant_standard", n=2).algebroid
+    space = solve_torsion_free(A)
+    rng = random.Random(weights_seed)
+    return A, space.member([rng.randint(-3, 3) for _ in range(space.dim)])
 
 
 @pytest.mark.parametrize("kind", ["modified", "projected"])
@@ -566,7 +619,25 @@ def test_bianchi_terms_read_once_match_the_per_triple_loop_on_failing_input(seed
     A = fx.algebroid
     ctx = GeometryContext(A, pushed_off(A, fx.connection))
     assert not ctx.admissibility().passed
-    got, want = _bianchi(ctx, kind), per_triple_bianchi(ctx, kind)
+    B, P = ctx.algebroid(kind), ctx.algebroid("projected")
+    got, want = _bianchi(ctx, B, P), per_triple_bianchi(ctx, kind)
+    assert got and list(got) == list(want)
+    assert all(got[key].equals(want[key]) for key in want)
+
+
+@pytest.mark.parametrize("kind", ["modified", "projected"])
+def test_bianchi_terms_read_once_match_the_per_triple_loop_where_the_complement_is_nonzero(kind):
+    A, conn = courant2_torsion_free(3)
+    ctx = GeometryContext(A, conn)
+    M, P = ctx.algebroid("modified"), ctx.algebroid("projected")
+    assert M.gamma != P.gamma
+    # one coefficient off: the connection is no longer torsion-free, and the
+    # curvature gains terms
+    coeff = dict(conn.coeff)
+    coeff[(0, 1, 2)] = coeff.get((0, 1, 2), A.zero()) + A.one()
+    ctx = GeometryContext(A, Connection.of(A.rank, coeff))
+    got = _bianchi(ctx, ctx.algebroid(kind), ctx.algebroid("projected"))
+    want = per_triple_bianchi(ctx, kind)
     assert got and list(got) == list(want)
     assert all(got[key].equals(want[key]) for key in want)
 
@@ -581,7 +652,7 @@ def test_memoized_derivatives_of_the_magic_suite_are_fresh_values(monkeypatch):
     # memo that ignored the kind would be seen
     A = bracket_from_connection(make_example("courant_standard", n=1).algebroid, conn)
     ctx = GeometryContext(A, conn)
-    assert ctx.anholonomy("modified") != ctx.anholonomy("projected")
+    assert ctx.algebroid("modified").gamma != ctx.algebroid("projected").gamma
     served = {"_leibniz": [], "_e_exterior": []}
     for name, calls in served.items():
         def recording(ctx, *args, original=getattr(calculus_module, name), calls=calls):
@@ -592,9 +663,12 @@ def test_memoized_derivatives_of_the_magic_suite_are_fresh_values(monkeypatch):
         monkeypatch.setattr(calculus_module, name, recording)
     check_magic_and_derivations(A, conn, 0, 2)
     monkeypatch.undo()
+    # the kind of each algebroid the suite passed down, from the pair store
+    # the suite left
+    kind_of = {id(ctx.algebroid(k)): k for k in ("original", "modified", "projected")}
     fresh = {
-        "_leibniz": lambda v, target, kind: leibniz_derivative(A, conn, v, target, kind),
-        "_e_exterior": lambda omega, kind: e_exterior_derivative(A, conn, omega, kind),
+        "_leibniz": lambda B, v, target: leibniz_derivative(A, conn, v, target, kind_of[id(B)]),
+        "_e_exterior": lambda B, omega: e_exterior_derivative(A, conn, omega, kind_of[id(B)]),
     }
     for name, calls in served.items():
         # some (section, form, kind) is requested more than once

@@ -1,10 +1,13 @@
 """Covariant derivatives, modified structures, torsion, curvature,
 non-metricity, admissibility, and the connection-to-bracket map."""
 
+import ast
 import dataclasses
 import functools
 import itertools
+import operator
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -41,6 +44,7 @@ from algebroids import (
     set_term_budget,
     torsion,
 )
+import algebroids.calculus as calculus_module
 import algebroids.connection as connection_module
 from algebroids.calculus import (
     associator,
@@ -50,6 +54,7 @@ from algebroids.calculus import (
     check_magic_and_derivations,
     check_ricci,
     check_square_laws,
+    e_exterior_derivative,
     leibniz_derivative,
     seeded_sections,
 )
@@ -474,16 +479,46 @@ def test_projected_kind_without_a_projector_is_refused(with_locality):
         loc={(0, 0, 0, 0): one} if with_locality else {},
     )
     conn = Connection.zero(1)
+    assert check_admissible(A, conn).passed
     u = Section((Scalar.variable(1, 0),))
+    f = Scalar.variable(1, 0)
     calls = [
         lambda: modified_bracket(A, conn, u, u, "projected"),
         lambda: associator(A, "projected", u, u, u, conn),
         lambda: modified_anholonomy(A, conn, "projected"),
         lambda: leibniz_derivative(A, conn, u, u, "projected"),
+        lambda: curvature(A, conn),
+        # the suites that need a projector, with no section drawn
+        lambda: check_cartan_structure(A, conn),
+        lambda: check_bianchi_algebraic(A, conn, "projected", samples=0),
+        lambda: check_bianchi_algebraic(A, conn, "general", samples=0),
+        lambda: check_bianchi_differential(A, conn),
+        lambda: check_ricci(A, conn, samples=0),
+        lambda: check_magic_and_derivations(A, conn, samples=0),
+        lambda: check_square_laws(A, conn, samples=0),
+        # the scalar shortcuts come after the kind is resolved
+        lambda: e_exterior_derivative(A, conn, f, "projected"),
+        lambda: leibniz_derivative(A, conn, u, f, "projected"),
     ]
     for call in calls:
         with pytest.raises(ProjectorRequiredError):
             call()
+
+
+def test_one_site_raises_the_projector_refusal():
+    # the projected kind is refused where its contraction is built, and
+    # nowhere else in the two modules that resolve kinds
+    sites = []
+    for module in (calculus_module, connection_module):
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        sites += [
+            (module.__name__, node.lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Raise)
+            and isinstance(node.exc, ast.Call)
+            and getattr(node.exc.func, "id", None) == "ProjectorRequiredError"
+        ]
+    assert len(sites) == 1, sites
 
 
 def test_modified_kinds_need_a_connection_only_with_locality():
@@ -495,13 +530,13 @@ def test_modified_kinds_need_a_connection_only_with_locality():
             proj=((one,),),
         )
         ctx = GeometryContext(A, None)
-        plain = ctx.bracket(u, u, "original")
+        plain = ctx.bracket(u, u, A)
         for kind in ("modified", "projected"):
             if loc:
                 with pytest.raises(ShapeError, match="modified brackets need a connection"):
-                    ctx.bracket(u, u, kind)
+                    ctx.bracket(u, u, ctx.algebroid(kind))
             else:
-                assert ctx.bracket(u, u, kind) == plain
+                assert ctx.bracket(u, u, ctx.algebroid(kind)) == plain
 
 
 # -- bracket from a connection ----------------------------------------------
@@ -618,8 +653,8 @@ def test_context_builds_each_bracket_algebroid_once_and_no_covariant_table(monke
     for _ in range(2):
         ctx = GeometryContext(A, conn)
         for kind in ("original", "modified", "projected"):
-            ctx.bracket(u, v, kind)
-            ctx.bracket(v, u, kind)
+            ctx.bracket(u, v, ctx.algebroid(kind))
+            ctx.bracket(v, u, ctx.algebroid(kind))
     modified_bracket(A, conn, u, v, "projected")
     assert [kind for _, kind in built] == ["modified", "projected"]
     assert tables == []
@@ -639,7 +674,7 @@ def test_context_kinds_are_the_plain_bracket_minus_the_correction():
     }
     ctx = GeometryContext(A, conn)
     for kind, want in expected.items():
-        got = ctx.bracket(u, v, kind)
+        got = ctx.bracket(u, v, ctx.algebroid(kind))
         # structural equality: the same numerators and denominators
         assert [(c.num, c.den) for c in got.comp] == [(c.num, c.den) for c in want.comp]
 
@@ -673,12 +708,12 @@ def test_anholonomy_is_the_frame_bracket():
         A = rational_projector(fx.algebroid)
         ctx = GeometryContext(A, fx.connection)
         for kind in ("modified", "projected"):
-            anhol = ctx.anholonomy(kind)
+            B = ctx.algebroid(kind)
             for a, x in enumerate(ctx.frames):
                 for b, y in enumerate(ctx.frames):
-                    br = ctx.bracket(x, y, kind)
+                    br = ctx.bracket(x, y, B)
                     for c in range(A.rank):
-                        got = anhol.get((c, a, b), A.zero())
+                        got = B.gamma.get((c, a, b), A.zero())
                         # structural equality: the same printed text
                         assert (got.num, got.den) == (br.comp[c].num, br.comp[c].den)
                         checked += 1
@@ -811,7 +846,7 @@ def test_each_bracket_kind_is_its_definition():
             }
             for kind, subtracted in expected.items():
                 want = bracket(A, u, v).sub(subtracted)
-                got = ctx.bracket(u, v, kind)
+                got = ctx.bracket(u, v, ctx.algebroid(kind))
                 assert all(x.equals(y) for x, y in zip(got.comp, want.comp)), kind
                 checked += 1
     assert checked == 36 and not_admissible >= 6
@@ -822,13 +857,14 @@ def test_modified_bracket_has_no_locality_term():
     rng = random.Random(17)
     for A, conn in bracket_definition_cases():
         ctx = GeometryContext(A, conn)
+        M = ctx.algebroid("modified")
         u, v = random_section(rng, A, 1), random_section(rng, A, 1)
         f = random_scalar(rng, A.dim, 2)
-        uv = ctx.bracket(u, v, "modified")
+        uv = ctx.bracket(u, v, M)
         left = uv.scale(f).sub(u.scale(A.section_derive(v, f)))
         right = uv.scale(f).add(v.scale(A.section_derive(u, f)))
-        for got, want in ((ctx.bracket(u.scale(f), v, "modified"), left),
-                          (ctx.bracket(u, v.scale(f), "modified"), right)):
+        for got, want in ((ctx.bracket(u.scale(f), v, M), left),
+                          (ctx.bracket(u, v.scale(f), M), right)):
             assert all(x.equals(y) for x, y in zip(got.comp, want.comp))
 
 
@@ -914,7 +950,33 @@ def test_jet_bracket_is_the_leibniz_rule_bracket(case, seed, rational):
     for kind in ("original", "modified", "projected"):
         B = ctx.algebroid(kind)
         for x, y in pairs:
-            assert texts(A, ctx.bracket(x, y, kind).comp) == texts(A, leibniz_rule_bracket(B, x, y))
+            assert texts(A, ctx.bracket(x, y, B).comp) == texts(A, leibniz_rule_bracket(B, x, y))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(case=st.integers(0, 3), seed=st.integers(0, 2**16), rational=st.booleans())
+def test_each_kind_is_a_fixed_point_of_its_own_algebroid(case, seed, rational):
+    # every value of a kind is the plain value of B = algebroid(kind); the
+    # rational-projector fixture is left out, its projected brackets take
+    # half a minute
+    A = locality_algebroids()[case]
+    conn = random_connection(random.Random(seed), A, rational)
+    ctx = GeometryContext(A, conn)
+
+    def same(x, y):
+        return x.keys() == y.keys() and all(x[k].equals(y[k]) for k in x)
+
+    for kind in ("original", "modified", "projected"):
+        B = ctx.algebroid(kind)
+        again = GeometryContext(B, conn).algebroid(kind)
+        assert same(again.gamma, B.gamma) and same(again.loc, B.loc)
+        if kind != "original":
+            assert same(torsion(A, conn, kind), torsion(B, conn, kind))
+            assert same(modified_anholonomy(B, conn, kind), B.gamma)
+    # the anchor is a bracket morphism only for the projected bracket, so
+    # only its algebroid keeps A's curvature
+    B = ctx.algebroid("projected")
+    assert same(curvature(A, conn), curvature(B, conn))
 
 
 # -- the pair store shared by consecutive contexts ----------------------------
@@ -984,6 +1046,35 @@ def test_an_edited_result_does_not_reach_the_next_call():
     assert report.passed
     report.residuals.append(((0, 0, 0), A.one()))
     assert check_admissible(A, conn).residuals == []
+
+
+def test_an_edited_input_raises_and_never_meets_an_old_verdict():
+    # the slot reuses a pair's values while A and conn are the same
+    # objects, so their data cannot change in place
+    A = make_example("courant_standard", n=1).algebroid
+    coeff = {}
+    conn = Connection(A.rank, coeff)
+    metric = Metric([[A.one(), A.zero()], [A.zero(), A.one()]])
+    assert check_admissible(A, conn).passed and not torsion(A, conn, "modified")
+    edits = [
+        lambda: operator.setitem(conn.coeff, (0, 0, 1), A.const(5)),
+        lambda: conn.coeff.update({(0, 0, 1): A.const(5)}),
+        lambda: operator.setitem(A.gamma, (0, 0, 0), A.one()),
+        lambda: A.loc.clear(),
+        lambda: operator.setitem(metric.g[0], 0, A.const(2)),
+        lambda: operator.setitem(metric.g, 0, (A.zero(), A.one())),
+    ]
+    for edit in edits:
+        with pytest.raises((TypeError, AttributeError)):
+            edit()
+    # the connection holds a copy of the dict it was built from, so a
+    # verdict built afresh is the one the store kept
+    coeff[(0, 0, 1)] = A.const(5)
+    clear_slot()
+    assert check_admissible(A, conn).passed and not torsion(A, conn, "modified")
+    edited = Connection(A.rank, coeff)
+    assert not check_admissible(A, edited).passed
+    assert len(torsion(A, edited, "modified")) == 3
 
 
 def test_a_lower_budget_is_not_met_from_the_store():

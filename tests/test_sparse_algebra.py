@@ -337,13 +337,13 @@ def _pairing_cases():
 def test_connection_formulas_match_the_loops_they_replaced(case):
     _, A, conn, metric = case
     ctx = GeometryContext(A, conn)
-    anhol, lc = ctx.anholonomy("modified"), ctx.contraction("modified")
+    anhol, lc = ctx.algebroid("modified").gamma, ctx.contraction("modified")
     assert _same_residuals(
         check_admissible(A, conn).residuals,
         list(_reference_admissibility(A, lc).items()),
     )
     for kind in ("modified", "projected") if A.proj is not None else ("modified",):
-        want = _reference_torsion(A, conn, ctx.anholonomy(kind))
+        want = _reference_torsion(A, conn, ctx.algebroid(kind).gamma)
         got = torsion(A, conn, kind)
         assert _same_sparse(got, want) and list(got) == list(want)
     amap = locality_contraction(A, conn)
@@ -358,7 +358,7 @@ def test_connection_formulas_match_the_loops_they_replaced(case):
     assert _same_sparse(lc_conn.coeff, _reference_levicivita_frame(A, anhol, metric))
     got_lc, contortion, disformation, report = decompose_connection(A, conn, metric)
     want_t, want_q, want_res = _reference_decomposition(
-        A, conn, metric, lc_conn.coeff, ctx.torsion("modified")
+        A, conn, metric, lc_conn.coeff, ctx.torsion(ctx.algebroid("modified"))
     )
     assert _same_sparse(contortion, want_t) and list(contortion) == list(want_t)
     assert _same_sparse(disformation, want_q) and list(disformation) == list(want_q)
@@ -373,13 +373,13 @@ def test_pairing_formulas_match_the_loops_they_replaced(case):
     conn = _compatible_connection(A, g, theta)
     ctx = GeometryContext(A, conn)
     assert ctx.admissibility().passed
-    anhol = ctx.anholonomy("modified")
+    anhol = ctx.algebroid("modified").gamma
     assert _same_sparse(
         levicivita_frame(A, anhol, g).coeff, _reference_levicivita_frame(A, anhol, g)
     )
     lc, contortion, disformation, report = decompose_connection(A, conn, g)
     want_t, want_q, want_res = _reference_decomposition(
-        A, conn, g, lc.coeff, ctx.torsion("modified")
+        A, conn, g, lc.coeff, ctx.torsion(ctx.algebroid("modified"))
     )
     assert _same_sparse(contortion, want_t)
     assert _same_sparse(disformation, want_q)
