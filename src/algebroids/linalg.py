@@ -6,8 +6,11 @@ nonzero-ness: an entry is a usable pivot iff it is not identically zero,
 with constant and short entries preferred to limit expression swell.
 Pointwise (numeric) pivoting would be unsound at poles.  Most rows of the
 geometric systems have no entry in a given pivot column; such a row only
-gains the factor pivot / previous pivot, so it is kept as it is when the
-two are equal.
+gains the factor pivot / previous pivot, so it is kept as it is when that
+factor is a constant.  Every work row is then a nonzero rational constant
+times the row an eager loop (one that rescales every row) would hold: the
+pivot order and the solutions do not see the constant, and the witness of
+an infeasible system has it divided out.
 
 Rows are kept sparse (dict column -> Scalar) because the geometric systems
 assembled elsewhere touch only a handful of unknowns per equation.
@@ -19,6 +22,8 @@ the homogeneous system.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
+from math import gcd
 
 from .errors import ShapeError, SingularMatrixError
 from .scalars import Poly, Scalar
@@ -89,10 +94,36 @@ def _clear_row(
     return {c: cleared(v) for c, v in items}, cleared(rhs)
 
 
+def _times(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """The product of two nonzero rationals held as reduced (numerator,
+    denominator) pairs, with a positive denominator."""
+    num, den = a[0] * b[0], a[1] * b[1]
+    if den < 0:
+        num, den = -num, -den
+    g = gcd(num, den)
+    return num // g, den // g
+
+
+def _check_row(
+    coeffs: dict[int, Scalar], rhs: Scalar, nunknowns: int, nvars: int
+) -> None:
+    for c, v in coeffs.items():
+        if not 0 <= c < nunknowns:
+            raise ShapeError(f"column {c} out of range for {nunknowns} unknowns")
+        if v.nvars != nvars:
+            raise ShapeError(
+                f"entry in column {c} has {v.nvars} coordinates, not {nvars}"
+            )
+    if rhs.nvars != nvars:
+        raise ShapeError(f"right side has {rhs.nvars} coordinates, not {nvars}")
+
+
 def solve_affine(
     rows: list[tuple[dict[int, Scalar], Scalar]], nunknowns: int, nvars: int
 ) -> LinearSolution:
     """Solve A x = b given as sparse rows (coefficient dict, right side).
+    Raises ``ShapeError`` for a column outside 0 .. nunknowns - 1, or an
+    entry or right side over other than ``nvars`` coordinates.
 
     Forward elimination is fraction-free (one-step Bareiss): rows are
     cleared to polynomial entries and every update
@@ -102,11 +133,17 @@ def solve_affine(
 
     divides exactly, so intermediate entries are minors of the original
     matrix and never grow into nested fractions.  A row with no entry in
-    the pivot column becomes pivot * entry / previous_pivot, which is the
-    row itself when the pivot structurally equals the previous one; that
-    row is kept.  Each work row carries its best (quality, column) key,
-    computed when the row is made or changed and kept with the row; the
-    pivot is the least (key, row position).
+    the pivot column becomes pivot * entry / previous_pivot.  When that
+    factor is a constant (pivot and previous pivot share their primitive
+    part) the row is kept as it is, so each work row holds a nonzero
+    rational constant m times the row of the eager loop, which rescales
+    every such row.  A row with an entry in the pivot column, and every
+    row at a step whose factor is not constant, is updated by the formula
+    above; its m stays a constant, so every division stays exact.  Each
+    work row carries its best (quality, column) key, computed when the
+    row is made or changed and kept with the row; the pivot is the least
+    (key, row position).  Keys ignore constant factors, so the pivot
+    order is the eager loop's.
     Each pivot row is frozen when it is chosen.  With det the last pivot,
     a fraction-free back substitution over the frozen rows, last pivot
     first, computes
@@ -114,31 +151,43 @@ def solve_affine(
         N_k = (det * rhs_k - sum over later pivots j of a_kj * N_j) / p_k
 
     exactly (p_k is the row's own pivot), and x_k = N_k / det.  A kernel
-    vector is the same walk with a_kc of its free column c for rhs_k, negated.
+    vector is the same walk with a_kc of its free column c for rhs_k,
+    negated.  The factor of a row cancels against that of its p_k, and
+    the factor of det against that of every N_k, so the solutions are
+    those of the eager loop.  Only the witness of an infeasible system,
+    the right side of a reduced equation 0 = c, shows m; it is divided
+    out there, with m the product of three rationals: the row's own
+    factor, stored when the row is rewritten; the running product of
+    previous_pivot / pivot over the steps that kept rows; and the factor
+    of the last pivot row.
     """
 
-    def keyed(coeffs: dict[int, Poly], rhs: Poly) -> tuple:
-        # a work row carries its best (quality, column), None when empty
+    def keyed(coeffs: dict[int, Poly], rhs: Poly, own: tuple[int, int]) -> tuple:
+        # a work row carries its best (quality, column), None when empty,
+        # and its own factor (see the docstring)
         key = min(((_poly_quality(p), c) for c, p in coeffs.items()), default=None)
-        return coeffs, rhs, key
+        return coeffs, rhs, key, own
 
-    work: list[tuple[dict[int, Poly], Poly, tuple | None]] = []
+    work: list[tuple[dict[int, Poly], Poly, tuple | None, tuple[int, int]]] = []
     for coeffs, rhs in rows:
+        _check_row(coeffs, rhs, nunknowns, nvars)
         cleared = _clear_row(coeffs, rhs, nvars)
         if cleared[0] or not cleared[1].is_zero():
-            work.append(keyed(*cleared))
+            work.append(keyed(*cleared, (1, 1)))
     pivots: list[tuple[int, dict[int, Poly], Poly]] = []  # col, coeffs, rhs
     prev = Poly.one(nvars)
+    # m of a row is own * kept * last: kept is the product of prev / pivot
+    # over the steps with a constant ratio, last the m of prev's row
+    kept = last = (1, 1)
 
-    def bareiss_update(work_row, pivot, pcoeffs, prhs, col, repeated):
-        coeffs, rhs, _ = work_row
+    def bareiss_update(work_row, pivot, pcoeffs, prhs, col, ratio):
+        coeffs, rhs, _, own = work_row
         f = coeffs.get(col)
-        if f is None:
-            if repeated:
-                return work_row  # the factor pivot / prev is 1
+        if f is None:  # only reached when the ratio pivot / prev is not constant
             return keyed(
                 {c: (pivot * v).divide_exact(prev) for c, v in coeffs.items()},
                 (pivot * rhs).divide_exact(prev),
+                own,
             )
         new_coeffs: dict[int, Poly] = {}
         for c in set(coeffs) | set(pcoeffs):
@@ -154,7 +203,11 @@ def solve_affine(
             nv = term.divide_exact(prev)
             if not nv.is_zero():
                 new_coeffs[c] = nv
-        return keyed(new_coeffs, (pivot * rhs - f * prhs).divide_exact(prev))
+        return keyed(
+            new_coeffs,
+            (pivot * rhs - f * prhs).divide_exact(prev),
+            own if ratio is None else _times(own, ratio),
+        )
 
     while True:
         # global pivot selection on simplicity: constants first, then short
@@ -162,30 +215,39 @@ def solve_affine(
         # row position).  Keeping the running pivot constant for as long
         # as possible stops the minor degrees from growing.
         best = min(
-            ((key, i) for i, (_, _, key) in enumerate(work) if key is not None),
+            ((key, i) for i, (_, _, key, _) in enumerate(work) if key is not None),
             default=None,
         )
         if best is None:
             break
         (_, col), row_index = best
-        pcoeffs, prhs, _ = work.pop(row_index)
+        pcoeffs, prhs, _, own = work.pop(row_index)
         pivot = pcoeffs[col]
-        repeated = pivot == prev
+        ratio = pivot.constant_ratio(prev)
+        last = _times(last, _times(own, kept))
+        if ratio is not None:
+            kept = _times(kept, (ratio[1], ratio[0]))
         work = [
             new
             for new in (
-                bareiss_update(work_row, pivot, pcoeffs, prhs, col, repeated)
+                work_row
+                if ratio is not None and col not in work_row[0]
+                else bareiss_update(work_row, pivot, pcoeffs, prhs, col, ratio)
                 for work_row in work
             )
             if new[0] or not new[1].is_zero()
         ]
         pivots.append((col, pcoeffs, prhs))
         prev = pivot
-    for coeffs, rhs, _ in work:
-        if not any(not v.is_zero() for v in coeffs.values()) and not rhs.is_zero():
-            return LinearSolution(
-                status="infeasible", nunknowns=nunknowns, witness=Scalar(rhs)
-            )
+    if work:
+        # no entry is left to pivot on, so every remaining row reads 0 = c
+        _, rhs, _, own = work[0]
+        num, den = _times(own, _times(kept, last))
+        return LinearSolution(
+            status="infeasible",
+            nunknowns=nunknowns,
+            witness=Scalar(rhs.scale(Fraction(den, num))),
+        )
     zero = Scalar.zero(nvars)
     one = Scalar.one(nvars)
     det = Scalar(prev)

@@ -390,6 +390,20 @@ class Poly:
 
     __hash__ = None  # mutable dict inside; equality is structural
 
+    def constant_ratio(self, other: Poly) -> tuple[int, int] | None:
+        """For nonzero self and other, the rational c with self = c * other
+        as a reduced (numerator, positive denominator) pair, or None when
+        no constant c does (the primitive parts differ)."""
+        if not other._t:
+            raise ZeroDivisionError("ratio to the zero polynomial")
+        if self._t is not other._t and self._t != other._t:
+            return None
+        num, den = self._num * other._den, self._den * other._num
+        if den < 0:
+            num, den = -num, -den
+        g = gcd(num, den)
+        return num // g, den // g
+
     def divide_exact(self, divisor: Poly) -> Poly:
         """Quotient self / divisor when the division is exact (used by
         fraction-free elimination, where exactness is guaranteed).  Raises

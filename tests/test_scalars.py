@@ -317,6 +317,17 @@ def test_inexact_division_raises_typed_error():
         (x1 + one.scale(2)).divide_exact(x1.scale(2) + one)
 
 
+def test_constant_ratio_of_polynomials_with_one_primitive_part():
+    p = s("x1*x2 + 2").num
+    assert p.scale(Fraction(-3, 4)).constant_ratio(p) == (-3, 4)
+    assert p.constant_ratio(p.scale(6)) == (1, 6)
+    assert Poly.constant(2, 2).constant_ratio(Poly.constant(2, Fraction(-1, 3))) == (-6, 1)
+    assert p.constant_ratio(s("x1*x2 + 3").num) is None
+    assert Poly.one(2).constant_ratio(p) is None
+    with pytest.raises(ZeroDivisionError):
+        p.constant_ratio(Poly.zero(2))
+
+
 def test_exponent_overflow_raises_budget_error():
     x = Poly.variable(1, 0)
     half = x ** (2**14)
