@@ -6,12 +6,17 @@ frame (d_1 .. d_n, w^1 .. w^J): chart vector fields first, then a basis of
 p-th exterior powers of the coframe enumerated on strictly increasing
 index tuples.  The anchor is the projection onto the vector slots and the
 locality projector is the projection onto the form slots.
+
+Chart forms (the twist 3-form, the form-valued pairing and its
+derivatives) are the forms of ``make_tangent_lie(n)``: ``EForm``s over the
+coordinate coframe, combined with ``wedge`` and ``interior_product`` and
+differentiated by that algebroid's ``e_exterior_derivative``.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal, Sequence
 
 from .connection import Connection, Metric, check_admissible, non_metricity
@@ -19,11 +24,13 @@ from .core import (
     AlgebroidData,
     EForm,
     FrameChange,
+    Section,
     SparseArray,
-    _sort_with_sign,
     change_frame,
+    interior_product,
     sparse_add,
     sparse_clean,
+    wedge,
 )
 from .errors import ShapeError
 from .levicivita import _half_raised, _on_triples
@@ -159,20 +166,11 @@ def make_courant_standard(n: int) -> ExampleBundle:
 def closed_3form_check(n: int, h: SparseArray) -> CheckReport:
     """Residuals of dH = 0 for an antisymmetric 3-index array given on
     strictly increasing coordinate triples."""
-    residuals: dict[tuple, Scalar] = {}
-    h_at = EForm(3, n, n, h).at
+    from .calculus import e_exterior_derivative  # calculus imports catalog
 
-    for quad in itertools.combinations(range(n), 4):
-        i, j, k, l = quad
-        acc = (
-            h_at((j, k, l)).diff(i)
-            - h_at((i, k, l)).diff(j)
-            + h_at((i, j, l)).diff(k)
-            - h_at((i, j, k)).diff(l)
-        )
-        if not acc.is_zero():
-            residuals[quad] = acc
-    return report_from_residuals("closed-3form", residuals)
+    tangent = make_tangent_lie(n).algebroid
+    dh = e_exterior_derivative(tangent, Connection.zero(n), EForm(3, n, n, h))
+    return report_from_residuals("closed-3form", dh.comp)
 
 
 def make_courant_h_twisted(n: int, h: SparseArray) -> ExampleBundle:
@@ -245,21 +243,6 @@ def make_metric_algebroid(
     return ExampleBundle(kind="metric_algebroid", algebroid=A, metric=metric)
 
 
-# -- higher pairing entries ------------------------------------------------
-
-
-def _wedge_basis(n: int, p: int) -> list[tuple[int, ...]]:
-    return list(itertools.combinations(range(n), p))
-
-
-def _interior_basis(i: int, J: tuple[int, ...]) -> tuple[tuple[int, ...], int] | None:
-    """iota_{d_i} dx^J as (basis tuple, sign); None if i not in J."""
-    if i not in J:
-        return None
-    pos = J.index(i)
-    return J[:pos] + J[pos + 1 :], (-1) ** pos
-
-
 def make_higher_courant(n: int, p: int) -> ExampleBundle:
     """Chart vector fields summed with p-th powers of the coframe, the
     projection anchor, vanishing structure functions, and the wedge-type
@@ -267,43 +250,36 @@ def make_higher_courant(n: int, p: int) -> ExampleBundle:
     form-valued pairing g(u, v) = iota_U eta + iota_V omega."""
     if not 1 <= p <= n:
         raise ShapeError("need 1 <= p <= n")
-    forms = _wedge_basis(n, p)
+    tangent = make_tangent_lie(n).algebroid
+    forms = list(itertools.combinations(range(n), p))
     r = n + len(forms)
-    zero, one = Scalar.zero(n), Scalar.one(n)
 
-    # form-valued pairing
+    # form-valued pairing g(d_i, w^J) = iota_{d_i} dx^J
     comp: SparseArray = {}
     for i in range(n):
+        d_i = Section.frame(tangent, i)
         for j, J in enumerate(forms):
-            hit = _interior_basis(i, J)
-            if hit is None:
-                continue
-            I, sign = hit
-            val = one if sign == 1 else -one
-            comp[(i, n + j, I)] = val
-            comp[(n + j, i, I)] = val
+            dx_J = EForm(p, n, n, {J: tangent.one()})
+            for I, val in interior_product(dx_J, d_i).comp.items():
+                comp[(i, n + j, I)] = val
+                comp[(n + j, i, I)] = val
     higher = HigherMetricValue(p=p, dim=n, comp=comp)
 
     # locality: L(e^d, X_e, X_c) = dx^d wedge g(X_e, X_c), vector coframes only
     loc: SparseArray = {}
     form_index = {J: k for k, J in enumerate(forms)}
     for d in range(n):
+        dx_d = EForm.coframe(tangent, d)
         for (e, c, I), gval in comp.items():
-            hit = _sort_with_sign((d,) + I)
-            if hit is None:
-                continue
-            K, sign = hit
-            v = gval if sign == 1 else -gval
-            key = (n + form_index[K], d, e, c)
-            s = loc.get(key)
-            loc[key] = v if s is None else s + v
+            for K, v in wedge(dx_d, EForm(p - 1, n, n, {I: gval})).comp.items():
+                loc[(n + form_index[K], d, e, c)] = v
     A = AlgebroidData(
         dim=n,
         rank=r,
         coords=_chart(n),
         anchor=_projection_anchor(n, r, n),
         gamma={},
-        loc=sparse_clean(loc),
+        loc=loc,
         proj=_slot_projector(n, r, n),
     )
     return ExampleBundle(kind="higher_courant", algebroid=A, higher_metric=higher)
@@ -405,62 +381,38 @@ def higher_compatibility_residual(
     bundle: ExampleBundle, conn: Connection
 ) -> SparseArray:
     """Frame residuals of the form-valued compatibility condition for the
-    higher pairing, indexed by (a, b, c, I)."""
+    higher pairing, iota_{rho(X_a)} d g(X_b, X_c) - g(D_a X_b, X_c)
+    - g(X_b, D_a X_c), indexed by (a, b, c, I)."""
+    from .calculus import e_exterior_derivative  # calculus imports catalog
+
     A = bundle.algebroid
     hm = bundle.higher_metric
     n, r, p = A.dim, A.rank, hm.p
+    forms: dict[tuple[int, int], SparseArray] = {}
+    for (b, c, I), v in hm.comp.items():
+        forms.setdefault((b, c), {})[I] = v
+    g = {bc: EForm(p - 1, n, n, comp) for bc, comp in forms.items()}
+    # one tangent algebroid and connection, so every d shares a pair slot
+    tangent = make_tangent_lie(n).algebroid
+    flat = Connection.zero(n)
+    dg = {bc: e_exterior_derivative(tangent, flat, form) for bc, form in g.items()}
+    zero, dzero = EForm(p - 1, n, n, {}), EForm(p, n, n, {})
+    rho = [Section(tuple(A.anchor[i][a] for i in range(n))) for a in range(r)]
     out: SparseArray = {}
-    lower = _wedge_basis(n, p - 1)
-    # d(g(X_b, X_c)) per chart coordinates; pairing entries are constant for
-    # the standard frame, but stay general here
     for b in range(r):
         for c in range(r):
-            # the (p-1)-form g(X_b, X_c); exterior derivative in the chart
-            dg: dict[tuple[int, ...], Scalar] = {}
-            for I in _wedge_basis(n, p):
-                acc = Scalar.zero(n)
-                for pos in range(p):
-                    i = I[pos]
-                    rest = I[:pos] + I[pos + 1 :]
-                    v = hm.at(b, c, rest, n)
-                    if not v.is_zero():
-                        term = v.diff(i)
-                        if not term.is_zero():
-                            acc = acc + term if pos % 2 == 0 else acc - term
-                if not acc.is_zero():
-                    dg[I] = acc
             for a in range(r):
-                # iota along rho(X_a): anchor is arbitrary, contract chart slots
-                for I in lower:
-                    lhs = Scalar.zero(n)
-                    for i in range(n):
-                        rho = A.anchor[i][a]
-                        if rho.is_zero():
-                            continue
-                        hit = _sort_with_sign((i,) + I)
-                        if hit is None:
-                            continue
-                        K, sign = hit
-                        v = dg.get(K)
-                        if v is None:
-                            continue
-                        t = rho * v
-                        lhs = lhs + t if sign == 1 else lhs - t
-                    rhs = Scalar.zero(n)
-                    for e in range(r):
-                        g1 = conn.coeff.get((e, a, b))
-                        if g1 is not None:
-                            w = hm.at(e, c, I, n)
-                            if not w.is_zero():
-                                rhs = rhs + g1 * w
-                        g2 = conn.coeff.get((e, a, c))
-                        if g2 is not None:
-                            w = hm.at(b, e, I, n)
-                            if not w.is_zero():
-                                rhs = rhs + g2 * w
-                    val = lhs - rhs
-                    if not val.is_zero():
-                        out[(a, b, c) + (I,)] = val
+                rhs = zero
+                for e in range(r):
+                    g1 = conn.coeff.get((e, a, b))
+                    if g1 is not None:
+                        rhs = rhs.add(g.get((e, c), zero).scale(g1))
+                    g2 = conn.coeff.get((e, a, c))
+                    if g2 is not None:
+                        rhs = rhs.add(g.get((b, e), zero).scale(g2))
+                residual = interior_product(dg.get((b, c), dzero), rho[a]).sub(rhs)
+                for I, val in sorted(residual.comp.items()):
+                    out[(a, b, c, I)] = val
     return out
 
 

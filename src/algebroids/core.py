@@ -37,7 +37,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -294,7 +294,7 @@ class EForm:
         return EForm(self.degree, self.rank, self.nvars, sparse_add(self.comp, other.comp))
 
     def sub(self, other: EForm) -> EForm:
-        return self.add(other.scale(Scalar.constant(self.nvars, -1)))
+        return self.add(replace(other, comp={idx: -v for idx, v in other.comp.items()}))
 
     def scale(self, f: Scalar) -> EForm:
         if f.is_zero():
@@ -561,30 +561,17 @@ def classify(A: AlgebroidData) -> Classification:
     """
     almost_dull = not sparse_clean(A.loc)
     antisym = not symmetric_part(A.gamma)
-    pre_leibniz = True
-    for a in range(A.rank):
-        for b in range(A.rank):
-            for i in range(A.dim):
-                lhs = A.zero()
-                for c in range(A.rank):
-                    g = A.gamma_at(c, a, b)
-                    if not g.is_zero():
-                        lhs = lhs + g * A.anchor[i][c]
-                rhs = A.zero()
-                for j in range(A.dim):
-                    ra = A.anchor[j][a]
-                    rb = A.anchor[j][b]
-                    if not ra.is_zero():
-                        rhs = rhs + ra * A.anchor[i][b].diff(j)
-                    if not rb.is_zero():
-                        rhs = rhs - rb * A.anchor[i][a].diff(j)
-                if not lhs.equals(rhs):
-                    pre_leibniz = False
-                    break
-            if not pre_leibniz:
-                break
-        if not pre_leibniz:
-            break
+    # rho([X_a, X_b]) = [rho(X_a), rho(X_b)], chart component by component
+    pre_leibniz = all(
+        lhs.equals(
+            A.frame_derive(a, A.anchor[i][b]) - A.frame_derive(b, A.anchor[i][a])
+        )
+        for a in range(A.rank)
+        for b in range(A.rank)
+        for i, lhs in enumerate(
+            A.anchor_of(Section(tuple(A.gamma_at(c, a, b) for c in range(A.rank))))
+        )
+    )
     almost_lie = almost_dull and antisym
     return Classification(
         almost_dull=almost_dull,

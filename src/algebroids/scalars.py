@@ -56,8 +56,9 @@ from .errors import (
 
 Exponents = tuple[int, ...]
 
-# Abort threshold on the term count of num plus den of any constructed
-# scalar.  Guards against fraction-field swell in elimination.
+# Abort threshold on the term count of any constructed scalar: its
+# numerator's terms, plus its denominator's when that is not 1.  Guards
+# against fraction-field swell in elimination.
 _DEFAULT_TERM_BUDGET = 100_000
 _term_budget = _DEFAULT_TERM_BUDGET
 
@@ -537,41 +538,35 @@ class Scalar:
         if den is None or (den._t == _UNIT and den._num == 1 and den._den == 1):
             # polynomial fast path: nothing to cancel or rescale
             den = _POLY_ONE.get(num.nvars) or Poly.one(num.nvars)
-            if len(num._t) > _term_budget:
-                raise BudgetError(
-                    f"scalar with {len(num._t)} terms exceeds budget {_term_budget}"
-                )
-            self.num = num
-            self.den = den
-            return
-        if not den._t:
-            raise DivisionByZeroError("denominator is the zero polynomial")
-        if num.nvars != den.nvars:
-            raise ShapeError("numerator and denominator disagree on coordinate count")
-        if not num._t:
-            den = Poly.one(num.nvars)
+            terms = len(num._t)
         else:
-            shift = _monomial_gcd(num._t, den._t, num.nvars)
-            if shift:
-                num = _shift_down(num, shift)
-                den = _shift_down(den, shift)
-            lead = den._t[max(den._t)]
-            if den._num != 1 or den._den != lead:
-                # rescale num and den by 1/(leading coefficient of den)
-                n, d = num._num * den._den, num._den * den._num * lead
-                if d < 0:
-                    n, d = -n, -d
-                g = gcd(n, d)
-                num = _make(num.nvars, n // g, d // g, num._t)
-                den = _make(den.nvars, 1, lead, den._t)
-            if den.is_constant():
-                # a constant denominator is folded into the numerator
+            if not den._t:
+                raise DivisionByZeroError("denominator is the zero polynomial")
+            if num.nvars != den.nvars:
+                raise ShapeError("numerator and denominator disagree on coordinate count")
+            if not num._t:
                 den = Poly.one(num.nvars)
-        if len(num._t) + len(den._t) > _term_budget:
-            raise BudgetError(
-                f"scalar with {len(num._t) + len(den._t)} terms "
-                f"exceeds budget {_term_budget}"
-            )
+            else:
+                shift = _monomial_gcd(num._t, den._t, num.nvars)
+                if shift:
+                    num = _shift_down(num, shift)
+                    den = _shift_down(den, shift)
+                lead = den._t[max(den._t)]
+                if den._num != 1 or den._den != lead:
+                    # rescale num and den by 1/(leading coefficient of den)
+                    n, d = num._num * den._den, num._den * den._num * lead
+                    if d < 0:
+                        n, d = -n, -d
+                    g = gcd(n, d)
+                    num = _make(num.nvars, n // g, d // g, num._t)
+                    den = _make(den.nvars, 1, lead, den._t)
+                if den.is_constant():
+                    # a constant denominator is folded into the numerator
+                    den = Poly.one(num.nvars)
+            # a denominator of 1 is not counted, as on the fast path
+            terms = len(num._t) if den.is_constant() else len(num._t) + len(den._t)
+        if terms > _term_budget:
+            raise BudgetError(f"scalar with {terms} terms exceeds budget {_term_budget}")
         self.num = num
         self.den = den
 

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -22,7 +23,12 @@ from algebroids import (
     scalar_to_text,
     specialized_admissibility,
 )
-from algebroids.catalog import check_conformal_compatibility, higher_compatibility_residual
+from algebroids.catalog import (
+    HigherMetricValue,
+    check_conformal_compatibility,
+    closed_3form_check,
+    higher_compatibility_residual,
+)
 from algebroids.connection import locality_contraction
 from algebroids.fixtures import random_scalar
 from algebroids.linalg import solve_affine
@@ -408,3 +414,180 @@ def test_conformal_reports_follow_the_theta_shifted_non_metricity():
     want = theta_compatibility_reference(A, A.gamma, g, theta)
     assert want and got == list(want.items())
     assert not report.passed
+
+
+# -- chart forms against the index loops they replaced ------------------------
+# Test-local copies of the catalog's former wedge, interior-product and
+# chart-derivative loops.  The form algebra must give the same entries, in
+# the same order and with the same printed text.
+
+
+def _sort_with_sign_reference(idx):
+    if len(set(idx)) != len(idx):
+        return None
+    order = sorted(range(len(idx)), key=lambda k: idx[k])
+    sign = 1
+    for i in range(len(order)):
+        for j in range(i + 1, len(order)):
+            if order[i] > order[j]:
+                sign = -sign
+    return tuple(idx[k] for k in order), sign
+
+
+def higher_courant_reference(n, p):
+    """(pairing comp, loc) of the higher Courant entry by index loops."""
+    forms = list(itertools.combinations(range(n), p))
+    one = Scalar.one(n)
+    comp = {}
+    for i in range(n):
+        for j, J in enumerate(forms):
+            if i not in J:
+                continue
+            pos = J.index(i)
+            val = one if pos % 2 == 0 else -one
+            comp[(i, n + j, J[:pos] + J[pos + 1 :])] = val
+            comp[(n + j, i, J[:pos] + J[pos + 1 :])] = val
+    loc = {}
+    form_index = {J: k for k, J in enumerate(forms)}
+    for d in range(n):
+        for (e, c, I), gval in comp.items():
+            hit = _sort_with_sign_reference((d,) + I)
+            if hit is None:
+                continue
+            K, sign = hit
+            v = gval if sign == 1 else -gval
+            key = (n + form_index[K], d, e, c)
+            s = loc.get(key)
+            loc[key] = v if s is None else s + v
+    return comp, {k: v for k, v in loc.items() if not v.is_zero()}
+
+
+def higher_residual_reference(bundle, conn):
+    A, hm = bundle.algebroid, bundle.higher_metric
+    n, r, p = A.dim, A.rank, hm.p
+    out = {}
+    lower = list(itertools.combinations(range(n), p - 1))
+    for b in range(r):
+        for c in range(r):
+            dg = {}
+            for I in itertools.combinations(range(n), p):
+                acc = Scalar.zero(n)
+                for pos in range(p):
+                    v = hm.at(b, c, I[:pos] + I[pos + 1 :], n)
+                    if not v.is_zero():
+                        term = v.diff(I[pos])
+                        if not term.is_zero():
+                            acc = acc + term if pos % 2 == 0 else acc - term
+                if not acc.is_zero():
+                    dg[I] = acc
+            for a in range(r):
+                for I in lower:
+                    lhs = Scalar.zero(n)
+                    for i in range(n):
+                        rho = A.anchor[i][a]
+                        if rho.is_zero():
+                            continue
+                        hit = _sort_with_sign_reference((i,) + I)
+                        if hit is None or hit[0] not in dg:
+                            continue
+                        t = rho * dg[hit[0]]
+                        lhs = lhs + t if hit[1] == 1 else lhs - t
+                    rhs = Scalar.zero(n)
+                    for e in range(r):
+                        g1 = conn.coeff.get((e, a, b))
+                        if g1 is not None:
+                            w = hm.at(e, c, I, n)
+                            if not w.is_zero():
+                                rhs = rhs + g1 * w
+                        g2 = conn.coeff.get((e, a, c))
+                        if g2 is not None:
+                            w = hm.at(b, e, I, n)
+                            if not w.is_zero():
+                                rhs = rhs + g2 * w
+                    val = lhs - rhs
+                    if not val.is_zero():
+                        out[(a, b, c, I)] = val
+    return out
+
+
+def closed_3form_reference(n, h):
+    def at(idx):
+        hit = _sort_with_sign_reference(idx)
+        v = h.get(hit[0]) if hit else None
+        if v is None:
+            return Scalar.zero(n)
+        return v if hit[1] == 1 else -v
+
+    residuals = {}
+    for i, j, k, l in itertools.combinations(range(n), 4):
+        acc = (
+            at((j, k, l)).diff(i) - at((i, k, l)).diff(j)
+            + at((i, j, l)).diff(k) - at((i, j, k)).diff(l)
+        )
+        if not acc.is_zero():
+            residuals[(i, j, k, l)] = acc
+    return residuals
+
+
+def as_text(arr, names):
+    return [(idx, scalar_to_text(v, names)) for idx, v in arr.items()]
+
+
+def random_rational(rng, n):
+    num = random_scalar(rng, n, 2, terms=3)
+    if rng.random() < 0.5:
+        return num
+    return num / (random_scalar(rng, n, 1) + Scalar.constant(n, rng.randint(4, 6)))
+
+
+@pytest.mark.parametrize("n, p", [(n, p) for n in range(1, 5) for p in range(1, n + 1)])
+def test_higher_courant_entries_match_the_index_loops(n, p):
+    bundle = make_example("higher_courant", n=n, p=p)
+    names = bundle.algebroid.coords
+    comp, loc = higher_courant_reference(n, p)
+    assert as_text(bundle.higher_metric.comp, names) == as_text(comp, names)
+    assert as_text(bundle.algebroid.loc, names) == as_text(loc, names)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_higher_residual_matches_the_index_loops(seed):
+    rng = random.Random(seed)
+    n = 2 + seed % 2
+    p = 1 + seed % n
+    bundle = make_example("higher_courant", n=n, p=p)
+    A = bundle.algebroid
+    r = A.rank
+    coeff = {
+        (a, b, c): random_rational(rng, n)
+        for a in range(r) for b in range(r) for c in range(r)
+        if rng.random() < 0.3
+    }
+    conn = Connection.of(r, coeff)
+    # a pairing with non-constant entries, so d g(X_b, X_c) is not zero
+    hm = bundle.higher_metric
+    varied = replace(bundle, higher_metric=HigherMetricValue(
+        p, n, {k: v * random_rational(rng, n) for k, v in hm.comp.items()}
+    ))
+    for b in (bundle, varied):
+        got = higher_compatibility_residual(b, conn)
+        assert as_text(got, A.coords) == as_text(higher_residual_reference(b, conn), A.coords)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_closed_3form_check_matches_the_alternating_sum(seed):
+    rng = random.Random(seed)
+    n = 3 + seed % 3
+    names = tuple(f"x{i + 1}" for i in range(n))
+    triples = list(itertools.combinations(range(n), 3))
+    if seed % 2:
+        # closed: H_ijk depends only on coordinates among i, j, k
+        h = {
+            t: sum((scal(f"{rng.randint(-3, 3)}*x{i + 1}^2", names) for i in t), Scalar.zero(n))
+            for t in rng.sample(triples, k=min(3, len(triples)))
+        }
+    else:
+        h = {t: random_rational(rng, n) for t in rng.sample(triples, k=min(3, len(triples)))}
+    want = closed_3form_reference(n, h)
+    rep = closed_3form_check(n, h)
+    assert rep.passed == (not want)
+    assert [(at, scalar_to_text(v, names)) for at, v in rep.residuals] == as_text(want, names)

@@ -2,9 +2,12 @@
 
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from algebroids import (
     AlgebroidData,
@@ -594,3 +597,52 @@ def test_projector_sampling_skips_an_anchor_pole(monkeypatch):
     monkeypatch.setattr(Scalar, "eval_at", broken)
     with pytest.raises(ZeroDivisionError):
         check_locality_projector(A, seed=0)
+
+
+def anchor_morphism_reference(A):
+    """The anchor-morphism flag by the quadruple loop classify used to run."""
+    for a in range(A.rank):
+        for b in range(A.rank):
+            for i in range(A.dim):
+                lhs = A.zero()
+                for c in range(A.rank):
+                    g = A.gamma_at(c, a, b)
+                    if not g.is_zero():
+                        lhs = lhs + g * A.anchor[i][c]
+                rhs = A.zero()
+                for j in range(A.dim):
+                    ra, rb = A.anchor[j][a], A.anchor[j][b]
+                    if not ra.is_zero():
+                        rhs = rhs + ra * A.anchor[i][b].diff(j)
+                    if not rb.is_zero():
+                        rhs = rhs - rb * A.anchor[i][a].diff(j)
+                if not lhs.equals(rhs):
+                    return False
+    return True
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    dim=st.integers(1, 2),
+    rank=st.integers(2, 3),
+    twist=st.booleans(),
+    change=st.sampled_from(["none", "gamma", "kernel gamma", "anchor"]),
+)
+@settings(max_examples=60, deadline=None)
+def test_classify_anchor_morphism_matches_the_frame_loop(seed, dim, rank, twist, change):
+    A = random_anticommutable(seed, dim=dim, rank=rank, twist=twist).algebroid
+    rng = random.Random(seed)
+    cell = tuple(rng.randrange(A.rank) for _ in range(3))
+    if change == "gamma":
+        A = replace(A, gamma={**A.gamma, cell: A.gamma_at(*cell) + random_scalar(rng, dim, 2)})
+    elif change == "kernel gamma":
+        # a change along a frame slot the anchor kills keeps the morphism
+        killed = [c for c in range(A.rank) if all(row[c].is_zero() for row in A.anchor)]
+        if killed:
+            cell = (rng.choice(killed),) + cell[1:]
+            A = replace(A, gamma={**A.gamma, cell: A.gamma_at(*cell) + random_scalar(rng, dim, 2)})
+    elif change == "anchor":
+        anchor = [list(row) for row in A.anchor]
+        anchor[rng.randrange(dim)][rng.randrange(rank)] = random_scalar(rng, dim, 2)
+        A = replace(A, anchor=tuple(map(tuple, anchor)))
+    assert classify(A).pre_leibniz == anchor_morphism_reference(A)

@@ -162,6 +162,20 @@ def test_term_budget_aborts_large_products():
         set_term_budget(old)
 
 
+def test_term_budget_counts_a_folded_constant_denominator_as_one():
+    # both construction paths count the numerator's terms, and the
+    # denominator's only when it is not 1
+    x1_x2 = Poly.variable(2, 0) + Poly.variable(2, 1)
+    old = set_term_budget(2)
+    try:
+        assert Scalar(x1_x2).num == x1_x2
+        assert Scalar(x1_x2, Poly.constant(2, 2)).den == Poly.one(2)
+        with pytest.raises(BudgetError):
+            Scalar(x1_x2, Poly.variable(2, 0) + Poly.constant(2, 1))
+    finally:
+        set_term_budget(old)
+
+
 # -- property tests --------------------------------------------------------
 
 rationals = st.builds(

@@ -1,0 +1,140 @@
+"""Digests of every output a tree of this repository prints for a fixed
+set of inputs, so that two trees can be compared output by output.
+
+    python3 tools/output_digests.py [TREE]
+
+TREE defaults to the checkout holding this script.  The package is
+imported from TREE's ``src`` and the inputs from TREE's ``bench``:
+
+- one pass of each benchmark workload's jobs (``workloads.build``), each
+  job's ``serialize`` of its result;
+- ``algebroids.cli.main`` run in-process on the ``cli_check`` documents:
+  ``check --suite all --seed 11 --samples 4``, ``check --suite bianchi
+  --format table`` and ``compute`` of every target, each run's standard
+  output, standard error and exit code;
+- ``example`` of every catalog kind.
+
+Prints one ``name sha256`` line per output.  Two trees give the same
+outputs when ``diff`` finds no difference between their lines:
+
+    diff <(python3 tools/output_digests.py A) <(python3 tools/output_digests.py B)
+
+Runs in a temporary directory, with relative document paths, and writes
+no bytecode into TREE.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+WORKLOADS = ("identity_batch", "solve", "cli_check")
+CHECKS = (
+    ("check-all", ("--suite", "all", "--seed", "11", "--samples", "4")),
+    ("check-bianchi-table", ("--suite", "bianchi", "--format", "table")),
+)
+COMPUTE_TARGETS = (
+    "torsion", "projected-torsion", "curvature", "nonmetricity", "levicivita",
+    "decomposition",
+)
+_PARAMS = json.dumps({
+    "rank": 2,
+    "metric": [{"idx": [1, 1], "val": "1 + x1^2"}, {"idx": [2, 2], "val": "1"}],
+    "gamma_antisym": [{"idx": [1, 1, 2], "val": "x2"}, {"idx": [1, 2, 1], "val": "-x2"}],
+    "theta": ["x1", "0"],
+})
+EXAMPLES = (
+    ("tangent_lie", ()),
+    ("twisted_frame_lie", ("--matrix", json.dumps([["1", "0"], ["0", "x1"]]))),
+    ("courant_standard", ()),
+    ("courant_h_twisted", (
+        "--n", "4", "--h",
+        json.dumps([{"idx": [1, 2, 3], "val": "x1 + x2"}, {"idx": [2, 3, 4], "val": "x3^2"}]),
+    )),
+    ("metric_algebroid", ("--params", _PARAMS)),
+    ("higher_courant", ("--n", "3", "--p", "2")),
+    ("conformal_courant", ("--params", _PARAMS)),
+)
+
+
+def digest(obj) -> str:
+    """sha256 of the JSON text of obj, keys in their own order."""
+    return hashlib.sha256(json.dumps(obj).encode("utf-8")).hexdigest()
+
+
+def run_cli(argv: list[str]) -> str:
+    """Digest of the standard output, standard error and exit code of one
+    in-process ``algebroids.cli.main`` run."""
+    from algebroids.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return digest([out.getvalue(), err.getvalue(), code])
+
+
+def cli_digests(documents: dict[str, str]) -> dict[str, str]:
+    """The check and compute runs on each document, keyed by name."""
+    out = {}
+    for name, path in documents.items():
+        for label, args in CHECKS:
+            out[f"cli/{name}/{label}"] = run_cli(["check", path, *args])
+        for target in COMPUTE_TARGETS:
+            out[f"cli/{name}/compute-{target}"] = run_cli(["compute", path, target])
+    return out
+
+
+def example_digests() -> dict[str, str]:
+    return {f"example/{kind}": run_cli(["example", kind, *args]) for kind, args in EXAMPLES}
+
+
+def workload_digests(workloads, workdir: str) -> dict[str, str]:
+    """One pass of every workload's jobs, in job-list order."""
+    out = {}
+    for name in WORKLOADS:
+        for job in workloads.build(name, workdir):
+            key = f"{name}/{job.name}"
+            if key in out:
+                raise SystemExit(f"error: two jobs named {key}")
+            out[key] = digest(job.serialize(job.run()))
+    return out
+
+
+def tree_digests(tree: Path) -> dict[str, str]:
+    sys.dont_write_bytecode = True
+    sys.path[:0] = [str(tree / "src"), str(tree / "bench")]
+    import algebroids
+    import workloads
+
+    if Path(algebroids.__file__).resolve().parent != tree / "src" / "algebroids":
+        raise SystemExit(f"error: algebroids imported from {algebroids.__file__}")
+    with tempfile.TemporaryDirectory() as workdir:
+        os.chdir(workdir)
+        digests = workload_digests(workloads, ".")
+        documents = {}
+        for name, document in workloads.cli_documents():
+            documents[name] = f"{name}.json"
+            algebroids.dump_document(document, documents[name])
+        digests.update(cli_digests(documents))
+        digests.update(example_digests())
+    return digests
+
+
+def main(argv: list[str]) -> int:
+    tree = Path(argv[1] if len(argv) > 1 else Path(__file__).parents[1]).resolve()
+    for name, value in tree_digests(tree).items():
+        print(name, value)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
