@@ -48,7 +48,6 @@ from .core import (
     Section,
     SparseArray,
     _sort_with_sign,
-    coboundary,
     contract_sections,
     interior_product,
     wedge,
@@ -133,8 +132,6 @@ def _e_exterior(ctx: GeometryContext, B: AlgebroidData, omega: EForm | Scalar) -
     def build() -> EForm:
         form = EForm.from_scalar(B, omega) if isinstance(omega, Scalar) else omega
         _require_admissible(ctx)
-        if form.degree == 0:
-            return coboundary(B, form.comp.get((), B.zero()))
         indices = itertools.combinations(range(B.rank), form.degree + 1)
         out = _exterior_array(ctx, B, form, indices)
         return EForm(form.degree + 1, B.rank, B.dim, out)

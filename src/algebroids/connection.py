@@ -37,6 +37,7 @@ call.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import combinations
 from types import MappingProxyType
 from typing import Literal, Sequence, Union
@@ -146,16 +147,29 @@ class Metric:
         return out
 
     def inner(self, u: Section, v: Section) -> Scalar:
-        nvars = self.g[0][0].nvars
-        acc = Scalar.zero(nvars)
-        for a in range(self.rank):
-            if u.comp[a].is_zero():
-                continue
-            for b in range(self.rank):
-                t = u.comp[a] * v.comp[b]
-                if not t.is_zero():
-                    acc = acc + t * self.g[a][b]
-        return acc
+        return pairing(self.g, u, v)
+
+
+def pairing(g: Sequence[Sequence[Scalar]], u: Section, v: Section) -> Scalar:
+    """u^a v^b g_ab, summed over a then b, zero terms skipped."""
+    if u.rank != len(g) or v.rank != len(g):
+        raise ShapeError("section rank does not match the metric")
+    acc = Scalar.zero(g[0][0].nvars)
+    for ua, row in zip(u.comp, g):
+        if ua.is_zero():
+            continue
+        for vb, gab in zip(v.comp, row):
+            t = ua * vb
+            if not t.is_zero():
+                acc = acc + t * gab
+    return acc
+
+
+def _require_rank(A: AlgebroidData, *data: Connection | Metric | None) -> None:
+    """Refuse a connection or metric whose rank is not A's."""
+    for x in data:
+        if x is not None and x.rank != A.rank:
+            raise ShapeError(f"{type(x).__name__} of rank {x.rank} on an algebroid of rank {A.rank}")
 
 
 TensorLike = Union[Scalar, Section, ETensor]
@@ -285,6 +299,7 @@ def non_metricity(
     """Q_abc = rho(X_a)(g_bc) - Gamma^d_ab g_dc - Gamma^d_ac g_bd, plus
     theta_a g_bc when a scale one-form ``theta`` is given (the
     scale-covariant compatibility of conformal Courant algebroids)."""
+    _require_rank(A, conn, metric)
     r = A.rank
     out: SparseArray = {}
     for a in range(r):
@@ -363,6 +378,7 @@ class GeometryContext:
 
     def __init__(self, A: AlgebroidData, conn: Connection | None):
         global _pair_slot
+        _require_rank(A, conn)
         self.A = A
         self.conn = conn
         budget = get_term_budget()
@@ -371,8 +387,11 @@ class GeometryContext:
             store = {}
             _pair_slot = (A, conn, budget, store)
         self._pair_store: dict = store
-        self.frames = [Section.frame(A, a) for a in range(A.rank)]
         self._memo: dict = {}
+
+    @cached_property
+    def frames(self) -> list[Section]:
+        return [Section.frame(self.A, a) for a in range(self.A.rank)]
 
     def _pair(self, key, build):
         if key not in self._pair_store:
@@ -522,23 +541,29 @@ def _map_columns(A: AlgebroidData, x: SparseArray, f) -> SparseArray:
     return out
 
 
-def _frame_contraction(A: AlgebroidData, conn: Connection) -> SparseArray:
-    """C^c_ab = Gamma^e_da L^{c d}_{e b}, the corrections L(e^d, D_{X_d} X_a,
-    X_b) of all frame pairs, keyed (c, a, b) in (a, b, c) order, in one pass
-    over L: each entry receives its terms in L's iteration order, as the
-    per-pair ``core._locality_correction`` sums them."""
-    by_de: dict[tuple[int, int], list[tuple[int, Scalar]]] = {}
-    for (e, d, a), g in conn.coeff.items():
-        if not g.is_zero():
-            by_de.setdefault((d, e), []).append((a, g))
-    acc: SparseArray = {}
+def locality_terms(A: AlgebroidData) -> dict[tuple, list[tuple[tuple, Scalar]]]:
+    """C^c_ab = Gamma^e_da L^{c d}_{e b} as a linear map of Gamma: for each
+    (c, a, b), keyed in (a, b, c) order, the Gamma index (e, d, a) and the L
+    entry of each term, in L's order, as the per-pair
+    ``core._locality_correction`` sums them."""
+    terms: dict[tuple, list[tuple[tuple, Scalar]]] = {}
     for (c, d, e, b), lv in A.loc.items():
-        for a, g in by_de.get((d, e), ()):
-            s = acc.get((c, a, b))
-            acc[(c, a, b)] = g * lv if s is None else s + g * lv
-    return sparse_clean({
-        (c, a, b): acc[(c, a, b)] for a, b, c in sorted((a, b, c) for c, a, b in acc)
-    })
+        for a in range(A.rank):
+            terms.setdefault((c, a, b), []).append(((e, d, a), lv))
+    return {(c, a, b): terms[(c, a, b)] for a, b, c in sorted((a, b, c) for c, a, b in terms)}
+
+
+def _frame_contraction(A: AlgebroidData, conn: Connection) -> SparseArray:
+    """C(Gamma), the corrections L(e^d, D_{X_d} X_a, X_b) of all frame
+    pairs, keyed (c, a, b) in (a, b, c) order (``locality_terms``)."""
+    out: SparseArray = {}
+    for key, terms in locality_terms(A).items():
+        for idx, lv in terms:
+            g = conn.coeff.get(idx)
+            if g is not None and not g.is_zero():
+                s = out.get(key)
+                out[key] = g * lv if s is None else s + g * lv
+    return sparse_clean(out)
 
 
 def difference_tensor(conn1: Connection, conn2: Connection) -> SparseArray:
@@ -553,9 +578,10 @@ def check_equivalent_connections(
     """Two connections induce the same anti-commutable structure iff the
     locality contraction of their difference is antisymmetric: its
     symmetric part, keyed (c, a, b) with a <= b, is the residual."""
+    _require_rank(A, conn1, conn2)
     delta = Connection(A.rank, difference_tensor(conn1, conn2))
     return report_from_residuals(
-        "equivalent-connections", symmetric_part(locality_contraction(A, delta))
+        "equivalent-connections", symmetric_part(_frame_contraction(A, delta))
     )
 
 
@@ -606,8 +632,9 @@ def bracket_from_connection(
     for it by construction.  The anchor, locality operator and projector
     are carried over unchanged.
     """
+    _require_rank(A, conn)
     if amap is None:
-        amap = locality_contraction(A, conn)
+        amap = _frame_contraction(A, conn)
     skew = sparse_sub(conn.coeff, transposed(conn.coeff))
     return AlgebroidData(
         dim=A.dim,

@@ -42,7 +42,7 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from .errors import PoleError, ProjectorRequiredError, ShapeError
-from .linalg import invert_matrix, kernel_basis
+from .linalg import invert_matrix, kernel_basis, mat_vec
 from .reports import CheckReport, report_from_residuals
 from .scalars import Point, Scalar
 
@@ -168,13 +168,7 @@ class AlgebroidData:
 
     def anchor_of(self, u: "Section") -> list[Scalar]:
         """Chart components of rho(u)."""
-        return [
-            sum(
-                (self.anchor[i][a] * u.comp[a] for a in range(self.rank)),
-                self.zero(),
-            )
-            for i in range(self.dim)
-        ]
+        return mat_vec(self.anchor, u.comp, self.dim)
 
 
 @dataclass(frozen=True)
@@ -505,13 +499,9 @@ def _locality_correction(
 
 
 def coboundary(A: AlgebroidData, f: Scalar) -> EForm:
-    """The degree-1 form Df with (Df)(u) = rho(u)(f)."""
-    comp: SparseArray = {}
-    for a in range(A.rank):
-        v = A.frame_derive(a, f)
-        if not v.is_zero():
-            comp[(a,)] = v
-    return EForm(1, A.rank, A.dim, comp)
+    """The degree-1 form Df with (Df)(u) = rho(u)(f): the anchor jet of f."""
+    jet = anchor_jet(A, EForm.from_scalar(A, f))
+    return EForm(1, A.rank, A.dim, {(d,): v for (d, _), v in jet.items()})
 
 
 def apply_locality(
@@ -529,15 +519,7 @@ def apply_locality(
 def project_section(A: AlgebroidData, u: Section) -> Section:
     if A.proj is None:
         raise ProjectorRequiredError("algebroid has no locality projector")
-    out = []
-    for a in range(A.rank):
-        acc = A.zero()
-        for b in range(A.rank):
-            p = A.proj[a][b]
-            if not p.is_zero() and not u.comp[b].is_zero():
-                acc = acc + p * u.comp[b]
-        out.append(acc)
-    return Section(tuple(out))
+    return Section(tuple(mat_vec(A.proj, u.comp, A.dim)))
 
 
 # -- structural classification ------------------------------------------
@@ -664,28 +646,22 @@ def change_frame(
     e'^d (row d of F.inverse) on (X'_e, X'_c) and the projector
     ``project_section(X'_b)``, both tensorial; the connection is
     ``covariant_derivative`` of X'_c along X'_b, which gains the usual
-    derivative term.  The metric transforms as a (0, 2) tensor.  Returns
-    (algebroid, connection, metric) with None propagated.
+    derivative term.  The metric is ``pairing`` of the new frame
+    sections.  Returns (algebroid, connection, metric) with None propagated.
     """
-    from .connection import Connection, covariant_derivative  # imports core
+    from .connection import Connection, covariant_derivative, pairing  # imports core
 
-    if F.rank != A.rank:
-        raise ShapeError("frame matrix rank mismatch")
     r = A.rank
-    Amat = F.matrix
-    frames = [Section(tuple(col)) for col in zip(*Amat)]  # X'_a in old frame
+    if F.rank != r:
+        raise ShapeError("frame matrix rank mismatch")
+    if metric is not None and (len(metric) != r or any(len(row) != r for row in metric)):
+        raise ShapeError("metric must be a rank x rank matrix")
+    frames = [Section(tuple(col)) for col in zip(*F.matrix)]  # X'_a in old frame
     pairs = list(itertools.product(range(r), repeat=2))
 
     def read_back(u: Section) -> list[Scalar]:
         """New-frame components of u: (F^-1)^c_d u^d."""
-        out = []
-        for row in F.inverse:
-            acc = A.zero()
-            for x, y in zip(row, u.comp):
-                if not x.is_zero() and not y.is_zero():
-                    acc = acc + x * y
-            out.append(acc)
-        return out
+        return mat_vec(F.inverse, u.comp, A.dim)
 
     def sparse(entries) -> SparseArray:
         """(key, section) pairs as the nonzero entries (c, *key), sorted."""
@@ -721,17 +697,5 @@ def change_frame(
 
     metric2 = None
     if metric is not None:
-        metric2 = [[A.zero() for _ in range(r)] for _ in range(r)]
-        for a in range(r):
-            for b in range(r):
-                acc = A.zero()
-                for c in range(r):
-                    if Amat[c][a].is_zero():
-                        continue
-                    for d in range(r):
-                        t = Amat[c][a] * Amat[d][b]
-                        if not t.is_zero():
-                            acc = acc + t * metric[c][d]
-                metric2[a][b] = acc
-
+        metric2 = [[pairing(metric, x, y) for y in frames] for x in frames]
     return A2, conn2, metric2

@@ -19,7 +19,8 @@ from .connection import (
     Connection,
     GeometryContext,
     Metric,
-    covariant_derivative,
+    _require_rank,
+    locality_terms,
     non_metricity,
 )
 from .core import AlgebroidData, SparseArray, sparse_add, sparse_sub
@@ -70,6 +71,11 @@ def _unknown_index(r: int, a: int, b: int, c: int) -> int:
     return (a * r + b) * r + c
 
 
+def _triples(r: int) -> list[tuple[int, int, int]]:
+    """The frame triples, the k-th at ``_unknown_index`` k."""
+    return list(itertools.product(range(r), repeat=3))
+
+
 def _add_term(
     coeffs: dict[int, Scalar], r: int, a: int, b: int, c: int, value: Scalar
 ) -> None:
@@ -87,14 +93,7 @@ def _solution_space(A: AlgebroidData, sol: LinearSolution) -> SolutionSpace:
         return SolutionSpace(status="infeasible", rank=r, witness=sol.witness)
 
     def to_sparse(vec: list[Scalar]) -> SparseArray:
-        out: SparseArray = {}
-        for a in range(r):
-            for b in range(r):
-                for c in range(r):
-                    v = vec[_unknown_index(r, a, b, c)]
-                    if not v.is_zero():
-                        out[(a, b, c)] = v
-        return out
+        return {idx: v for idx, v in zip(_triples(r), vec) if not v.is_zero()}
 
     particular = Connection(r, to_sparse(sol.particular))
     basis = [to_sparse(vec) for vec in sol.kernel_basis]
@@ -139,6 +138,7 @@ def koszul_rows(
         = rho_b(g_cd) + rho_c(g_bd) - rho_d(g_bc)
           - gamma^e_cd g_eb - gamma^e_bd g_ec + gamma^e_bc g_ed
     """
+    _require_rank(A, metric)
     r = A.rank
     rows = []
     two = A.const(2)
@@ -175,15 +175,11 @@ def koszul_residual(
 ) -> SparseArray:
     """Residuals of the Koszul system at a given connection."""
     out: SparseArray = {}
-    r = A.rank
-    for row, (coeffs, rhs) in zip(
-        ((b, c, d) for b in range(r) for c in range(r) for d in range(r)),
-        koszul_rows(A, metric),
-    ):
+    triples = _triples(A.rank)
+    for row, (coeffs, rhs) in zip(triples, koszul_rows(A, metric)):
         acc = -rhs
         for k, v in coeffs.items():
-            a, b, c = k // (r * r), (k // r) % r, k % r
-            g = conn.coeff.get((a, b, c))
+            g = conn.coeff.get(triples[k])
             if g is not None:
                 acc = acc + v * g
         if not acc.is_zero():
@@ -200,18 +196,17 @@ def solve_torsion_free(A: AlgebroidData) -> SolutionSpace:
     r = A.rank
     rows = []
     one = A.one()
+    contraction = locality_terms(A)
     for a in range(r):
         for b in range(r):
             for c in range(r):
                 coeffs: dict[int, Scalar] = {}
                 _add_term(coeffs, r, a, b, c, one)
                 _add_term(coeffs, r, a, c, b, -one)
-                # + Gamma^e_db L^{a d}_{e c}
-                for (aa, d, e, cc), lv in A.loc.items():
-                    if aa == a and cc == c:
-                        _add_term(coeffs, r, e, d, b, lv)
-                rhs = A.gamma_at(a, b, c)
-                rows.append((coeffs, rhs))
+                # + C^a_bc = Gamma^e_db L^{a d}_{e c}
+                for idx, lv in contraction.get((a, b, c), ()):
+                    _add_term(coeffs, r, *idx, lv)
+                rows.append((coeffs, A.gamma_at(a, b, c)))
     sol = solve_affine(rows, r**3, A.dim)
     return _solution_space(A, sol)
 
@@ -233,7 +228,7 @@ def _on_triples(A: AlgebroidData, term) -> SparseArray:
     """The nonzero term(b, c, d) on every frame triple, keyed (b, c, d)."""
     return {
         idx: v
-        for idx in itertools.product(range(A.rank), repeat=3)
+        for idx in _triples(A.rank)
         if not (v := term(*idx)).is_zero()
     }
 
@@ -253,6 +248,7 @@ def decompose_connection(
 
     Returns (levi_civita_part, torsion_part, nonmetricity_part, report).
     """
+    _require_rank(A, conn, metric)
     ctx = GeometryContext(A, conn)
     adm = ctx.admissibility()
     if not adm.passed:
@@ -313,6 +309,7 @@ def check_levicivita_props(
     """
     from .calculus import seeded_sections
 
+    _require_rank(A, conn, metric)
     ctx = GeometryContext(A, conn)
     adm = ctx.admissibility().passed
     kres = koszul_residual(A, conn, metric)
@@ -352,8 +349,8 @@ def check_levicivita_props(
             lhs = A.section_derive(v, metric.inner(u, w))
             lhs = lhs - metric.inner(ctx.bracket(v, u, modified), w)
             lhs = lhs - metric.inner(u, ctx.bracket(v, w, modified))
-            rhs = metric.inner(covariant_derivative(A, conn, u, v), w)
-            rhs = rhs + metric.inner(u, covariant_derivative(A, conn, w, v))
+            rhs = metric.inner(ctx.covariant(u, v), w)
+            rhs = rhs + metric.inner(u, ctx.covariant(w, v))
             val = lhs - rhs
             if not val.is_zero():
                 residuals[("metric-derivative", k)] = val

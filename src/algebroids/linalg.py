@@ -31,21 +31,26 @@ from .scalars import Poly, Scalar
 Matrix = list[list[Scalar]]
 
 
+def mat_vec(m: Matrix, x, nvars: int) -> list[Scalar]:
+    """m x: each row's sum in column order, zero terms skipped."""
+    if any(len(row) != len(x) for row in m):
+        raise ShapeError("vector length does not match the matrix rows")
+    out = []
+    for row in m:
+        acc = Scalar.zero(nvars)
+        for a, b in zip(row, x):
+            if not a.is_zero() and not b.is_zero():
+                acc = acc + a * b
+        out.append(acc)
+    return out
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if not a or not b or len(a[0]) != len(b):
+    if not a or not b or any(len(row) != len(b[0]) for row in b):
         raise ShapeError("incompatible matrix shapes")
     nvars = a[0][0].nvars
-    out = []
-    for row in a:
-        out_row = []
-        for j in range(len(b[0])):
-            acc = Scalar.zero(nvars)
-            for k, x in enumerate(row):
-                if not x.is_zero() and not b[k][j].is_zero():
-                    acc = acc + x * b[k][j]
-            out_row.append(acc)
-        out.append(out_row)
-    return out
+    columns = [mat_vec(a, column, nvars) for column in zip(*b)]
+    return [list(row) for row in zip(*columns)]
 
 
 @dataclass

@@ -17,6 +17,7 @@ from algebroids import (
     AlgebroidData,
     BudgetError,
     Connection,
+    EForm,
     ETensor,
     Metric,
     ProjectorRequiredError,
@@ -1087,6 +1088,30 @@ def test_a_lower_budget_is_not_met_from_the_store():
             curvature(A, conn)
     finally:
         set_term_budget(old)
+
+
+def test_a_d_of_a_form_on_a_fresh_context_builds_no_frame_section(monkeypatch):
+    fx = random_anticommutable(1, dim=1, rank=3)
+    A, conn = fx.algebroid, fx.connection
+    frames = record_calls(monkeypatch, Section, "frame")
+    rng = random.Random(1)
+    form = EForm(1, A.rank, A.dim, {
+        (a,): random_scalar(rng, A.dim, 2) for a in range(A.rank)
+    })
+    assert not e_exterior_derivative(A, conn, form, "modified").is_zero()
+    assert frames == []
+
+
+def test_equivalence_and_bracket_from_connection_keep_the_pair_slot():
+    fx = random_anticommutable(1, dim=1, rank=3)
+    A, conn = fx.algebroid, fx.connection
+    other = Connection.of(A.rank, {(0, 1, 2): A.one(), (2, 2, 0): A.const(3)})
+    check_admissible(A, conn)
+    slot = connection_module._pair_slot
+    check_equivalent_connections(A, conn, other)
+    assert connection_module._pair_slot is slot
+    bracket_from_connection(A, other)
+    assert connection_module._pair_slot is slot
 
 
 def suite_reports(A, conn, metric):

@@ -9,8 +9,13 @@ from algebroids import (
     AdmissibilityError,
     AlgebroidData,
     Connection,
+    FrameChange,
     Metric,
     Scalar,
+    ShapeError,
+    bracket_from_connection,
+    change_frame,
+    check_equivalent_connections,
     check_admissible,
     check_levicivita_props,
     curvature,
@@ -247,3 +252,33 @@ def test_levicivita_props_courant(courant1):
         courant1.algebroid, conn, courant1.metric, samples=2
     )
     assert report.passed
+
+
+def _rank_mismatches():
+    """Calls on courant_standard n = 1, of rank 2, with a metric or a
+    connection of another rank."""
+    A = make_example("courant_standard", n=1).algebroid
+    one, zero = A.one(), A.zero()
+    rank1 = Metric([[one]])
+    rank3 = Metric([[one if a == b else zero for b in range(3)] for a in range(3)])
+    conn1 = Connection(1, {(0, 0, 0): one})
+    conn3 = Connection(3, {(2, 2, 2): one, (0, 0, 1): one})
+    identity = FrameChange.of([[one, zero], [zero, one]])
+    return {
+        "koszul-rank-1": lambda: solve_koszul(A, rank1),
+        "koszul-rank-3": lambda: solve_koszul(A, rank3),
+        "non-metricity": lambda: non_metricity(A, Connection.zero(2), rank3),
+        "decompose": lambda: decompose_connection(A, Connection.zero(2), rank3),
+        "levicivita-props": lambda: check_levicivita_props(A, Connection.zero(2), rank3),
+        "curvature": lambda: curvature(A, conn3),
+        "torsion": lambda: torsion(A, conn3, "modified"),
+        "equivalence": lambda: check_equivalent_connections(A, conn1, Connection.zero(2)),
+        "bracket-from-connection": lambda: bracket_from_connection(A, conn1),
+        "change-frame": lambda: change_frame(A, identity, None, [list(row) for row in rank3.g]),
+    }
+
+
+@pytest.mark.parametrize("name", list(_rank_mismatches()))
+def test_rank_mismatches_raise_shape_error(name):
+    with pytest.raises(ShapeError):
+        _rank_mismatches()[name]()
