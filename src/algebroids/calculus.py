@@ -25,7 +25,9 @@ memoizes, by the ids of their arguments, the brackets, the anchor jets of
 sections and forms, the covariant derivatives D_x y, and the Leibniz and
 exterior derivatives (``_leibniz``, ``_e_exterior``), so each is computed
 at most once per call; the algebraic Bianchi check evaluates each cyclic
-term once.
+term once.  The Leibniz and exterior derivatives and the right-hand sides of
+the algebraic Bianchi identities sum their products through
+``scalars.Accumulator``, in the order the formulas are written.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from .core import (
     Section,
     SparseArray,
     _sort_with_sign,
+    accumulators,
     contract_sections,
     interior_product,
     wedge,
@@ -55,7 +58,7 @@ from .core import (
 from .errors import AdmissibilityError, ShapeError
 from .fixtures import random_scalar
 from .reports import CheckReport, report_from_residuals
-from .scalars import Scalar
+from .scalars import Accumulator, Scalar
 
 def _require_admissible(ctx: GeometryContext) -> None:
     report = ctx.admissibility()
@@ -89,29 +92,24 @@ def _exterior_component(
     B: AlgebroidData, jet: dict, omega: EForm, idx: tuple[int, ...]
 ) -> Scalar:
     p1 = len(idx)
-    acc = B.zero()
+    acc = Accumulator(B.dim)
     for i in range(p1):
         # rho_{idx[i]} of omega at the other indices, read off omega's jet
         ss = _sort_with_sign(idx[:i] + idx[i + 1 :])
         term = None if ss is None else jet.get((idx[i], ss[0]))
         if term is not None:
-            term = term if ss[1] == 1 else -term
-            acc = acc + term if i % 2 == 0 else acc - term
+            acc.add(term, ss[1] if i % 2 == 0 else -ss[1])
     for i in range(p1):
         for j in range(i + 1, p1):
             rest = tuple(idx[k] for k in range(p1) if k != i and k != j)
-            sub = B.zero()
+            sub = Accumulator(B.dim)
             for e in range(B.rank):
                 g = B.gamma.get((e, idx[i], idx[j]))
-                if g is None:
-                    continue
-                w = omega.at((e,) + rest)
-                if not w.is_zero():
-                    sub = sub + g * w
-            if not sub.is_zero():
-                # 0-based (i, j) maps to 1-based (i+1, j+1): sign (-1)^(i+j)
-                acc = acc - sub if (i + j) % 2 == 1 else acc + sub
-    return acc
+                if g is not None:
+                    sub.add_product(g, omega.at((e,) + rest))
+            # 0-based (i, j) maps to 1-based (i+1, j+1): sign (-1)^(i+j)
+            acc.add(sub.value(), -1 if (i + j) % 2 == 1 else 1)
+    return acc.value()
 
 
 def e_exterior_derivative(
@@ -170,17 +168,15 @@ def _leibniz(ctx: GeometryContext, B: AlgebroidData, v: Section, target):
             return EForm.from_scalar(B, B.section_derive(v, f))
         frame_brackets = ctx.frame_brackets(v, B)
         out: SparseArray = {}
-        for idx, acc in ctx.anchor_derivatives(v, target).items():
+        for idx, rho in ctx.anchor_derivatives(v, target).items():
+            acc = Accumulator(B.dim, rho)
             for pos in range(p):
                 br = frame_brackets[idx[pos]]
-                for e in range(B.rank):
-                    if br.comp[e].is_zero():
-                        continue
-                    w = target.at(idx[:pos] + (e,) + idx[pos + 1 :])
-                    if not w.is_zero():
-                        acc = acc - br.comp[e] * w
-            if not acc.is_zero():
-                out[idx] = acc
+                for e, x in enumerate(br.comp):
+                    if not x.is_zero():
+                        acc.add_product(x, target.at(idx[:pos] + (e,) + idx[pos + 1 :]), -1)
+            if not (value := acc.value()).is_zero():
+                out[idx] = value
         return EForm(p, B.rank, B.dim, out)
 
     return ctx._cached(("leibniz", id(v), id(target), id(B)), build, v, target, B)
@@ -364,39 +360,38 @@ def _bianchi(ctx: GeometryContext, B: AlgebroidData, P: AlgebroidData) -> dict[t
 
     def first(u, v, w, a) -> Scalar:
         # (D_u T)(v, w) + T(T(u, v), w) + [u, [v, w]] - D_{C(u, v)} w, component a
-        rhs = nabla_t.get((u, a, v, w), zero)
+        rhs = Accumulator(A.dim, nabla_t.get((u, a, v, w), zero))
         for e in range(r):
             t1 = tor.get((e, u, v))
             if t1 is not None:
                 t2 = tor.get((a, e, w))
                 if t2 is not None:
-                    rhs = rhs + t1 * t2
+                    rhs.add_product(t1, t2)
         if complement:
-            rhs = rhs - ctx.covariant(complement[(u, v)], frames[w]).comp[a]
-        return rhs + right[(u, v, w)].comp[a]
+            rhs.add(ctx.covariant(complement[(u, v)], frames[w]).comp[a], -1)
+        rhs.add(right[(u, v, w)].comp[a])
+        return rhs.value()
 
     def second(u, v, w, e2, a) -> Scalar:
         # R(u, T(v, w)) e' + D_{[[u, v], w]} e', component a
-        rhs = zero
+        rhs = Accumulator(A.dim)
         for f in range(r):
             t1 = tor.get((f, v, w))
             if t1 is not None:
                 t2 = curv.get((a, u, f, e2))
                 if t2 is not None:
-                    rhs = rhs + t1 * t2
-            db = left[(u, v, w)].comp[f]
-            if not db.is_zero():
-                g = conn.coeff.get((a, f, e2))
-                if g is not None:
-                    rhs = rhs + db * g
+                    rhs.add_product(t1, t2)
+            g = conn.coeff.get((a, f, e2))
+            if g is not None:
+                rhs.add_product(left[(u, v, w)].comp[f], g)
         if complement:
             # - R(u, C(v, w)) e' + D_{[C(u, v), w] + C([u, v]^P, w)} e'
             for f, x in enumerate(complement[(v, w)].comp):
                 t2 = curv.get((a, u, f, e2))
-                if t2 is not None and not x.is_zero():
-                    rhs = rhs - x * t2
-            rhs = rhs + ctx.covariant(shifted[(u, v, w)], frames[e2]).comp[a]
-        return rhs
+                if t2 is not None:
+                    rhs.add_product(x, t2, -1)
+            rhs.add(ctx.covariant(shifted[(u, v, w)], frames[e2]).comp[a])
+        return rhs.value()
 
     identities = (
         ("first", 4, lambda u, v, w, a: curv.get((a, u, v, w), zero), first),
@@ -517,13 +512,15 @@ def _second_covariant(ctx: GeometryContext, u: Section, v: Section, w: Section) 
 def curvature_apply(
     A: AlgebroidData, curv: SparseArray, u: Section, v: Section, w: Section
 ) -> Section:
-    return Section(tuple(contract_sections(curv, [u, v, w], [A.zero()] * A.rank)))
+    sums = contract_sections(curv, [u, v, w], accumulators(A))
+    return Section(tuple(acc.value() for acc in sums))
 
 
 def torsion_apply(
     A: AlgebroidData, tor: SparseArray, u: Section, v: Section
 ) -> Section:
-    return Section(tuple(contract_sections(tor, [u, v], [A.zero()] * A.rank)))
+    sums = contract_sections(tor, [u, v], accumulators(A))
+    return Section(tuple(acc.value() for acc in sums))
 
 
 def check_ricci(

@@ -31,7 +31,10 @@ public call and dropped when it returns: the brackets, the anchor jets
 rho_d(x_e) that every bracket kind reads (all kinds share A's anchor), the
 covariant derivatives D_x y and, in ``calculus``, the Leibniz and exterior
 derivatives.  So each section and form is differentiated at most once per
-call.
+call.  The covariant derivatives, the locality contraction, the curvature,
+the non-metricity, the index raising and the metric pairing sum their
+products through ``scalars.Accumulator`` (``core.sparse_sum`` when keyed),
+in the order the formulas are written.
 """
 
 from __future__ import annotations
@@ -54,13 +57,14 @@ from .core import (
     sparse_add,
     sparse_clean,
     sparse_sub,
+    sparse_sum,
     symmetric_part,
     transposed,
 )
 from .errors import ProjectorRequiredError, ShapeError, SingularMatrixError
 from .linalg import invert_matrix
 from .reports import CheckReport, report_from_residuals
-from .scalars import Scalar, get_term_budget
+from .scalars import Accumulator, Scalar, get_term_budget
 
 BracketKind = Literal["original", "modified", "projected"]
 DerivativeKind = Literal["modified", "projected"]
@@ -137,13 +141,11 @@ class Metric:
         out: SparseArray = {}
         for a, ginv in enumerate(self.ginv):
             for head, terms in rows.items():
-                acc = None
+                acc = Accumulator(ginv[0].nvars)
                 for d, v in terms:
-                    if not ginv[d].is_zero():
-                        t = ginv[d] * v
-                        acc = t if acc is None else acc + t
-                if acc is not None and not acc.is_zero():
-                    out[(a,) + head] = acc
+                    acc.add_product(ginv[d], v)
+                if not (value := acc.value()).is_zero():
+                    out[(a,) + head] = value
         return out
 
     def inner(self, u: Section, v: Section) -> Scalar:
@@ -154,15 +156,12 @@ def pairing(g: Sequence[Sequence[Scalar]], u: Section, v: Section) -> Scalar:
     """u^a v^b g_ab, summed over a then b, zero terms skipped."""
     if u.rank != len(g) or v.rank != len(g):
         raise ShapeError("section rank does not match the metric")
-    acc = Scalar.zero(g[0][0].nvars)
+    acc = Accumulator(g[0][0].nvars)
     for ua, row in zip(u.comp, g):
-        if ua.is_zero():
-            continue
-        for vb, gab in zip(v.comp, row):
-            t = ua * vb
-            if not t.is_zero():
-                acc = acc + t * gab
-    return acc
+        if not ua.is_zero():
+            for vb, gab in zip(v.comp, row):
+                acc.add_product(ua * vb, gab)
+    return acc.value()
 
 
 def _require_rank(A: AlgebroidData, *data: Connection | Metric | None) -> None:
@@ -188,19 +187,15 @@ def covariant_derivative(
         tensor = target
     else:
         raise ShapeError(f"cannot differentiate a {type(target).__name__}")
-    out: SparseArray = {}
-    for b, f in enumerate(v.comp):
-        if f.is_zero():
-            continue
-        for idx, val in frame_covariant_tensor(A, conn, b, tensor).items():
-            t = f * val
-            if t.is_zero():
-                continue
-            s = out.get(idx)
-            out[idx] = t if s is None else s + t
+    out = sparse_sum(A.dim, (
+        (idx, f, val, 1)
+        for b, f in enumerate(v.comp)
+        if not f.is_zero()
+        for idx, val in frame_covariant_tensor(A, conn, b, tensor).items()
+    ))
     if isinstance(target, Section):
         return Section(tuple(out.get((a,), A.zero()) for a in range(A.rank)))
-    return ETensor(target.q, target.s, target.rank, target.nvars, sparse_clean(out))
+    return ETensor(target.q, target.s, target.rank, target.nvars, out)
 
 
 def _as_tensor(A: AlgebroidData, u: Section) -> ETensor:
@@ -222,32 +217,31 @@ def frame_covariant_tensor(
 ) -> SparseArray:
     """Components of D_{X_b} applied to a (q, s) tensor."""
     q, s = tensor.q, tensor.s
-    out: SparseArray = {}
 
-    def accumulate(idx, val):
-        if val.is_zero():
-            return
-        cur = out.get(idx)
-        out[idx] = val if cur is None else cur + val
+    def terms():
+        # zero terms are skipped, so an index enters at its first nonzero term
+        for idx, val in tensor.comp.items():
+            if val.is_zero():
+                continue
+            if not (d := A.frame_derive(b, val)).is_zero():
+                yield idx, d, None, 1
+            # contravariant slots gain +Gamma^{a_k}_{b e}
+            for k in range(q):
+                e = idx[k]
+                for a in range(A.rank):
+                    g = conn.coeff.get((a, b, e))
+                    if g is not None and not g.is_zero():
+                        yield idx[:k] + (a,) + idx[k + 1 :], g, val, 1
+            # covariant slots gain -Gamma^{e}_{b c_l}: the stored slot value e
+            # feeds every output slot c with coefficient -Gamma^e_bc
+            for k in range(q, q + s):
+                e = idx[k]
+                for c in range(A.rank):
+                    g = conn.coeff.get((e, b, c))
+                    if g is not None and not g.is_zero():
+                        yield idx[:k] + (c,) + idx[k + 1 :], g, val, -1
 
-    for idx, val in tensor.comp.items():
-        accumulate(idx, A.frame_derive(b, val))
-        # contravariant slots gain +Gamma^{a_k}_{b e}
-        for k in range(q):
-            e = idx[k]
-            for a in range(A.rank):
-                g = conn.coeff.get((a, b, e))
-                if g is not None:
-                    accumulate(idx[:k] + (a,) + idx[k + 1 :], g * val)
-        # covariant slots gain -Gamma^{e}_{b c_l}: the stored slot value e
-        # feeds every output slot c with coefficient -Gamma^e_bc
-        for k in range(q, q + s):
-            e = idx[k]
-            for c in range(A.rank):
-                g = conn.coeff.get((e, b, c))
-                if g is not None:
-                    accumulate(idx[:k] + (c,) + idx[k + 1 :], -(g * val))
-    return sparse_clean(out)
+    return sparse_sum(A.dim, terms())
 
 
 def modified_anholonomy(
@@ -305,20 +299,20 @@ def non_metricity(
     for a in range(r):
         for b in range(r):
             for c in range(b, r):
-                acc = A.frame_derive(a, metric.at(b, c))
+                acc = Accumulator(A.dim, A.frame_derive(a, metric.at(b, c)))
                 if theta is not None:
-                    acc = acc + theta[a] * metric.at(b, c)
+                    acc.add_product(theta[a], metric.at(b, c))
                 for d in range(r):
                     g1 = conn.coeff.get((d, a, b))
                     if g1 is not None:
-                        acc = acc - g1 * metric.at(d, c)
+                        acc.add_product(g1, metric.at(d, c), -1)
                     g2 = conn.coeff.get((d, a, c))
                     if g2 is not None:
-                        acc = acc - metric.at(b, d) * g2
-                if not acc.is_zero():
-                    out[(a, b, c)] = acc
+                        acc.add_product(metric.at(b, d), g2, -1)
+                if not (value := acc.value()).is_zero():
+                    out[(a, b, c)] = value
                     if b != c:
-                        out[(a, c, b)] = acc
+                        out[(a, c, b)] = value
     return out
 
 
@@ -505,26 +499,26 @@ class GeometryContext:
             for b in range(r):
                 for c in range(r):
                     for d in range(r):
-                        acc = A.frame_derive(b, conn.at(a, c, d, A.dim))
-                        acc = acc - A.frame_derive(c, conn.at(a, b, d, A.dim))
+                        acc = Accumulator(A.dim, A.frame_derive(b, conn.at(a, c, d, A.dim)))
+                        acc.add(A.frame_derive(c, conn.at(a, b, d, A.dim)), -1)
                         for e in range(r):
                             g_cd = conn.coeff.get((e, c, d))
                             if g_cd is not None:
                                 t = conn.coeff.get((a, b, e))
                                 if t is not None:
-                                    acc = acc + g_cd * t
+                                    acc.add_product(g_cd, t)
                             g_bd = conn.coeff.get((e, b, d))
                             if g_bd is not None:
                                 t = conn.coeff.get((a, c, e))
                                 if t is not None:
-                                    acc = acc - g_bd * t
+                                    acc.add_product(g_bd, t, -1)
                             an = anhol.get((e, b, c))
                             if an is not None:
                                 t = conn.coeff.get((a, e, d))
                                 if t is not None:
-                                    acc = acc - an * t
-                        if not acc.is_zero():
-                            out[(a, b, c, d)] = acc
+                                    acc.add_product(an, t, -1)
+                        if not (value := acc.value()).is_zero():
+                            out[(a, b, c, d)] = value
         return out
 
 
@@ -556,14 +550,12 @@ def locality_terms(A: AlgebroidData) -> dict[tuple, list[tuple[tuple, Scalar]]]:
 def _frame_contraction(A: AlgebroidData, conn: Connection) -> SparseArray:
     """C(Gamma), the corrections L(e^d, D_{X_d} X_a, X_b) of all frame
     pairs, keyed (c, a, b) in (a, b, c) order (``locality_terms``)."""
-    out: SparseArray = {}
-    for key, terms in locality_terms(A).items():
-        for idx, lv in terms:
-            g = conn.coeff.get(idx)
-            if g is not None and not g.is_zero():
-                s = out.get(key)
-                out[key] = g * lv if s is None else s + g * lv
-    return sparse_clean(out)
+    return sparse_sum(A.dim, (
+        (key, g, lv, 1)
+        for key, terms in locality_terms(A).items()
+        for idx, lv in terms
+        if (g := conn.coeff.get(idx)) is not None and not g.is_zero()
+    ))
 
 
 def difference_tensor(conn1: Connection, conn2: Connection) -> SparseArray:

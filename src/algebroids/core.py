@@ -30,6 +30,15 @@ condition 1 of ``check_locality_projector``.  A frame change writes no
 transformation law of its own: each new datum is one of these operations
 on the new frame sections X'_a, read back into the new frame through the
 inverse matrix.
+
+The contractions here sum their products through ``scalars.Accumulator``,
+term by term in the order written: the anchor derivatives,
+``contract_sections``, the locality term, ``EForm.apply`` and
+``interior_product``.  The bracket keeps one accumulator per component
+(``accumulators``) through its three parts.  ``sparse_sum`` is the keyed
+form, one accumulator per output index, which the tensor builders of
+``connection`` share.  ``wedge`` keeps its own loop: most of its entries
+have one term, where an accumulator costs more than it saves.
 """
 
 from __future__ import annotations
@@ -44,7 +53,7 @@ from types import MappingProxyType
 from .errors import PoleError, ProjectorRequiredError, ShapeError
 from .linalg import invert_matrix, kernel_basis, mat_vec
 from .reports import CheckReport, report_from_residuals
-from .scalars import Point, Scalar
+from .scalars import Accumulator, Point, Scalar
 
 SparseArray = dict[tuple, Scalar]
 
@@ -60,6 +69,22 @@ def sparse_add(x: SparseArray, y: SparseArray) -> SparseArray:
         s = out.get(idx)
         out[idx] = v if s is None else s + v
     return sparse_clean(out)
+
+
+def sparse_sum(nvars: int, terms) -> SparseArray:
+    """The nonzero sums of keyed terms (key, x, y, sign), each sign * x * y,
+    or sign * x when y is None, added in order by one ``Accumulator`` per
+    key; keys come in the order of their first term."""
+    sums: dict[tuple, Accumulator] = {}
+    for key, x, y, sign in terms:
+        acc = sums.get(key)
+        if acc is None:
+            acc = sums[key] = Accumulator(nvars)
+        if y is None:
+            acc.add(x, sign)
+        else:
+            acc.add_product(x, y, sign)
+    return {key: v for key, acc in sums.items() if not (v := acc.value()).is_zero()}
 
 
 def sparse_sub(x: SparseArray, y: SparseArray) -> SparseArray:
@@ -150,21 +175,21 @@ class AlgebroidData:
 
     def section_derive(self, u: "Section", f: Scalar) -> Scalar:
         """rho(u) applied to a scalar."""
-        acc = self.zero()
+        acc = Accumulator(self.dim)
         for a, ua in enumerate(u.comp):
             if not ua.is_zero():
-                acc = acc + ua * self.frame_derive(a, f)
-        return acc
+                acc.add_product(ua, self.frame_derive(a, f))
+        return acc.value()
 
     def jet_derive(self, u: "Section", jet: dict[tuple, Scalar], e) -> Scalar:
         """rho(u)(x_e) read off the anchor jet of x (``anchor_jet``): the
         ``section_derive`` of the component x_e, summed in the same order."""
-        acc = self.zero()
+        acc = Accumulator(self.dim)
         for a, ua in enumerate(u.comp):
             w = jet.get((a, e))
-            if w is not None and not ua.is_zero():
-                acc = acc + ua * w
-        return acc
+            if w is not None:
+                acc.add_product(ua, w)
+        return acc.value()
 
     def anchor_of(self, u: "Section") -> list[Scalar]:
         """Chart components of rho(u)."""
@@ -310,41 +335,31 @@ class EForm:
             raise ShapeError("wrong number of section arguments")
         if self.degree == 0:
             return self.comp.get((), self.zero_scalar())
-        total = self.zero_scalar()
+        total = Accumulator(self.nvars)
         for idx, v in self.comp.items():
-            det = self.zero_scalar()
+            det = Accumulator(self.nvars)
             for perm in itertools.permutations(range(self.degree)):
-                sign = _perm_sign(perm)
                 prod = Scalar.one(self.nvars)
                 for i, k in enumerate(perm):
                     prod = prod * sections[i].comp[idx[k]]
                     if prod.is_zero():
                         break
-                if prod.is_zero():
-                    continue
-                det = det + prod if sign == 1 else det - prod
-            if not det.is_zero():
-                total = total + v * det
-        return total
+                det.add(prod, _perm_sign(perm))
+            total.add_product(v, det.value())
+        return total.value()
 
 
 def interior_product(omega: EForm, v: Section) -> EForm:
     """Contraction in the first slot; a degree -1 graded derivation."""
     if omega.degree < 1:
         raise ShapeError("interior product needs a form of degree >= 1")
-    out: SparseArray = {}
-    for idx, value in omega.comp.items():
-        for pos, a in enumerate(idx):
-            f = v.comp[a]
-            if f.is_zero():
-                continue
-            rest = idx[:pos] + idx[pos + 1 :]
-            term = f * value
-            if pos % 2 == 1:
-                term = -term
-            s = out.get(rest)
-            out[rest] = term if s is None else s + term
-    return EForm(omega.degree - 1, omega.rank, omega.nvars, sparse_clean(out))
+    out = sparse_sum(omega.nvars, (
+        (idx[:pos] + idx[pos + 1 :], v.comp[a], value, -1 if pos % 2 else 1)
+        for idx, value in omega.comp.items()
+        for pos, a in enumerate(idx)
+        if not v.comp[a].is_zero()
+    ))
+    return EForm(omega.degree - 1, omega.rank, omega.nvars, out)
 
 
 def wedge(a: EForm, b: EForm) -> EForm:
@@ -438,27 +453,31 @@ def bracket(
         raise ShapeError("section rank does not match algebroid")
     du = anchor_jet(A, u) if du is None else du
     dv = anchor_jet(A, v) if dv is None else dv
-    r = A.rank
-    zero = A.zero()
-    out = [zero for _ in range(r)]
+    # one sum per component c, taken term by term through all three parts
+    sums = accumulators(A)
 
     # structure-function term u^a v^b gamma^c_ab
-    contract_sections(A.gamma, [u, v], out)
+    contract_sections(A.gamma, [u, v], sums)
 
-    # derivative terms rho(u)(v^c) - rho(v)(u^c)
-    for c in range(r):
-        out[c] = out[c] + A.jet_derive(u, dv, c) - A.jet_derive(v, du, c)
+    # derivative terms rho(u)(v^c) - rho(v)(u^c); none when both jets are empty
+    if du or dv:
+        for c, acc in enumerate(sums):
+            acc.add(A.jet_derive(u, dv, c))
+            acc.add(A.jet_derive(v, du, c), -1)
 
     # locality term rho^i_d d_i(u^a) v^b L^{c d}_{a b}
-    if not A.loc:
-        return Section(tuple(out))
-    return _locality_correction(A, du, v, out)
+    return _locality_correction(A, du, v, sums)
+
+
+def accumulators(A: AlgebroidData) -> list[Accumulator]:
+    """One empty ``Accumulator`` per frame index: the sums of a section."""
+    return [Accumulator(A.dim) for _ in range(A.rank)]
 
 
 def contract_sections(
-    x: SparseArray, sections: list[Section], out: list[Scalar]
-) -> list[Scalar]:
-    """Adds x[(c, b1, .., bk)] u1^b1 .. uk^bk onto out[c] for the k given
+    x: SparseArray, sections: list[Section], sums: list[Accumulator]
+) -> list[Accumulator]:
+    """Adds x[(c, b1, .., bk)] u1^b1 .. uk^bk onto sums[c] for the k given
     sections, in x's order; each product u1^b1 .. uk^bk is formed once."""
     products: dict[tuple, Scalar] = {}
     for idx, val in x.items():
@@ -470,32 +489,28 @@ def contract_sections(
                     break
                 t = t * u.comp[b]
             products[idx[1:]] = t
-        if not t.is_zero():
-            out[idx[0]] = out[idx[0]] + t * val
-    return out
+        sums[idx[0]].add_product(t, val)
+    return sums
 
 
 def _locality_correction(
     A: AlgebroidData,
     table: dict[tuple[int, int], Scalar],
     v: Section,
-    start: list[Scalar] | None = None,
+    sums: list[Accumulator] | None = None,
 ) -> Section:
     """L^{c d}_{e b} table[(d, e)] v^b X_c summed over d, e and b, added
-    term by term onto ``start`` when given.  With table[(d, e)] =
-    rho_d(u^e), the anchor jet of u, this is the bracket's locality term;
-    with (D_{X_d} u)^e it is the correction L(e^d, D_{X_d} u, v) that turns
-    the bracket into the modified one; with omega_d u^e it is
-    L(omega, u, v)."""
-    out = list(start) if start is not None else [A.zero()] * A.rank
+    term by term onto the sums of a section when given.  With
+    table[(d, e)] = rho_d(u^e), the anchor jet of u, this is the bracket's
+    locality term; with (D_{X_d} u)^e it is the correction L(e^d, D_{X_d}
+    u, v) that turns the bracket into the modified one; with omega_d u^e it
+    is L(omega, u, v)."""
+    sums = accumulators(A) if sums is None else sums
     for (c, d, e, b), lv in A.loc.items():
         w = table.get((d, e))
-        if w is None:
-            continue
-        t = w * v.comp[b]
-        if not t.is_zero():
-            out[c] = out[c] + t * lv
-    return Section(tuple(out))
+        if w is not None:
+            sums[c].add_product(w * v.comp[b], lv)
+    return Section(tuple(acc.value() for acc in sums))
 
 
 def coboundary(A: AlgebroidData, f: Scalar) -> EForm:

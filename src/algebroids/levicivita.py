@@ -6,7 +6,11 @@ Both solvers assemble their defining equations on frame triples as affine
 systems in the r^3 connection coefficients and return the full solution
 set; a connection is never chosen silently.  Infeasibility of the
 torsion-free system is a certificate that no torsion-free connection
-exists, which happens exactly when the bracket is not anti-commutable.
+exists.  The paper proves one direction only: an algebroid that is not
+anti-commutable has no torsion-free connection.  The converse fails.  At
+rank 2 and dimension 1 with zero anchor, gamma^0_10 = 2, gamma^1_00 = 1
+and L^{01}_{01} = L^{10}_{00} = 2, the connection Gamma^0_00 = 1/2,
+Gamma^0_10 = 1 is admissible, yet the torsion-free system is infeasible.
 """
 
 from __future__ import annotations

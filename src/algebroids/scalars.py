@@ -34,6 +34,21 @@ den is rescaled to be monic in the graded-lexicographic term order.  Full
 multivariate GCD reduction is deliberately not attempted.  Polynomial
 scalars share one unit denominator, so their product multiplies numerators.
 
+A sum of products is taken by an ``Accumulator``, which returns exactly the
+Scalar of the loop ``acc = acc + x * y`` and costs no Poly per term.  While
+every term is polynomial, each product is multiplied straight into one
+integer dict over a common denominator, zero coefficients are deleted as
+they appear, and the sum is made primitive once at the end; by Gauss's
+lemma that is the canonical Poly the loop builds one sum at a time.  Sums
+of rational scalars are not canonical (they cancel monomial factors only),
+so the first term with a non-unit denominator turns the sum into a Scalar,
+and every later term is added to it in order, as the loop adds it.  The
+term budget and the exponent limit are checked as the loop checks them:
+each product goes through ``_check_degrees``, a product of more than
+budget term pairs is formed as ``x * y``, which raises when its own terms
+exceed the budget, and each sum of two nonzero terms is checked against
+the budget by its term count, the support of the dict.
+
 All values are immutable after construction and all operations are pure.
 """
 
@@ -698,6 +713,130 @@ class Scalar:
 
     def __repr__(self) -> str:
         return f"Scalar({self.num!r}, {self.den!r})"
+
+
+class Accumulator:
+    """A sum of scalars and products of scalars, taken term by term.
+
+    ``value()`` is exactly the Scalar that the loop ``acc = start``, then
+    ``acc = acc + x`` or ``acc - x`` for each ``add(x, sign)`` and
+    ``acc = acc + x * y`` or ``acc - x * y`` for each
+    ``add_product(x, y, sign)``, returns, and the same ``BudgetError`` is
+    raised at the same term.  Polynomial terms are summed into one integer
+    dict over a common denominator; from the first rational term on, the
+    sum is a Scalar and every term is added to it in order."""
+
+    __slots__ = ("nvars", "_first", "_t", "_den", "_sum")
+
+    def __init__(self, nvars: int, start: Scalar | None = None):
+        self.nvars = nvars
+        self._first: tuple | None = None  # the one term so far: (x, y or None, sign)
+        self._t: dict[int, int] | None = None  # the polynomial sum times _den
+        self._den = 1
+        self._sum: Scalar | None = None  # the sum from a rational term or value() on
+        if start is not None:
+            self.add(start)
+
+    def add(self, x: Scalar, sign: int = 1) -> None:
+        if not x.num._t:
+            return
+        if self._sum is None:
+            if x.den._t is _UNIT:  # a polynomial: its denominator is Poly.one
+                self._poly_term(x, None, sign)
+                return
+            self.value()
+        self._sum = self._sum + x if sign > 0 else self._sum - x
+
+    def add_product(self, x: Scalar, y: Scalar, sign: int = 1) -> None:
+        a, b = x.num._t, y.num._t
+        if not a or not b:
+            return
+        if self._sum is None:
+            if x.den._t is _UNIT and y.den._t is _UNIT:
+                # the checks of the product x * y, made where the loop makes them
+                if len(a) > len(b):
+                    a, b = b, a
+                if len(a) * len(b) > _term_budget:
+                    self.add(x * y, sign)  # may have fewer terms; else it raises
+                    return
+                if len(a) > 1 or 0 not in a:
+                    _check_degrees(max(a), max(b), self.nvars)
+                self._poly_term(x, y, sign)
+                return
+            self.value()
+        self._sum = self._sum + x * y if sign > 0 else self._sum - x * y
+
+    def value(self) -> Scalar:
+        """The sum; terms added after it go to a Scalar sum."""
+        s = self._sum
+        if s is None:
+            if self._first is not None:
+                x, y, sign = self._first
+                s = x if y is None else x * y
+                if sign < 0:
+                    s = -s
+            elif self._t:
+                # Gauss's lemma: made primitive once, the sum is the loop's Poly
+                s = Scalar.__new__(Scalar)
+                s.num = _primitive(self.nvars, 1, self._den, self._t)
+                s.den = Poly.one(self.nvars)
+            else:
+                s = Scalar.zero(self.nvars)
+            self._sum = s
+        return s
+
+    def _poly_term(self, x: Scalar, y: Scalar | None, sign: int) -> None:
+        if self._t is None:
+            if self._first is None:
+                self._first = (x, y, sign)
+                return
+            self._t = {}
+            self._put(*self._first)
+            self._first = None
+            summed = True
+        else:
+            summed = bool(self._t)  # 0 + term makes no sum in the loop
+        self._put(x, y, sign)
+        # the loop checks each sum of two nonzero terms
+        if summed and len(self._t) > _term_budget:
+            raise BudgetError(
+                f"scalar with {len(self._t)} terms exceeds budget {_term_budget}"
+            )
+
+    def _put(self, x: Scalar, y: Scalar | None, sign: int) -> None:
+        """Adds sign * x, or sign * x * y, into the dict."""
+        p = x.num
+        if y is None:
+            num, den, a, b = sign * p._num, p._den, _UNIT, p._t
+        else:
+            q = y.num
+            num, den, a, b = sign * p._num * q._num, p._den * q._den, p._t, q._t
+            if len(a) > len(b):
+                a, b = b, a
+            if den != 1:
+                g = gcd(num, den)
+                num, den = num // g, den // g
+        t, total = self._t, self._den
+        if total % den:
+            # the common denominator total * m, m = den / gcd(total, den)
+            g = gcd(total, den)
+            m = den // g
+            for k in t:
+                t[k] *= m
+            self._den = total * m
+            num *= total // g
+        elif total != 1:
+            num *= total // den
+        get = t.get
+        for ka, ca in a.items():
+            f = num * ca
+            for kb, cb in b.items():
+                k = ka + kb
+                v = get(k, 0) + f * cb
+                if v:
+                    t[k] = v
+                else:
+                    del t[k]
 
 
 @dataclass(frozen=True)

@@ -150,6 +150,24 @@ def test_torsion_free_members_admissible():
         assert check_admissible(A, m).passed
 
 
+def test_admissible_connection_without_a_torsion_free_one():
+    """Not anti-commutable implies no torsion-free connection, but not the
+    converse: this rank-2, dim-1 algebroid with zero anchor has an
+    admissible connection and an infeasible torsion-free system."""
+    c = lambda v: Scalar.constant(1, v)
+    A = AlgebroidData(
+        dim=1, rank=2, coords=("x1",),
+        anchor=((c(0), c(0)),),
+        gamma={(0, 1, 0): c(2), (1, 0, 0): c(1)},
+        loc={(0, 1, 0, 1): c(2), (1, 0, 0, 0): c(2)},
+    )
+    conn = Connection(2, {(0, 0, 0): c(Fraction(1, 2)), (0, 1, 0): c(1)})
+    assert check_admissible(A, conn).passed
+    space = solve_torsion_free(A)
+    assert space.status == "infeasible"
+    assert space.witness == c(16)
+
+
 def test_torsion_free_infeasible_on_generated_family():
     for seed in range(5):
         A = random_almost_dull_not_almost_lie(seed, dim=2, rank=3)
