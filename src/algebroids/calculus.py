@@ -20,14 +20,23 @@ derivative, the associator and the nested brackets of the Bianchi
 identities bracket in B.  The kind survives in the public signatures and
 the report keys only.  The locality terms C(u, v) = (1 - P) L(e^d,
 D_{X_d} u, v) of the general Bianchi and Ricci identities are the
-projected bracket minus the modified one.  Within one call the context
-memoizes, by the ids of their arguments, the brackets, the anchor jets of
-sections and forms, the covariant derivatives D_x y, and the Leibniz and
-exterior derivatives (``_leibniz``, ``_e_exterior``), so each is computed
-at most once per call; the algebraic Bianchi check evaluates each cyclic
-term once.  The Leibniz and exterior derivatives and the right-hand sides of
-the algebraic Bianchi identities sum their products through
-``scalars.Accumulator``, in the order the formulas are written.
+projected bracket minus the modified one.  Where the projector fixes the
+image of the locality operator, the projected kind's algebroid is the
+modified one (``GeometryContext.algebroid``), and each value built from a
+kind's algebroid is built once per distinct algebroid and reported under
+every kind name that maps to it, in the report's order: the magic-suite
+forms, the associator gate and the derivative-commutation pair, and the
+right-hand sides of the first Cartan equations.  There the complement C
+vanishes, so the Ricci check skips it, and the algebraic Bianchi residuals,
+which read frame tuples only, are a value of the pair keyed by the
+algebroid, which both forms of the identity share.  Within one call the
+context memoizes, by the ids of their arguments, the brackets, the anchor
+jets of sections and forms, the covariant derivatives D_x y, and the
+Leibniz and exterior derivatives (``_leibniz``, ``_e_exterior``), so each
+is computed at most once per call; the algebraic Bianchi check evaluates
+each cyclic term once.  The Leibniz and exterior derivatives and the
+right-hand sides of the algebraic Bianchi identities sum their products
+through ``scalars.Accumulator``, in the order the formulas are written.
 """
 
 from __future__ import annotations
@@ -258,22 +267,20 @@ def check_cartan_structure(A: AlgebroidData, conn: Connection) -> CheckReport:
     omegas = [[conn.omega(A, a, b) for b in range(r)] for a in range(r)]
     coframes = [EForm.coframe(A, a) for a in range(r)]
     for a in range(r):
-        de = _e_exterior(ctx, M, coframes[a])
-        de_hat = _e_exterior(ctx, P, coframes[a])
-        rhs = de
-        rhs_hat = de_hat
+        rhs = _e_exterior(ctx, M, coframes[a])
+        rhs_hat = _e_exterior(ctx, P, coframes[a])
         for b in range(r):
             wb = wedge(omegas[a][b], coframes[b])
             rhs = rhs.add(wb)
-            rhs_hat = rhs_hat.add(wb)
+            if P is not M:
+                rhs_hat = rhs_hat.add(wb)
         for b in range(r):
             for c in range(b + 1, r):
-                residuals[("first", a, b, c)] = tor.get((a, b, c), A.zero()) - rhs.at(
-                    (b, c)
+                first = tor.get((a, b, c), A.zero()) - rhs.at((b, c))
+                residuals[("first", a, b, c)] = first
+                residuals[("first-projected", a, b, c)] = first if P is M else (
+                    tor_hat.get((a, b, c), A.zero()) - rhs_hat.at((b, c))
                 )
-                residuals[("first-projected", a, b, c)] = tor_hat.get(
-                    (a, b, c), A.zero()
-                ) - rhs_hat.at((b, c))
     for a in range(r):
         for b in range(r):
             rhs = _e_exterior(ctx, P, omegas[a][b])
@@ -320,9 +327,9 @@ def check_bianchi_algebraic(
         name, B = "bianchi-algebraic-projected", P
     else:
         name, B = "bianchi-algebraic-general", ctx.algebroid("modified")
-    return report_from_residuals(
-        name, _bianchi(ctx, B, P), ["evaluated on frame tuples"]
-    )
+    # the residuals use frame tuples only, so they are a value of the pair
+    residuals = ctx._pair(("bianchi", id(B)), lambda: _bianchi(ctx, B, P))
+    return report_from_residuals(name, residuals, ["evaluated on frame tuples"])
 
 
 def _bianchi(ctx: GeometryContext, B: AlgebroidData, P: AlgebroidData) -> dict[tuple, Scalar]:
@@ -543,7 +550,8 @@ def check_ricci(
         lhs = _second_covariant(ctx, u, v, w).sub(_second_covariant(ctx, v, u, w))
         rhs = curvature_apply(A, curv, u, v, w)
         rhs = rhs.sub(D(torsion_apply(A, tor, u, v), w))
-        rhs = rhs.add(D(_complement_locality(ctx, M, P, u, v), w))
+        if P is not M:
+            rhs = rhs.add(D(_complement_locality(ctx, M, P, u, v), w))
         return lhs.sub(rhs)
 
     for b in range(A.rank):
@@ -589,9 +597,11 @@ def check_magic_and_derivations(
         for i in range(samples)
     ]
 
-    def add_form_residual(tag: tuple, form: EForm):
-        for idx, v in form.comp.items():
-            residuals[tag + idx] = v
+    def add_form_residuals(kind: str, forms) -> None:
+        # forms: (name, rest, form) triples, keyed (name, kind, *rest, *idx)
+        for name, rest, form in forms:
+            for idx, v in form.comp.items():
+                residuals[(name, kind) + rest + idx] = v
 
     for k in range(samples):
         u = sections[2 * k]
@@ -605,70 +615,77 @@ def check_magic_and_derivations(
         pairs = (("p1", omA), ("p2", om2))
         contracted = {lb: interior_product(om, v) for lb, om in pairs if om.degree >= 1}
         wedged = wedge(omA, omB)
-        for kind in ("modified", "projected"):
-            B = kinds[kind]
+
+        def derivations(B: AlgebroidData) -> list:
+            out = []
             for label, omega in pairs:
                 # magic formula
                 lie = _leibniz(ctx, B, v, omega)
                 d_iv = _e_exterior(ctx, B, contracted[label]) \
                     if omega.degree >= 1 else EForm.zero(A, 1)
                 iv_d = interior_product(_e_exterior(ctx, B, omega), v)
-                add_form_residual(("magic", kind, label, k), lie.sub(d_iv.add(iv_d)))
+                out.append(("magic", (label, k), lie.sub(d_iv.add(iv_d))))
                 # rescaling corollary
                 lie_fv = _leibniz(ctx, B, fv, omega)
                 rhs = lie.scale(f).add(
                     wedge(_e_exterior(ctx, B, f), contracted[label])
                 ) if omega.degree >= 1 else lie.scale(f)
-                add_form_residual(("rescale", kind, label, k), lie_fv.sub(rhs))
+                out.append(("rescale", (label, k), lie_fv.sub(rhs)))
             # commutator with the same section vanishes for admissible conn
             if om2.degree >= 1:
                 lhs = _leibniz(ctx, B, v, contracted["p2"])
                 rhs = interior_product(_leibniz(ctx, B, v, om2), v)
-                add_form_residual(("self-commute", kind, k), lhs.sub(rhs))
-        # derivation commutator with the original bracket, all three kinds
-        for kind, B in kinds.items():
+                out.append(("self-commute", (k,), lhs.sub(rhs)))
+            return out
+
+        def bracket_rules(B: AlgebroidData) -> list:
+            out = []
+            # derivation commutator with the original bracket
             if om2.degree >= 1:
                 lhs = _leibniz(ctx, B, u, contracted["p2"])
                 rhs = interior_product(_leibniz(ctx, B, u, om2), v)
                 uv = ctx.bracket(u, v, B)
                 rhs = rhs.add(interior_product(om2, uv))
-                add_form_residual(("commutator", kind, k), lhs.sub(rhs))
+                out.append(("commutator", (k,), lhs.sub(rhs)))
             # Leibniz rule of the derivative over wedges
             lw = _leibniz(ctx, B, v, wedged)
             rhs = wedge(_leibniz(ctx, B, v, omA), omB).add(
                 wedge(omA, _leibniz(ctx, B, v, omB))
             )
-            add_form_residual(("wedge-leibniz", kind, k), lw.sub(rhs))
-        # graded Leibniz of both exterior derivatives
-        for kind in ("modified", "projected"):
-            B = kinds[kind]
+            out.append(("wedge-leibniz", (k,), lw.sub(rhs)))
+            return out
+
+        def graded_leibniz(B: AlgebroidData) -> list:
             lhs = _e_exterior(ctx, B, wedged)
             rhs = wedge(_e_exterior(ctx, B, omA), omB).sub(
                 wedge(omA, _e_exterior(ctx, B, omB))
             )
-            add_form_residual(("graded-leibniz", kind, k), lhs.sub(rhs))
+            return [("graded-leibniz", (k,), lhs.sub(rhs))]
+
+        for names, build in (
+            (("modified", "projected"), derivations),
+            (kinds, bracket_rules),  # all three kinds
+            (("modified", "projected"), graded_leibniz),  # both exterior derivatives
+        ):
+            for kind, forms in _once_per_algebroid(kinds, names, build):
+                add_form_residuals(kind, forms)
 
     # conditional pair: only valid when the bracket's associator vanishes
     frames = ctx.frames
     gate_sections = seeded_sections(A, seed + 9, 6, degree)
-    for kind, B in kinds.items():
-        assoc_zero = True
-        triples = [
-            (frames[b], frames[c], frames[d])
-            for b in range(A.rank)
-            for c in range(A.rank)
-            for d in range(A.rank)
-        ] + [tuple(gate_sections[3 * i : 3 * i + 3]) for i in range(2)]
-        for (su, sv, sw) in triples:
-            if not _associator(ctx, B, su, sv, sw).is_zero():
-                assoc_zero = False
-                break
-        if not assoc_zero:
-            assumptions.append(
-                f"associator of the {kind} bracket is nonzero: "
-                "derivative-commutation pair skipped"
-            )
-            continue
+    triples = [
+        (frames[b], frames[c], frames[d])
+        for b in range(A.rank)
+        for c in range(A.rank)
+        for d in range(A.rank)
+    ] + [tuple(gate_sections[3 * i : 3 * i + 3]) for i in range(2)]
+
+    def commutation_pair(B: AlgebroidData):
+        # None when the associator of B is nonzero; else the lie-commutator
+        # forms and, when B is the projected algebroid, the d-commute forms
+        if any(not _associator(ctx, B, *t).is_zero() for t in triples):
+            return None
+        lies, d_commutes = [], []
         for k in range(samples):
             u = sections[2 * k]
             v = sections[2 * k + 1]
@@ -677,14 +694,40 @@ def check_magic_and_derivations(
             rhs = _leibniz(ctx, B, v, _leibniz(ctx, B, u, om1))
             uv = ctx.bracket(u, v, B)
             rhs = rhs.add(_leibniz(ctx, B, uv, om1))
-            for idx, val in lhs.sub(rhs).comp.items():
-                residuals[("lie-commutator", kind, k) + idx] = val
-            if kind == "projected":
+            lies.append(lhs.sub(rhs))
+        if B is kinds["projected"]:
+            for k in range(samples):
+                v, om1 = sections[2 * k + 1], rng_forms1[k]
                 dlie = _e_exterior(ctx, B, _leibniz(ctx, B, v, om1))
                 lied = _leibniz(ctx, B, v, _e_exterior(ctx, B, om1))
-                for idx, val in dlie.sub(lied).comp.items():
-                    residuals[("d-commute", kind, k) + idx] = val
+                d_commutes.append(dlie.sub(lied))
+        return lies, d_commutes
+
+    for kind, pair in _once_per_algebroid(kinds, kinds, commutation_pair):
+        if pair is None:
+            assumptions.append(
+                f"associator of the {kind} bracket is nonzero: "
+                "derivative-commutation pair skipped"
+            )
+            continue
+        lies, d_commutes = pair
+        for k in range(samples):
+            add_form_residuals(kind, [("lie-commutator", (k,), lies[k])])
+            if kind == "projected":
+                add_form_residuals(kind, [("d-commute", (k,), d_commutes[k])])
     return report_from_residuals("magic-and-derivations", residuals, assumptions)
+
+
+def _once_per_algebroid(kinds: dict, names, build):
+    """(kind, build(B)) for each named kind, B = kinds[kind], with build
+    called once per distinct algebroid: kinds whose brackets coincide share
+    one B and so one value."""
+    built: dict[int, object] = {}
+    for kind in names:
+        B = kinds[kind]
+        if id(B) not in built:
+            built[id(B)] = build(B)
+        yield kind, built[id(B)]
 
 
 def check_square_laws(

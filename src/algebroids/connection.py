@@ -13,10 +13,13 @@ connection) pair, computed on first use: the admissibility report, the
 frame corrections, the torsions, the curvature and the algebroid of each
 bracket kind.  ``GeometryContext.algebroid(kind)`` is the one place where a
 kind becomes structure, and the projected kind is refused, without a
-projector, where its frame corrections are built.  Public functions
-resolve the algebroid B of their kind once, and nothing below them takes a
-kind: the anholonomy of a kind is B.gamma, its torsion Gamma - Gamma^T -
-B.gamma and its bracket ``core.bracket`` of B.  A connection is admissible
+projector, where its frame corrections are built.  Kinds whose brackets
+coincide share one algebroid: where P fixes the image of L, the projected
+kind is the modified algebroid itself, so every value keyed by the
+algebroid is computed once for both.  Public functions resolve the
+algebroid B of their kind once, and nothing below them takes a kind: the
+anholonomy of a kind is B.gamma, its torsion Gamma - Gamma^T - B.gamma and
+its bracket ``core.bracket`` of B.  A connection is admissible
 exactly when the modified bracket is anti-symmetric, that is when the
 symmetric part of the modified anholonomy vanishes.  Torsion and the
 bracket of a connection are read with the sparse-array algebra of
@@ -359,7 +362,12 @@ class GeometryContext:
     other value of a kind is the plain value of its algebroid B: its
     bracket is ``core.bracket`` of B, its anholonomy B.gamma and its
     torsion Gamma - Gamma^T - B.gamma.  The projected kind is refused,
-    without a projector, where its contraction is built.
+    without a projector, where its contraction is built.  When (1 - P) L is
+    empty and W^ has W's entries, the same keys in the same order with the
+    same num and den structures, the projected kind is the modified
+    algebroid object itself, so that the values keyed by the algebroid
+    (torsions, brackets, derivatives) are computed once for both kinds.
+    Entries that are equal but print differently keep the kinds apart.
 
     The values of the pair go to a pair store that later contexts share:
     one slot per process keeps the store of the last pair, reused when A
@@ -463,13 +471,18 @@ class GeometryContext:
     def _algebroid(self, kind: DerivativeKind) -> AlgebroidData:
         A = self.A
         gamma = sparse_sub(A.gamma, self.contraction(kind))
+        loc: SparseArray = {}
+        if kind == "projected" and A.loc:
+            # (1 - P) L: each column L^{. d}_{e b} minus its projection
+            loc = _map_columns(A, A.loc, lambda x: x.sub(project_section(A, x)))
+        if kind == "projected" and not loc:
+            # P fixes the image of L: the projected bracket is the modified one
+            M = self.algebroid("modified")
+            if _same_entries(gamma, M.gamma):
+                return M
         if not A.loc:
             # the bracket is A's: A itself, unless its gamma holds zeros
             return A if len(gamma) == len(A.gamma) else replace(A, gamma=gamma)
-        loc: SparseArray = {}
-        if kind == "projected":
-            # (1 - P) L: each column L^{. d}_{e b} minus its projection
-            loc = _map_columns(A, A.loc, lambda x: x.sub(project_section(A, x)))
         return replace(A, gamma=gamma, loc=loc)
 
     def _contraction(self, kind: DerivativeKind) -> SparseArray:
@@ -520,6 +533,14 @@ class GeometryContext:
                         if not (value := acc.value()).is_zero():
                             out[(a, b, c, d)] = value
         return out
+
+
+def _same_entries(x: SparseArray, y: SparseArray) -> bool:
+    """The same keys in the same order, each value with the same num and
+    den structures: equal values that print differently do not count."""
+    return list(x) == list(y) and all(
+        v.num == w.num and v.den == w.den for v, w in zip(x.values(), y.values())
+    )
 
 
 def _map_columns(A: AlgebroidData, x: SparseArray, f) -> SparseArray:

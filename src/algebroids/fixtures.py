@@ -14,19 +14,22 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .catalog import _chart, _projection_anchor, _slot_projector
 from .connection import Connection, Metric, bracket_from_connection
 from .core import AlgebroidData, FrameChange, Section, SparseArray, change_frame
 from .linalg import mat_mul
-from .scalars import Poly, Scalar
+from .scalars import Poly, Scalar, _layout, _primitive
 
 
 def random_scalar(
     rng: random.Random, nvars: int, degree: int, terms: int = 2
 ) -> Scalar:
-    poly = Poly.zero(nvars)
+    """The sum of 1 to ``terms`` monomials of degree at most ``degree``
+    with coefficients in -3..3, summed in one integer dict and made
+    primitive once: the canonical Poly of summing them one by one."""
+    pack = _layout(nvars).pack
+    t: dict[int, int] = {}
     for _ in range(rng.randint(1, terms)):
         exps = [0] * nvars
         for _ in range(rng.randint(0, degree)):
@@ -34,8 +37,12 @@ def random_scalar(
                 exps[rng.randrange(nvars)] += 1
         c = rng.randint(-3, 3)
         if c:
-            poly = poly + Poly(nvars, {tuple(exps): Fraction(c)})
-    return Scalar(poly)
+            key = pack(exps)
+            if v := t.get(key, 0) + c:
+                t[key] = v
+            else:
+                del t[key]
+    return Scalar(_primitive(nvars, 1, 1, t) if t else Poly.zero(nvars))
 
 
 def random_section(rng: random.Random, A: AlgebroidData, degree: int = 2) -> Section:

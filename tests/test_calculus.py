@@ -354,6 +354,14 @@ def test_general_bianchi_passes_where_the_complement_is_nonzero(member):
         assert check_bianchi_algebraic(A, conn, form).passed
 
 
+@pytest.mark.parametrize("member", range(3))
+def test_ricci_holds_where_the_complement_is_nonzero(member):
+    # the Ricci identity carries D_{C(u, v)} w; without it 72 to 80
+    # residuals remain
+    A, conn = courant2_torsion_free(3 + member)
+    assert check_ricci(A, conn, samples=2).passed
+
+
 def test_general_bianchi_fails_on_a_corrupted_curvature_entry_where_the_complement_is_nonzero():
     A, conn = courant2_torsion_free(3)
     ctx = GeometryContext(A, conn)
@@ -524,8 +532,19 @@ def test_bianchi_builds_each_bracket_algebroid_once(form, monkeypatch):
     # form reads its (1 - P) terms off the projected bracket
     assert sorted(kind for _, kind in built) == ["modified", "projected"]
     # no bracket builds a D table: the only covariant tables are those of
-    # the torsion and the curvature, once per call
-    assert [(t[2].q, t[2].s) for t in tables] == [(1, 2), (1, 3)] * 2
+    # the torsion and the curvature, and the residuals are a value of the
+    # pair, so the second call builds none
+    assert [(t[2].q, t[2].s) for t in tables] == [(1, 2), (1, 3)]
+    # P fixes the image of L, so both forms read one algebroid and the
+    # other form builds no table either
+    other = "projected" if form == "general" else "general"
+    assert check_bianchi_algebraic(A, fx.connection, other).passed
+    assert len(tables) == 2
+    # where the kinds differ, each form builds its own tables, once
+    A, conn = courant2_torsion_free(3)
+    for f in (form, form, other):
+        assert check_bianchi_algebraic(A, conn, f).passed
+    assert [(t[2].q, t[2].s) for t in tables[2:]] == [(1, 2), (1, 3)] * 2
 
 
 # -- each derivative once per call --------------------------------------------

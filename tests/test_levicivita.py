@@ -1,9 +1,14 @@
 """Koszul and torsion-free solvers, decomposition, Levi-Civita predicates."""
 
+import functools
+import itertools
+import operator
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from algebroids import (
     AdmissibilityError,
@@ -12,6 +17,7 @@ from algebroids import (
     FrameChange,
     Metric,
     Scalar,
+    Poly,
     ShapeError,
     bracket_from_connection,
     change_frame,
@@ -21,17 +27,23 @@ from algebroids import (
     curvature,
     decompose_connection,
     koszul_residual,
+    locality_contraction,
     make_example,
+    modified_anholonomy,
     non_metricity,
     solve_koszul,
     solve_torsion_free,
     torsion,
 )
+from algebroids.connection import locality_terms
+from algebroids.core import sparse_add
 from algebroids.fixtures import (
     random_almost_dull_not_almost_lie,
     random_anticommutable,
     random_constant_metric,
+    random_scalar,
 )
+from algebroids.linalg import solve_affine
 
 from conftest import scal
 
@@ -166,6 +178,88 @@ def test_admissible_connection_without_a_torsion_free_one():
     space = solve_torsion_free(A)
     assert space.status == "infeasible"
     assert space.witness == c(16)
+
+
+# (seed, dim, rank, twist) of fixtures with a locality operator
+WITH_LOCALITY = [(0, 1, 2, False), (1, 1, 3, False), (4, 2, 3, False),
+                 (7, 1, 3, False), (102, 1, 2, True), (105, 2, 3, True)]
+
+
+def contraction_by_formula(A, coeff):
+    """C^c_ab = Gamma^e_da L^{c d}_{e b}, summed straight from A.loc."""
+    out = {}
+    for (c, d, e, b), lv in A.loc.items():
+        for a in range(A.rank):
+            g = coeff.get((e, d, a))
+            if g is not None:
+                out[(c, a, b)] = out.get((c, a, b), A.zero()) + g * lv
+    return out
+
+
+def kernel_of_contraction(A):
+    """A basis of the kernel of Gamma -> C(Gamma): ``solve_affine`` on the
+    ``locality_terms`` rows, each vector times the product of its distinct
+    denominators, keyed (e, d, a)."""
+    r = A.rank
+    index = list(itertools.product(range(r), repeat=3))
+    rows = []
+    for terms in locality_terms(A).values():
+        row = {}
+        for idx, lv in terms:
+            col = index.index(idx)
+            row[col] = row.get(col, A.zero()) + lv
+        rows.append((row, A.zero()))
+    basis = []
+    for vec in solve_affine(rows, r**3, A.dim).kernel_basis:
+        dens = []
+        for v in vec:
+            if not v.den.is_one() and v.den not in dens:
+                dens.append(v.den)
+        clear = functools.reduce(operator.mul, dens, Poly.one(A.dim))
+        basis.append({
+            idx: Scalar(v.num * clear.divide_exact(v.den))
+            for idx, v in zip(index, vec) if not v.is_zero()
+        })
+    return basis
+
+
+def structure(x):
+    return {idx: (v.num, v.den) for idx, v in x.items()}
+
+
+@given(
+    case=st.sampled_from(WITH_LOCALITY),
+    weights=st.lists(st.integers(-3, 3), min_size=1, max_size=6),
+    factor_seed=st.integers(0, 1000),
+)
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_anticommutability_is_a_property_of_the_equivalence_class(case, weights, factor_seed):
+    """Gamma and Gamma + Delta, Delta in the kernel of C, have the same
+    modified anholonomy and so the same admissibility verdict."""
+    seed, dim, rank, twist = case
+    fx = random_anticommutable(seed, dim=dim, rank=rank, twist=twist)
+    A = fx.algebroid
+    rng = random.Random(factor_seed)
+    delta = {}
+    for w, vec in zip(weights, kernel_of_contraction(A)):
+        f = random_scalar(rng, A.dim, 1).scale(w)
+        delta = sparse_add(delta, {idx: f * v for idx, v in vec.items()})
+    assume(delta)
+    assert all(v.is_zero() for v in contraction_by_formula(A, delta).values())
+    first = next(iter(sorted(A.loc)))
+    pushed = sparse_add(fx.connection.coeff, {(first[2], first[1], 0): A.one()})
+    for coeff in (fx.connection.coeff, pushed):
+        conn = Connection.of(A.rank, coeff)
+        shifted = Connection.of(A.rank, sparse_add(coeff, delta))
+        by_formula = contraction_by_formula(A, coeff)
+        got = locality_contraction(A, conn)
+        assert all(got.get(k, A.zero()).equals(v) for k, v in by_formula.items())
+        assert all(k in by_formula for k in got)
+        assert structure(modified_anholonomy(A, shifted)) == structure(
+            modified_anholonomy(A, conn))
+        assert check_admissible(A, shifted).passed == check_admissible(A, conn).passed
+        assert check_equivalent_connections(A, conn, shifted).passed
+    assert check_admissible(A, fx.connection).passed
 
 
 def test_torsion_free_infeasible_on_generated_family():

@@ -1,5 +1,6 @@
 """Exact field arithmetic, differentiation, evaluation and the grammar."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from algebroids import (
     scalar_to_text,
     set_term_budget,
 )
-from algebroids.fixtures import random_anticommutable
+from algebroids.fixtures import random_anticommutable, random_scalar
 
 NAMES = ["x1", "x2"]
 
@@ -406,3 +407,32 @@ def test_frame_derive_of_a_constant_is_zero(c):
     f = Scalar.constant(A.dim, c)
     for a in range(A.rank):
         assert A.frame_derive(a, f) is A.zero()
+
+
+def summed_random_scalar(rng, nvars: int, degree: int, terms: int) -> Scalar:
+    """``random_scalar`` as a sum of one-term Polys: the same draws, each
+    monomial added to the running sum in turn."""
+    poly = Poly.zero(nvars)
+    for _ in range(rng.randint(1, terms)):
+        exps = [0] * nvars
+        for _ in range(rng.randint(0, degree)):
+            if nvars:
+                exps[rng.randrange(nvars)] += 1
+        c = rng.randint(-3, 3)
+        if c:
+            poly = poly + Poly(nvars, {tuple(exps): Fraction(c)})
+    return Scalar(poly)
+
+
+@pytest.mark.parametrize("nvars", range(4))
+def test_random_scalar_is_the_sum_of_its_monomials(nvars):
+    for seed in range(500):
+        degree, terms = seed % 4, 1 + seed % 5
+        rng, ref = random.Random(seed), random.Random(seed)
+        got = random_scalar(rng, nvars, degree, terms)
+        want = summed_random_scalar(ref, nvars, degree, terms)
+        # structural: content, denominator and the terms in their order
+        assert (got.num._num, got.num._den, list(got.num._t.items())) == (
+            want.num._num, want.num._den, list(want.num._t.items()))
+        assert got.den == want.den
+        assert rng.getstate() == ref.getstate()

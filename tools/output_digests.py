@@ -12,6 +12,9 @@ imported from TREE's ``src`` and the inputs from TREE's ``bench``:
   ``check --suite all --seed 11 --samples 4``, ``check --suite bianchi
   --format table`` and ``compute`` of every target, each run's standard
   output, standard error and exit code;
+- ``check --suite all --seed 11 --samples 4`` on two standard Courant
+  documents, where the projected and modified brackets differ (no
+  workload document has such brackets);
 - ``example`` of every catalog kind.
 
 Prints one ``name sha256`` line per output.  Two trees give the same
@@ -93,6 +96,16 @@ def cli_digests(documents: dict[str, str]) -> dict[str, str]:
     return out
 
 
+def courant_documents(algebroids):
+    """The standard Courant algebroid of dimension n = 1, 2 with the member
+    of weights k % 3 - 1 of its torsion-free space and no metric."""
+    for n in (1, 2):
+        A = algebroids.make_example("courant_standard", n=n).algebroid
+        space = algebroids.solve_torsion_free(A)
+        conn = space.member([k % 3 - 1 for k in range(space.dim)])
+        yield f"courant-{n}", algebroids.AlgebroidDocument(A, None, conn)
+
+
 def example_digests() -> dict[str, str]:
     return {f"example/{kind}": run_cli(["example", kind, *args]) for kind, args in EXAMPLES}
 
@@ -125,6 +138,10 @@ def tree_digests(tree: Path) -> dict[str, str]:
             documents[name] = f"{name}.json"
             algebroids.dump_document(document, documents[name])
         digests.update(cli_digests(documents))
+        label, args = CHECKS[0]
+        for name, document in courant_documents(algebroids):
+            algebroids.dump_document(document, f"{name}.json")
+            digests[f"cli/{name}/{label}"] = run_cli(["check", f"{name}.json", *args])
         digests.update(example_digests())
     return digests
 
