@@ -34,9 +34,8 @@ context memoizes, by the ids of their arguments, the brackets, the anchor
 jets of sections and forms, the covariant derivatives D_x y, and the
 Leibniz and exterior derivatives (``_leibniz``, ``_e_exterior``), so each
 is computed at most once per call; the algebraic Bianchi check evaluates
-each cyclic term once.  The Leibniz and exterior derivatives and the
-right-hand sides of the algebraic Bianchi identities sum their products
-through ``scalars.Accumulator``, in the order the formulas are written.
+each cyclic term once.  Sums are taken as the ``scalars`` docstring
+states.
 """
 
 from __future__ import annotations
@@ -62,6 +61,7 @@ from .core import (
     accumulators,
     contract_sections,
     interior_product,
+    sparse_sum,
     wedge,
 )
 from .errors import AdmissibilityError, ShapeError
@@ -267,13 +267,10 @@ def check_cartan_structure(A: AlgebroidData, conn: Connection) -> CheckReport:
     omegas = [[conn.omega(A, a, b) for b in range(r)] for a in range(r)]
     coframes = [EForm.coframe(A, a) for a in range(r)]
     for a in range(r):
-        rhs = _e_exterior(ctx, M, coframes[a])
-        rhs_hat = _e_exterior(ctx, P, coframes[a])
-        for b in range(r):
-            wb = wedge(omegas[a][b], coframes[b])
-            rhs = rhs.add(wb)
-            if P is not M:
-                rhs_hat = rhs_hat.add(wb)
+        de, de_hat = _e_exterior(ctx, M, coframes[a]), _e_exterior(ctx, P, coframes[a])
+        wedges = [wedge(omegas[a][b], coframes[b]) for b in range(r)]
+        rhs = _form_sum([de, *wedges])
+        rhs_hat = rhs if P is M else _form_sum([de_hat, *wedges])
         for b in range(r):
             for c in range(b + 1, r):
                 first = tor.get((a, b, c), A.zero()) - rhs.at((b, c))
@@ -283,15 +280,22 @@ def check_cartan_structure(A: AlgebroidData, conn: Connection) -> CheckReport:
                 )
     for a in range(r):
         for b in range(r):
-            rhs = _e_exterior(ctx, P, omegas[a][b])
-            for c in range(r):
-                rhs = rhs.add(wedge(omegas[a][c], omegas[c][b]))
+            rhs = _form_sum([_e_exterior(ctx, P, omegas[a][b])] + [
+                wedge(omegas[a][c], omegas[c][b]) for c in range(r)
+            ])
             for c in range(r):
                 for d in range(c + 1, r):
                     residuals[("second", a, b, c, d)] = curv.get(
                         (a, c, d, b), A.zero()
                     ) - rhs.at((c, d))
     return report_from_residuals("cartan-structure", residuals)
+
+
+def _form_sum(forms: list[EForm]) -> EForm:
+    """The sum of forms of one degree, each entry summed in form order."""
+    first = forms[0]
+    terms = ((idx, v, None, 1) for form in forms for idx, v in form.comp.items())
+    return EForm(first.degree, first.rank, first.nvars, sparse_sum(first.nvars, terms))
 
 
 def check_bianchi_algebraic(
@@ -415,11 +419,11 @@ def _bianchi(ctx: GeometryContext, B: AlgebroidData, P: AlgebroidData) -> dict[t
                 continue
             for rest in itertools.product(range(r), repeat=arity - 3):
                 terms = {rot: rhs_term(*rot, *rest) for rot in orbit}
-                lhs = rhs = zero
+                lhs, rhs = Accumulator(A.dim), Accumulator(A.dim)
                 for rot in orbit:
-                    lhs = lhs + lhs_term(*rot, *rest)
-                    rhs = rhs + terms[rot]
-                if not (val := lhs - rhs).is_zero():
+                    lhs.add(lhs_term(*rot, *rest))
+                    rhs.add(terms[rot])
+                if not (val := lhs.value() - rhs.value()).is_zero():
                     found.update((rot + rest, val) for rot in orbit)
         for key in sorted(found):  # (b, c, d, [e',] a), reported in key order
             residuals[(label, key[-1]) + key[:-1]] = found[key]

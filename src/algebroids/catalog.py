@@ -30,6 +30,7 @@ from .core import (
     interior_product,
     sparse_add,
     sparse_clean,
+    sparse_sum,
     wedge,
 )
 from .errors import ShapeError
@@ -396,20 +397,22 @@ def higher_compatibility_residual(
     tangent = make_tangent_lie(n).algebroid
     flat = Connection.zero(n)
     dg = {bc: e_exterior_derivative(tangent, flat, form) for bc, form in g.items()}
-    zero, dzero = EForm(p - 1, n, n, {}), EForm(p, n, n, {})
+    dzero = EForm(p, n, n, {})
     rho = [Section(tuple(A.anchor[i][a] for i in range(n))) for a in range(r)]
     out: SparseArray = {}
     for b in range(r):
         for c in range(r):
             for a in range(r):
-                rhs = zero
-                for e in range(r):
-                    g1 = conn.coeff.get((e, a, b))
-                    if g1 is not None:
-                        rhs = rhs.add(g.get((e, c), zero).scale(g1))
-                    g2 = conn.coeff.get((e, a, c))
-                    if g2 is not None:
-                        rhs = rhs.add(g.get((b, e), zero).scale(g2))
+                # g(D_a X_b, X_c) + g(X_b, D_a X_c) = Gamma^e_ab g_ec + Gamma^e_ac g_be
+                terms = (
+                    (I, coef, v, 1)
+                    for e in range(r)
+                    for coef, form in ((conn.coeff.get((e, a, b)), g.get((e, c))),
+                                       (conn.coeff.get((e, a, c)), g.get((b, e))))
+                    if coef is not None and form is not None
+                    for I, v in form.comp.items()
+                )
+                rhs = EForm(p - 1, n, n, sparse_sum(n, terms))
                 residual = interior_product(dg.get((b, c), dzero), rho[a]).sub(rhs)
                 for I, val in sorted(residual.comp.items()):
                     out[(a, b, c, I)] = val

@@ -34,10 +34,7 @@ public call and dropped when it returns: the brackets, the anchor jets
 rho_d(x_e) that every bracket kind reads (all kinds share A's anchor), the
 covariant derivatives D_x y and, in ``calculus``, the Leibniz and exterior
 derivatives.  So each section and form is differentiated at most once per
-call.  The covariant derivatives, the locality contraction, the curvature,
-the non-metricity, the index raising and the metric pairing sum their
-products through ``scalars.Accumulator`` (``core.sparse_sum`` when keyed),
-in the order the formulas are written.
+call.  Sums are taken as the ``scalars`` docstring states.
 """
 
 from __future__ import annotations

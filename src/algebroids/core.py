@@ -31,14 +31,9 @@ transformation law of its own: each new datum is one of these operations
 on the new frame sections X'_a, read back into the new frame through the
 inverse matrix.
 
-The contractions here sum their products through ``scalars.Accumulator``,
-term by term in the order written: the anchor derivatives,
-``contract_sections``, the locality term, ``EForm.apply`` and
-``interior_product``.  The bracket keeps one accumulator per component
-(``accumulators``) through its three parts.  ``sparse_sum`` is the keyed
-form, one accumulator per output index, which the tensor builders of
-``connection`` share.  ``wedge`` keeps its own loop: most of its entries
-have one term, where an accumulator costs more than it saves.
+Sums are taken as the ``scalars`` docstring states, ``sparse_sum`` being
+the keyed form; the bracket keeps one accumulator per component
+(``accumulators``) through its three parts.
 """
 
 from __future__ import annotations
@@ -592,23 +587,18 @@ def check_locality_projector(
     """
     if A.proj is None:
         raise ProjectorRequiredError("no locality projector present")
-    residuals: dict[tuple, Scalar] = {}
     # condition 1: rho^i_a (P L)^a_{(d e c)} = 0, the only P.L loop.  Kept
-    # as its own loop: equal scalars summed in another order can print
+    # as its own sum: equal scalars summed in another order can print
     # differently, so reading P L off another contraction would change the
     # printed text of failing rational residuals.
-    for (aa, d, e, c), lv in A.loc.items():
-        for a in range(A.rank):
-            p = A.proj_at(a, aa)
-            if p.is_zero():
-                continue
-            for i in range(A.dim):
-                rho = A.anchor[i][a]
-                if rho.is_zero():
-                    continue
-                key = ("rho_PL", i, d, e, c)
-                acc = residuals.get(key, A.zero())
-                residuals[key] = acc + rho * p * lv
+    residuals = sparse_sum(A.dim, (
+        (("rho_PL", i, d, e, c), rho * p, lv, 1)
+        for (aa, d, e, c), lv in A.loc.items()
+        for a in range(A.rank)
+        if not (p := A.proj_at(a, aa)).is_zero()
+        for i in range(A.dim)
+        if not (rho := A.anchor[i][a]).is_zero()
+    ))
     # condition 2: P k = k for a fraction-field kernel basis of the anchor
     anchor_rows = [list(row) for row in A.anchor]
     basis = kernel_basis(anchor_rows, A.rank, A.dim)

@@ -31,7 +31,7 @@ from .core import AlgebroidData, SparseArray, sparse_add, sparse_sub
 from .errors import AdmissibilityError, ShapeError
 from .linalg import LinearSolution, solve_affine
 from .reports import CheckReport, report_from_residuals
-from .scalars import Scalar, scalar_to_text
+from .scalars import Accumulator, Scalar, scalar_to_text
 
 
 @dataclass
@@ -112,22 +112,15 @@ def _koszul_rhs(
     """The Koszul right-hand side on the frame triple (b, c, d):
     rho_b(g_cd) + rho_c(g_bd) - rho_d(g_bc)
     - gamma^e_cd g_eb - gamma^e_bd g_ec + gamma^e_bc g_ed."""
-    acc = (
-        A.frame_derive(b, metric.at(c, d))
-        + A.frame_derive(c, metric.at(b, d))
-        - A.frame_derive(d, metric.at(b, c))
-    )
+    acc = Accumulator(A.dim, A.frame_derive(b, metric.at(c, d)))
+    acc.add(A.frame_derive(c, metric.at(b, d)))
+    acc.add(A.frame_derive(d, metric.at(b, c)), -1)
     for e in range(A.rank):
-        g1 = gamma.get((e, c, d))
-        if g1 is not None:
-            acc = acc - g1 * metric.at(e, b)
-        g2 = gamma.get((e, b, d))
-        if g2 is not None:
-            acc = acc - g2 * metric.at(e, c)
-        g3 = gamma.get((e, b, c))
-        if g3 is not None:
-            acc = acc + g3 * metric.at(e, d)
-    return acc
+        for key, f, sign in (((e, c, d), b, -1), ((e, b, d), c, -1), ((e, b, c), d, 1)):
+            g = gamma.get(key)
+            if g is not None:
+                acc.add_product(g, metric.at(e, f), sign)
+    return acc.value()
 
 
 def koszul_rows(
@@ -181,13 +174,13 @@ def koszul_residual(
     out: SparseArray = {}
     triples = _triples(A.rank)
     for row, (coeffs, rhs) in zip(triples, koszul_rows(A, metric)):
-        acc = -rhs
+        acc = Accumulator(A.dim, -rhs)
         for k, v in coeffs.items():
             g = conn.coeff.get(triples[k])
             if g is not None:
-                acc = acc + v * g
-        if not acc.is_zero():
-            out[row] = acc
+                acc.add_product(v, g)
+        if not (value := acc.value()).is_zero():
+            out[row] = value
     return out
 
 
@@ -268,19 +261,21 @@ def decompose_connection(
     def torsion_term(b: int, c: int, d: int) -> Scalar:
         """-T_{c b d} + T_{d b c} - T_{b c d}, with T_{f b d} = g_ef T^e_bd,
         summed over e with the three terms of each e together."""
-        acc = zero
+        acc = Accumulator(A.dim)
         for e in range(A.rank):
             terms = ((-1, c, (e, b, d)), (1, d, (e, b, c)), (-1, b, (e, c, d)))
             for sign, f, key in terms:
                 t = tor.get(key)
                 if t is not None:
-                    t = metric.at(e, f) * t
-                    acc = acc + t if sign == 1 else acc - t
-        return acc
+                    acc.add_product(metric.at(e, f), t, sign)
+        return acc.value()
 
     def nonmetricity_term(b: int, c: int, d: int) -> Scalar:
         """-Q_{b d c} + Q_{d c b} - Q_{c b d}."""
-        return -q.get((b, d, c), zero) + q.get((d, c, b), zero) - q.get((c, b, d), zero)
+        acc = Accumulator(A.dim)
+        for sign, key in ((-1, (b, d, c)), (1, (d, c, b)), (-1, (c, b, d))):
+            acc.add(q.get(key, zero), sign)
+        return acc.value()
 
     contortion = _half_raised(A, metric, _on_triples(A, torsion_term))
     disformation = _half_raised(A, metric, _on_triples(A, nonmetricity_term))
@@ -350,12 +345,12 @@ def check_levicivita_props(
         ] + [tuple(sections[3 * k : 3 * k + 3]) for k in range(samples)]
         for k, (u, v, w) in enumerate(triples):
             # (L^mod_v g)(u, w) = rho(v)(g(u,w)) - g([v,u]^mod, w) - g(u, [v,w]^mod)
-            lhs = A.section_derive(v, metric.inner(u, w))
-            lhs = lhs - metric.inner(ctx.bracket(v, u, modified), w)
-            lhs = lhs - metric.inner(u, ctx.bracket(v, w, modified))
-            rhs = metric.inner(ctx.covariant(u, v), w)
-            rhs = rhs + metric.inner(u, ctx.covariant(w, v))
-            val = lhs - rhs
+            lhs = Accumulator(A.dim, A.section_derive(v, metric.inner(u, w)))
+            lhs.add(metric.inner(ctx.bracket(v, u, modified), w), -1)
+            lhs.add(metric.inner(u, ctx.bracket(v, w, modified)), -1)
+            rhs = Accumulator(A.dim, metric.inner(ctx.covariant(u, v), w))
+            rhs.add(metric.inner(u, ctx.covariant(w, v)))
+            val = lhs.value() - rhs.value()
             if not val.is_zero():
                 residuals[("metric-derivative", k)] = val
         assumptions.append(

@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import ShapeError, SingularMatrixError
-from .scalars import Poly, Scalar
+from .scalars import Accumulator, Poly, Scalar
 
 Matrix = list[list[Scalar]]
 
@@ -37,11 +37,10 @@ def mat_vec(m: Matrix, x, nvars: int) -> list[Scalar]:
         raise ShapeError("vector length does not match the matrix rows")
     out = []
     for row in m:
-        acc = Scalar.zero(nvars)
+        acc = Accumulator(nvars)
         for a, b in zip(row, x):
-            if not a.is_zero() and not b.is_zero():
-                acc = acc + a * b
-        out.append(acc)
+            acc.add_product(a, b)
+        out.append(acc.value())
     return out
 
 

@@ -49,6 +49,18 @@ budget term pairs is formed as ``x * y``, which raises when its own terms
 exceed the budget, and each sum of two nonzero terms is checked against
 the budget by its term count, the support of the dict.
 
+Every running sum of scalars in the package is taken this way, by an
+``Accumulator`` or ``core.sparse_sum`` (one per key), term by term in the
+order its formula writes them; ``tests/test_accumulator.py`` guards the
+tree.  The exceptions, each with its reason: ``core.wedge`` and
+``AlgebroidData.frame_derive`` (mostly one or two terms per sum, where
+routed they read slower), the Bareiss loops of ``linalg.solve_affine``
+(Poly arithmetic), the solver rows of ``levicivita._add_term``
+(coefficient maps whose text a test pins) and the ``EForm.add`` chains of
+``calculus.check_bianchi_differential`` (their key order is the order of a
+failing report's residuals; a keyed sum would keep an entry that cancels
+midway at its first position).
+
 All values are immutable after construction and all operations are pure.
 """
 

@@ -195,7 +195,25 @@ ROUTED = (
     "calculus._exterior_component",
     "calculus._leibniz",
     "calculus._bianchi",
+    "calculus._form_sum",
+    "linalg.mat_vec",
+    "core.check_locality_projector",
+    "levicivita._koszul_rhs",
+    "levicivita.koszul_residual",
+    "levicivita.decompose_connection",
+    "levicivita.check_levicivita_props",
+    "catalog.higher_compatibility_residual",
 )
+
+# The only functions that may still rebind a sum of products in place: the
+# exceptions of the ``scalars`` docstring that sum Scalar or Poly products,
+# and the accumulator's own rational fallback.
+SEQUENTIAL = {
+    "core.AlgebroidData.frame_derive",
+    "linalg.solve_affine",
+    "scalars.Poly.divide_exact",
+    "scalars.Accumulator.add_product",
+}
 
 
 def sequential_sums(node) -> list[int]:
@@ -256,3 +274,23 @@ def test_routed_loops_sum_through_the_accumulator(qualname):
     assert sequential_sums(node) == [], f"{qualname} sums products in place"
     names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
     assert names & {"Accumulator", "accumulators", "sparse_sum"}, qualname
+
+
+def functions(node, prefix: str):
+    """(module.function or module.Class.method, node) for every function and
+    method under node; nested functions count as part of their owner."""
+    for child in node.body:
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + child.name, child
+        elif isinstance(child, ast.ClassDef):
+            yield from functions(child, f"{prefix}{child.name}.")
+
+
+def test_no_other_function_sums_products_in_place():
+    hits = {}
+    for path in sorted((SRC / "algebroids").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for qualname, node in functions(tree, f"{path.stem}."):
+            if lines := sequential_sums(node):
+                hits[qualname] = lines
+    assert set(hits) <= SEQUENTIAL, {q: hits[q] for q in set(hits) - SEQUENTIAL}
