@@ -20,22 +20,20 @@ derivative, the associator and the nested brackets of the Bianchi
 identities bracket in B.  The kind survives in the public signatures and
 the report keys only.  The locality terms C(u, v) = (1 - P) L(e^d,
 D_{X_d} u, v) of the general Bianchi and Ricci identities are the
-projected bracket minus the modified one.  Where the projector fixes the
-image of the locality operator, the projected kind's algebroid is the
-modified one (``GeometryContext.algebroid``), and each value built from a
-kind's algebroid is built once per distinct algebroid and reported under
-every kind name that maps to it, in the report's order: the magic-suite
-forms, the associator gate and the derivative-commutation pair, and the
-right-hand sides of the first Cartan equations.  There the complement C
-vanishes, so the Ricci check skips it, and the algebraic Bianchi residuals,
-which read frame tuples only, are a value of the pair keyed by the
-algebroid, which both forms of the identity share.  Within one call the
+projected bracket minus the modified one (``_complement_locality``).
+Which kinds coincide is decided by ``GeometryContext.algebroid`` alone:
+values keyed by the algebroid are then computed once for every kind that
+maps to it, and C is the zero section.  Only two places compare
+algebroids, because their formula differs: the general form of
+``_bianchi`` adds the C terms, and ``commutation_pair`` builds the
+d-commute forms for the projected derivative only.  Within one call the
 context memoizes, by the ids of their arguments, the brackets, the anchor
-jets of sections and forms, the covariant derivatives D_x y, and the
-Leibniz and exterior derivatives (``_leibniz``, ``_e_exterior``), so each
-is computed at most once per call; the algebraic Bianchi check evaluates
-each cyclic term once.  Sums are taken as the ``scalars`` docstring
-states.
+jets of sections and forms, the covariant derivatives D_x y, the Leibniz
+and exterior derivatives (``_leibniz``, ``_e_exterior``) and the magic
+suite's forms of each algebroid, so each is computed at most once per
+call; the algebraic Bianchi check evaluates each cyclic term once, and its
+residuals, which read frame tuples only, are a value of the pair keyed by
+the algebroid.  Sums are taken as the ``scalars`` docstring states.
 """
 
 from __future__ import annotations
@@ -88,11 +86,17 @@ def exterior_derivative_raw(
     admissible connection the result is antisymmetric, otherwise not."""
     ctx = GeometryContext(A, conn)
     indices = itertools.product(range(A.rank), repeat=omega.degree + 1)
-    return _exterior_array(ctx, ctx.algebroid(kind), omega, indices)
+    return _exterior_array(ctx.algebroid(kind), ctx.jet(omega), omega, indices)
 
 
-def _exterior_array(ctx: GeometryContext, B: AlgebroidData, omega: EForm, indices):
-    jet = ctx.jet(omega)
+def _exterior_form(B: AlgebroidData, jet: dict, omega: EForm) -> EForm:
+    """d omega in B, given omega's anchor jet: the alternating sum on
+    increasing frame tuples."""
+    indices = itertools.combinations(range(B.rank), omega.degree + 1)
+    return EForm(omega.degree + 1, B.rank, B.dim, _exterior_array(B, jet, omega, indices))
+
+
+def _exterior_array(B: AlgebroidData, jet: dict, omega: EForm, indices):
     values = ((idx, _exterior_component(B, jet, omega, idx)) for idx in indices)
     return {idx: v for idx, v in values if not v.is_zero()}
 
@@ -139,9 +143,7 @@ def _e_exterior(ctx: GeometryContext, B: AlgebroidData, omega: EForm | Scalar) -
     def build() -> EForm:
         form = EForm.from_scalar(B, omega) if isinstance(omega, Scalar) else omega
         _require_admissible(ctx)
-        indices = itertools.combinations(range(B.rank), form.degree + 1)
-        out = _exterior_array(ctx, B, form, indices)
-        return EForm(form.degree + 1, B.rank, B.dim, out)
+        return _exterior_form(B, ctx.jet(form), form)
 
     return ctx._cached(("d", id(omega), id(B)), build, omega, B)
 
@@ -269,13 +271,11 @@ def check_cartan_structure(A: AlgebroidData, conn: Connection) -> CheckReport:
     for a in range(r):
         de, de_hat = _e_exterior(ctx, M, coframes[a]), _e_exterior(ctx, P, coframes[a])
         wedges = [wedge(omegas[a][b], coframes[b]) for b in range(r)]
-        rhs = _form_sum([de, *wedges])
-        rhs_hat = rhs if P is M else _form_sum([de_hat, *wedges])
+        rhs, rhs_hat = _form_sum([de, *wedges]), _form_sum([de_hat, *wedges])
         for b in range(r):
             for c in range(b + 1, r):
-                first = tor.get((a, b, c), A.zero()) - rhs.at((b, c))
-                residuals[("first", a, b, c)] = first
-                residuals[("first-projected", a, b, c)] = first if P is M else (
+                residuals[("first", a, b, c)] = tor.get((a, b, c), A.zero()) - rhs.at((b, c))
+                residuals[("first-projected", a, b, c)] = (
                     tor_hat.get((a, b, c), A.zero()) - rhs_hat.at((b, c))
                 )
     for a in range(r):
@@ -450,7 +450,10 @@ def _complement_locality(
     ctx: GeometryContext, B: AlgebroidData, P: AlgebroidData, u: Section, v: Section
 ) -> Section:
     """C(u, v) = [u, v]^P - [u, v]^B: with B the modified algebroid and P
-    the projected one, (1 - P) L(e^d, D_{X_d} u, v)."""
+    the projected one, (1 - P) L(e^d, D_{X_d} u, v).  The zero section,
+    with no bracket taken, when both kinds are one algebroid."""
+    if P is B:
+        return Section.zero(B)
     return ctx.bracket(u, v, P).sub(ctx.bracket(u, v, B))
 
 
@@ -554,8 +557,8 @@ def check_ricci(
         lhs = _second_covariant(ctx, u, v, w).sub(_second_covariant(ctx, v, u, w))
         rhs = curvature_apply(A, curv, u, v, w)
         rhs = rhs.sub(D(torsion_apply(A, tor, u, v), w))
-        if P is not M:
-            rhs = rhs.add(D(_complement_locality(ctx, M, P, u, v), w))
+        if not (cuv := _complement_locality(ctx, M, P, u, v)).is_zero():
+            rhs = rhs.add(D(cuv, w))
         return lhs.sub(rhs)
 
     for b in range(A.rank):
@@ -671,8 +674,11 @@ def check_magic_and_derivations(
             (kinds, bracket_rules),  # all three kinds
             (("modified", "projected"), graded_leibniz),  # both exterior derivatives
         ):
-            for kind, forms in _once_per_algebroid(kinds, names, build):
-                add_form_residuals(kind, forms)
+            for kind in names:
+                B = kinds[kind]
+                add_form_residuals(kind, ctx._cached(
+                    (build.__name__, k, id(B)), lambda: build(B), B
+                ))
 
     # conditional pair: only valid when the bracket's associator vanishes
     frames = ctx.frames
@@ -707,7 +713,8 @@ def check_magic_and_derivations(
                 d_commutes.append(dlie.sub(lied))
         return lies, d_commutes
 
-    for kind, pair in _once_per_algebroid(kinds, kinds, commutation_pair):
+    for kind, B in kinds.items():
+        pair = ctx._cached(("commutation_pair", id(B)), lambda: commutation_pair(B), B)
         if pair is None:
             assumptions.append(
                 f"associator of the {kind} bracket is nonzero: "
@@ -720,18 +727,6 @@ def check_magic_and_derivations(
             if kind == "projected":
                 add_form_residuals(kind, [("d-commute", (k,), d_commutes[k])])
     return report_from_residuals("magic-and-derivations", residuals, assumptions)
-
-
-def _once_per_algebroid(kinds: dict, names, build):
-    """(kind, build(B)) for each named kind, B = kinds[kind], with build
-    called once per distinct algebroid: kinds whose brackets coincide share
-    one B and so one value."""
-    built: dict[int, object] = {}
-    for kind in names:
-        B = kinds[kind]
-        if id(B) not in built:
-            built[id(B)] = build(B)
-        yield kind, built[id(B)]
 
 
 def check_square_laws(

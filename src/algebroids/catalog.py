@@ -10,7 +10,9 @@ locality projector is the projection onto the form slots.
 Chart forms (the twist 3-form, the form-valued pairing and its
 derivatives) are the forms of ``make_tangent_lie(n)``: ``EForm``s over the
 coordinate coframe, combined with ``wedge`` and ``interior_product`` and
-differentiated by that algebroid's ``e_exterior_derivative``.
+differentiated by the exterior derivative of ``calculus`` in that
+algebroid.  No context is built for it, so the caller's (algebroid,
+connection) pair keeps its slot.
 """
 
 from __future__ import annotations
@@ -19,14 +21,18 @@ import itertools
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
-from .connection import Connection, Metric, check_admissible, non_metricity
+from .calculus import _exterior_form
+from .connection import Connection, Metric, change_frame, check_admissible, non_metricity
 from .core import (
     AlgebroidData,
     EForm,
     FrameChange,
     Section,
     SparseArray,
-    change_frame,
+    _chart,
+    _projection_anchor,
+    _slot_projector,
+    anchor_jet,
     interior_product,
     sparse_add,
     sparse_clean,
@@ -71,27 +77,6 @@ class ExampleBundle:
     metric: Metric | None = None
     higher_metric: HigherMetricValue | None = None
     theta: tuple[Scalar, ...] | None = None  # line-bundle connection components
-
-
-def _chart(n: int) -> tuple[str, ...]:
-    return tuple(f"x{i + 1}" for i in range(n))
-
-
-def _projection_anchor(n: int, r: int, k: int) -> tuple[tuple[Scalar, ...], ...]:
-    one, zero = Scalar.one(n), Scalar.zero(n)
-    return tuple(
-        tuple(one if (a == i and a < k) else zero for a in range(r))
-        for i in range(n)
-    )
-
-
-def _slot_projector(n: int, r: int, k: int) -> tuple[tuple[Scalar, ...], ...]:
-    """Projection onto slots k..r-1."""
-    one, zero = Scalar.one(n), Scalar.zero(n)
-    return tuple(
-        tuple(one if (a == b and a >= k) else zero for b in range(r))
-        for a in range(r)
-    )
 
 
 def pairing_locality(metric: Metric, nvars: int) -> SparseArray:
@@ -167,10 +152,8 @@ def make_courant_standard(n: int) -> ExampleBundle:
 def closed_3form_check(n: int, h: SparseArray) -> CheckReport:
     """Residuals of dH = 0 for an antisymmetric 3-index array given on
     strictly increasing coordinate triples."""
-    from .calculus import e_exterior_derivative  # calculus imports catalog
-
-    tangent = make_tangent_lie(n).algebroid
-    dh = e_exterior_derivative(tangent, Connection.zero(n), EForm(3, n, n, h))
+    tangent, form = make_tangent_lie(n).algebroid, EForm(3, n, n, h)
+    dh = _exterior_form(tangent, anchor_jet(tangent, form), form)
     return report_from_residuals("closed-3form", dh.comp)
 
 
@@ -384,8 +367,6 @@ def higher_compatibility_residual(
     """Frame residuals of the form-valued compatibility condition for the
     higher pairing, iota_{rho(X_a)} d g(X_b, X_c) - g(D_a X_b, X_c)
     - g(X_b, D_a X_c), indexed by (a, b, c, I)."""
-    from .calculus import e_exterior_derivative  # calculus imports catalog
-
     A = bundle.algebroid
     hm = bundle.higher_metric
     n, r, p = A.dim, A.rank, hm.p
@@ -393,10 +374,8 @@ def higher_compatibility_residual(
     for (b, c, I), v in hm.comp.items():
         forms.setdefault((b, c), {})[I] = v
     g = {bc: EForm(p - 1, n, n, comp) for bc, comp in forms.items()}
-    # one tangent algebroid and connection, so every d shares a pair slot
     tangent = make_tangent_lie(n).algebroid
-    flat = Connection.zero(n)
-    dg = {bc: e_exterior_derivative(tangent, flat, form) for bc, form in g.items()}
+    dg = {bc: _exterior_form(tangent, anchor_jet(tangent, form), form) for bc, form in g.items()}
     dzero = EForm(p, n, n, {})
     rho = [Section(tuple(A.anchor[i][a] for i in range(n))) for a in range(r)]
     out: SparseArray = {}

@@ -42,12 +42,13 @@ from .catalog import ExampleKind, make_example
 from .connection import (
     Connection,
     Metric,
+    change_frame,
     check_admissible,
     curvature,
     non_metricity,
     torsion,
 )
-from .core import FrameChange, change_frame, check_locality_projector, classify
+from .core import FrameChange, check_locality_projector, classify
 from .documents import (
     AlgebroidDocument,
     _parse_entries,

@@ -1,6 +1,7 @@
 """Linear connections on the bundle and the tensors derived from them:
 covariant derivatives, modified and projected brackets and anholonomies,
-torsion, curvature, non-metricity, admissibility and difference tensors.
+torsion, curvature, non-metricity, admissibility and difference tensors,
+and the frame change of all of them (``change_frame``).
 
 Connection coefficients follow Gamma^a_bc = <e^a, D_{X_b} X_c>: the first
 lower index is the differentiation direction.  The connection one-form view
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, product
 from types import MappingProxyType
 from typing import Literal, Sequence, Union
 
@@ -49,9 +50,11 @@ from .core import (
     AlgebroidData,
     EForm,
     ETensor,
+    FrameChange,
     Section,
     SparseArray,
     anchor_jet,
+    apply_locality,
     bracket,
     project_section,
     sparse_add,
@@ -62,7 +65,7 @@ from .core import (
     transposed,
 )
 from .errors import ProjectorRequiredError, ShapeError, SingularMatrixError
-from .linalg import invert_matrix
+from .linalg import invert_matrix, mat_vec
 from .reports import CheckReport, report_from_residuals
 from .scalars import Accumulator, Scalar, get_term_budget
 
@@ -655,3 +658,76 @@ def bracket_from_connection(
         loc=A.loc,
         proj=A.proj,
     )
+
+
+# -- frame changes -------------------------------------------------------
+
+
+def change_frame(
+    A: AlgebroidData,
+    F: FrameChange,
+    conn: SparseArray | None = None,
+    metric: list[list[Scalar]] | None = None,
+):
+    """Transform all bundle data to the frame X'_a = A^b_a X_b.
+
+    A frame change writes no transformation law of its own: each datum is
+    an operation of the package on the new frame sections, read back into
+    the new frame through F.inverse.  The anchor is ``anchor_of(X'_a)``;
+    the anholonomy is ``bracket(X'_a, X'_b)``, so it picks up derivative
+    and locality terms and is deliberately not tensorial; the locality
+    operator is ``apply_locality`` of the coframe e'^d (row d of F.inverse)
+    on (X'_e, X'_c) and the projector ``project_section(X'_b)``, both
+    tensorial; the connection is ``covariant_derivative`` of X'_c along
+    X'_b, which gains the usual derivative term.  The metric is
+    ``pairing`` of the new frame sections.  Returns (algebroid, connection,
+    metric) with None propagated.
+    """
+    r = A.rank
+    if F.rank != r:
+        raise ShapeError("frame matrix rank mismatch")
+    if metric is not None and (len(metric) != r or any(len(row) != r for row in metric)):
+        raise ShapeError("metric must be a rank x rank matrix")
+    frames = [Section(tuple(col)) for col in zip(*F.matrix)]  # X'_a in old frame
+    pairs = list(product(range(r), repeat=2))
+
+    def read_back(u: Section) -> list[Scalar]:
+        """New-frame components of u: (F^-1)^c_d u^d."""
+        return mat_vec(F.inverse, u.comp, A.dim)
+
+    def sparse(entries) -> SparseArray:
+        """(key, section) pairs as the nonzero entries (c, *key), sorted."""
+        return dict(sorted(
+            ((c,) + key, v)
+            for key, u in entries
+            for c, v in enumerate(read_back(u))
+            if not v.is_zero()
+        ))
+
+    A2 = AlgebroidData(
+        dim=A.dim,
+        rank=r,
+        coords=A.coords,
+        anchor=tuple(zip(*(A.anchor_of(x) for x in frames))),
+        gamma=sparse(((a, b), bracket(A, frames[a], frames[b])) for a, b in pairs),
+        loc=sparse(
+            ((d, e, c), apply_locality(A, list(F.inverse[d]), frames[e], frames[c]))
+            for d in range(r)
+            for e, c in pairs
+        ),
+        proj=None if A.proj is None else tuple(
+            zip(*(read_back(project_section(A, x)) for x in frames))
+        ),
+    )
+    conn2 = None
+    if conn is not None:
+        D = Connection(r, conn)
+        conn2 = sparse(
+            ((b, c), covariant_derivative(A, D, frames[b], frames[c]))
+            for b, c in pairs
+        )
+
+    metric2 = None
+    if metric is not None:
+        metric2 = [[pairing(metric, x, y) for y in frames] for x in frames]
+    return A2, conn2, metric2

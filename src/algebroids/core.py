@@ -26,10 +26,12 @@ reuses it with omega_d u^e.  The modified and projected brackets of a
 connection are this same ``bracket`` of other data with the same anchor:
 (W, no L) and (W^, (1 - P) L), W and W^ the modified and projected
 anholonomies (see ``connection.GeometryContext``).  The only P.L loop is
-condition 1 of ``check_locality_projector``.  A frame change writes no
-transformation law of its own: each new datum is one of these operations
-on the new frame sections X'_a, read back into the new frame through the
-inverse matrix.
+condition 1 of ``check_locality_projector``.
+
+The chart conventions of the catalog and the fixtures live here too: chart
+coordinates x1 .. xn (``_chart``), the anchor that projects onto the first
+k frame slots (``_projection_anchor``) and the locality projector onto the
+remaining slots (``_slot_projector``).
 
 Sums are taken as the ``scalars`` docstring states, ``sparse_sum`` being
 the keyed form; the bracket keeps one accumulator per component
@@ -362,22 +364,13 @@ def wedge(a: EForm, b: EForm) -> EForm:
     degree = a.degree + b.degree
     if degree > a.rank:
         return EForm(degree, a.rank, a.nvars, {})
-    out: SparseArray = {}
-    for ia, va in a.comp.items():
-        sa = set(ia)
-        for ib, vb in b.comp.items():
-            if sa & set(ib):
-                continue
-            ss = _sort_with_sign(ia + ib)
-            if ss is None:
-                continue
-            key, sign = ss
-            term = va * vb
-            if sign == -1:
-                term = -term
-            s = out.get(key)
-            out[key] = term if s is None else s + term
-    return EForm(degree, a.rank, a.nvars, sparse_clean(out))
+    out = sparse_sum(a.nvars, (
+        (ss[0], va, vb, ss[1])
+        for ia, va in a.comp.items()
+        for ib, vb in b.comp.items()
+        if (ss := _sort_with_sign(ia + ib)) is not None
+    ))
+    return EForm(degree, a.rank, a.nvars, out)
 
 
 @dataclass(frozen=True)
@@ -419,6 +412,30 @@ class FrameChange:
     @property
     def rank(self) -> int:
         return len(self.matrix)
+
+
+# -- chart conventions ---------------------------------------------------
+
+
+def _chart(n: int) -> tuple[str, ...]:
+    return tuple(f"x{i + 1}" for i in range(n))
+
+
+def _projection_anchor(n: int, r: int, k: int) -> tuple[tuple[Scalar, ...], ...]:
+    one, zero = Scalar.one(n), Scalar.zero(n)
+    return tuple(
+        tuple(one if (a == i and a < k) else zero for a in range(r))
+        for i in range(n)
+    )
+
+
+def _slot_projector(n: int, r: int, k: int) -> tuple[tuple[Scalar, ...], ...]:
+    """Projection onto slots k..r-1."""
+    one, zero = Scalar.one(n), Scalar.zero(n)
+    return tuple(
+        tuple(one if (a == b and a >= k) else zero for b in range(r))
+        for a in range(r)
+    )
 
 
 # -- the bracket engine ------------------------------------------------
@@ -630,77 +647,3 @@ def check_locality_projector(
                 f"differs from symbolic rank {symbolic_rank}"
             )
     return report_from_residuals("locality-projector", residuals, assumptions)
-
-
-# -- frame changes -------------------------------------------------------
-
-
-def change_frame(
-    A: AlgebroidData,
-    F: FrameChange,
-    conn: SparseArray | None = None,
-    metric: list[list[Scalar]] | None = None,
-):
-    """Transform all bundle data to the frame X'_a = A^b_a X_b.
-
-    Each datum is an operation of the package on the new frame sections,
-    read back into the new frame through F.inverse: the anchor is
-    ``anchor_of(X'_a)``; the anholonomy is ``bracket(X'_a, X'_b)``, so it
-    picks up derivative and locality terms and is deliberately not
-    tensorial; the locality operator is ``apply_locality`` of the coframe
-    e'^d (row d of F.inverse) on (X'_e, X'_c) and the projector
-    ``project_section(X'_b)``, both tensorial; the connection is
-    ``covariant_derivative`` of X'_c along X'_b, which gains the usual
-    derivative term.  The metric is ``pairing`` of the new frame
-    sections.  Returns (algebroid, connection, metric) with None propagated.
-    """
-    from .connection import Connection, covariant_derivative, pairing  # imports core
-
-    r = A.rank
-    if F.rank != r:
-        raise ShapeError("frame matrix rank mismatch")
-    if metric is not None and (len(metric) != r or any(len(row) != r for row in metric)):
-        raise ShapeError("metric must be a rank x rank matrix")
-    frames = [Section(tuple(col)) for col in zip(*F.matrix)]  # X'_a in old frame
-    pairs = list(itertools.product(range(r), repeat=2))
-
-    def read_back(u: Section) -> list[Scalar]:
-        """New-frame components of u: (F^-1)^c_d u^d."""
-        return mat_vec(F.inverse, u.comp, A.dim)
-
-    def sparse(entries) -> SparseArray:
-        """(key, section) pairs as the nonzero entries (c, *key), sorted."""
-        return dict(sorted(
-            ((c,) + key, v)
-            for key, u in entries
-            for c, v in enumerate(read_back(u))
-            if not v.is_zero()
-        ))
-
-    A2 = AlgebroidData(
-        dim=A.dim,
-        rank=r,
-        coords=A.coords,
-        anchor=tuple(zip(*(A.anchor_of(x) for x in frames))),
-        gamma=sparse(((a, b), bracket(A, frames[a], frames[b])) for a, b in pairs),
-        loc=sparse(
-            ((d, e, c), apply_locality(A, list(F.inverse[d]), frames[e], frames[c]))
-            for d in range(r)
-            for e, c in pairs
-        ),
-        proj=None if A.proj is None else tuple(
-            zip(*(read_back(project_section(A, x)) for x in frames))
-        ),
-    )
-    conn2 = None
-    if conn is not None:
-        D = Connection(r, conn)
-        conn2 = sparse(
-            ((b, c), covariant_derivative(A, D, frames[b], frames[c]))
-            for b, c in pairs
-        )
-
-    metric2 = None
-    if metric is not None:
-        metric2 = [[pairing(metric, x, y) for y in frames] for x in frames]
-    return A2, conn2, metric2

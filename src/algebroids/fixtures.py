@@ -15,9 +15,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .catalog import _chart, _projection_anchor, _slot_projector
-from .connection import Connection, Metric, bracket_from_connection
-from .core import AlgebroidData, FrameChange, Section, SparseArray, change_frame
+from .connection import Connection, Metric, bracket_from_connection, change_frame
+from .core import (
+    AlgebroidData,
+    FrameChange,
+    Section,
+    SparseArray,
+    _chart,
+    _projection_anchor,
+    _slot_projector,
+)
 from .linalg import mat_mul
 from .scalars import Poly, Scalar, _layout, _primitive
 

@@ -19,6 +19,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .calculus import seeded_sections
 from .connection import (
     Connection,
     GeometryContext,
@@ -306,8 +307,6 @@ def check_levicivita_props(
 
         (L^mod_v g)(u, w) = g(D_u v, w) + g(u, D_w v).
     """
-    from .calculus import seeded_sections
-
     _require_rank(A, conn, metric)
     ctx = GeometryContext(A, conn)
     adm = ctx.admissibility().passed

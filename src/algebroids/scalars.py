@@ -52,9 +52,9 @@ the budget by its term count, the support of the dict.
 Every running sum of scalars in the package is taken this way, by an
 ``Accumulator`` or ``core.sparse_sum`` (one per key), term by term in the
 order its formula writes them; ``tests/test_accumulator.py`` guards the
-tree.  The exceptions, each with its reason: ``core.wedge`` and
-``AlgebroidData.frame_derive`` (mostly one or two terms per sum, where
-routed they read slower), the Bareiss loops of ``linalg.solve_affine``
+tree.  The exceptions, each with its reason: ``AlgebroidData.frame_derive``
+(routed, ``cli_check``'s median job went from 31.3 to 32.7 ms, slower in 8
+of 10 alternating pairs), the Bareiss loops of ``linalg.solve_affine``
 (Poly arithmetic), the solver rows of ``levicivita._add_term``
 (coefficient maps whose text a test pins) and the ``EForm.add`` chains of
 ``calculus.check_bianchi_differential`` (their key order is the order of a

@@ -203,6 +203,7 @@ ROUTED = (
     "levicivita.decompose_connection",
     "levicivita.check_levicivita_props",
     "catalog.higher_compatibility_residual",
+    "core.wedge",
 )
 
 # The only functions that may still rebind a sum of products in place: the

@@ -18,6 +18,7 @@ from algebroids import (
     check_magic_and_derivations,
     check_ricci,
     classify,
+    curvature,
     make_example,
     non_metricity,
     scalar_to_text,
@@ -29,6 +30,7 @@ from algebroids.catalog import (
     closed_3form_check,
     higher_compatibility_residual,
 )
+import algebroids.connection as connection_module
 from algebroids.connection import locality_contraction
 from algebroids.fixtures import random_scalar
 from algebroids.linalg import solve_affine
@@ -591,3 +593,17 @@ def test_closed_3form_check_matches_the_alternating_sum(seed):
     rep = closed_3form_check(n, h)
     assert rep.passed == (not want)
     assert [(at, scalar_to_text(v, names)) for at, v in rep.residuals] == as_text(want, names)
+
+
+def test_chart_exterior_derivatives_keep_the_pair_slot():
+    # the chart d of the higher pairing and of a twist 3-form builds no
+    # context, so the caller's pair keeps the slot and its values
+    bundle = make_example("higher_courant", n=3, p=2)
+    A, conn = bundle.algebroid, Connection.zero(bundle.algebroid.rank)
+    curvature(A, conn)
+    slot = connection_module._pair_slot
+    assert slot[0] is A and slot[1] is conn
+    specialized_admissibility(bundle, conn)
+    assert connection_module._pair_slot is slot
+    closed_3form_check(3, {(0, 1, 2): A.one()})
+    assert connection_module._pair_slot is slot
