@@ -26,14 +26,12 @@ values keyed by the algebroid are then computed once for every kind that
 maps to it, and C is the zero section.  Only two places compare
 algebroids, because their formula differs: the general form of
 ``_bianchi`` adds the C terms, and ``commutation_pair`` builds the
-d-commute forms for the projected derivative only.  Within one call the
-context memoizes, by the ids of their arguments, the brackets, the anchor
-jets of sections and forms, the covariant derivatives D_x y, the Leibniz
-and exterior derivatives (``_leibniz``, ``_e_exterior``) and the magic
-suite's forms of each algebroid, so each is computed at most once per
-call; the algebraic Bianchi check evaluates each cyclic term once, and its
-residuals, which read frame tuples only, are a value of the pair keyed by
-the algebroid.  Sums are taken as the ``scalars`` docstring states.
+d-commute forms for the projected derivative only.  The memo policy of
+``GeometryContext`` says what a call memoizes; the Leibniz and exterior
+derivatives are not memoized.  The algebraic Bianchi check evaluates each
+cyclic term once, and its residuals, which read frame tuples only, are a
+value of the pair keyed by the algebroid.  Sums are taken as the
+``scalars`` docstring states.
 """
 
 from __future__ import annotations
@@ -140,12 +138,9 @@ def e_exterior_derivative(
 
 
 def _e_exterior(ctx: GeometryContext, B: AlgebroidData, omega: EForm | Scalar) -> EForm:
-    def build() -> EForm:
-        form = EForm.from_scalar(B, omega) if isinstance(omega, Scalar) else omega
-        _require_admissible(ctx)
-        return _exterior_form(B, ctx.jet(form), form)
-
-    return ctx._cached(("d", id(omega), id(B)), build, omega, B)
+    form = EForm.from_scalar(B, omega) if isinstance(omega, Scalar) else omega
+    _require_admissible(ctx)
+    return _exterior_form(B, ctx.jet(form), form)
 
 
 def leibniz_derivative(
@@ -166,31 +161,30 @@ def leibniz_derivative(
 
 
 def _leibniz(ctx: GeometryContext, B: AlgebroidData, v: Section, target):
-    def build():
-        if isinstance(target, Scalar):
-            return B.section_derive(v, target)
-        if isinstance(target, Section):
-            return ctx.bracket(v, target, B)
-        if not isinstance(target, EForm):
-            raise ShapeError(f"cannot differentiate a {type(target).__name__}")
-        p = target.degree
-        if p == 0:
-            f = target.comp.get((), B.zero())
-            return EForm.from_scalar(B, B.section_derive(v, f))
-        frame_brackets = ctx.frame_brackets(v, B)
-        out: SparseArray = {}
-        for idx, rho in ctx.anchor_derivatives(v, target).items():
-            acc = Accumulator(B.dim, rho)
-            for pos in range(p):
-                br = frame_brackets[idx[pos]]
-                for e, x in enumerate(br.comp):
-                    if not x.is_zero():
-                        acc.add_product(x, target.at(idx[:pos] + (e,) + idx[pos + 1 :]), -1)
-            if not (value := acc.value()).is_zero():
-                out[idx] = value
-        return EForm(p, B.rank, B.dim, out)
-
-    return ctx._cached(("leibniz", id(v), id(target), id(B)), build, v, target, B)
+    if isinstance(target, Scalar):
+        return B.section_derive(v, target)
+    if isinstance(target, Section):
+        return ctx.bracket(v, target, B)
+    if not isinstance(target, EForm):
+        raise ShapeError(f"cannot differentiate a {type(target).__name__}")
+    p = target.degree
+    if p == 0:
+        f = target.comp.get((), B.zero())
+        return EForm.from_scalar(B, B.section_derive(v, f))
+    frame_brackets = ctx.frame_brackets(v, B)
+    jet = ctx.jet(target)
+    out: SparseArray = {}
+    for idx in itertools.combinations(range(B.rank), p):
+        # rho(v)(target(X_idx)), the part no bracket kind changes
+        acc = Accumulator(B.dim, B.jet_derive(v, jet, idx))
+        for pos in range(p):
+            br = frame_brackets[idx[pos]]
+            for e, x in enumerate(br.comp):
+                if not x.is_zero():
+                    acc.add_product(x, target.at(idx[:pos] + (e,) + idx[pos + 1 :]), -1)
+        if not (value := acc.value()).is_zero():
+            out[idx] = value
+    return EForm(p, B.rank, B.dim, out)
 
 
 def associator(
@@ -618,7 +612,8 @@ def check_magic_and_derivations(
         om2 = rng_forms2[k]
         omA = rng_forms1[k]
         omB = rng_forms1[(k + 1) % samples]
-        # built once per sample, so all kinds share their rho(v) parts
+        # built once per sample, so every kind reads the same objects and
+        # their anchor jets are computed once
         pairs = (("p1", omA), ("p2", om2))
         contracted = {lb: interior_product(om, v) for lb, om in pairs if om.degree >= 1}
         wedged = wedge(omA, omB)

@@ -532,15 +532,11 @@ def coboundary(A: AlgebroidData, f: Scalar) -> EForm:
 
 
 def apply_locality(
-    A: AlgebroidData, omega_comp: list[Scalar], u: Section, v: Section,
-    projected: bool = False,
+    A: AlgebroidData, omega_comp: list[Scalar], u: Section, v: Section
 ) -> Section:
-    """L(omega, u, v), optionally followed by the locality projector."""
+    """L(omega, u, v)."""
     table = {(d, e): omega_comp[d] * u.comp[e] for (_, d, e, _) in A.loc}
-    sec = _locality_correction(A, table, v)
-    if projected:
-        sec = project_section(A, sec)
-    return sec
+    return _locality_correction(A, table, v)
 
 
 def project_section(A: AlgebroidData, u: Section) -> Section:

@@ -14,8 +14,9 @@ Document layout (indices are 1-based in documents, 0-based in code):
       "connection": [{"idx": [a, b, c], "val": expr}, ...],   # optional
     }
 
-Omitted sparse entries are zero.  Emission sorts entries and uses the
-canonical scalar text, so documents round-trip byte-identically.
+Omitted sparse entries are zero, and a sparse block names each index at
+most once.  Emission sorts entries and uses the canonical scalar text, so
+documents round-trip byte-identically.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ def _parse_entries(
     if raw is not None and not isinstance(raw, list):
         raise DocumentError(f"{what} block must be a list, got {raw!r}")
     out: SparseArray = {}
+    seen: set[tuple[int, ...]] = set()
     for item in raw or []:
         try:
             idx = tuple(int(k) - 1 for k in item["idx"])
@@ -51,6 +53,9 @@ def _parse_entries(
             raise DocumentError(f"malformed {what} entry {item!r}") from exc
         if len(idx) != arity or not all(0 <= k < rank for k in idx):
             raise DocumentError(f"{what} index out of range: {item['idx']!r}")
+        if idx in seen:
+            raise DocumentError(f"{what} index given twice: {item['idx']!r}")
+        seen.add(idx)
         s = parse_scalar(str(val), names)
         if not s.is_zero():
             out[idx] = s

@@ -191,7 +191,6 @@ def _make(nvars: int, num: int, den: int, t: dict[int, int]) -> Poly:
     p._num = num
     p._den = den
     p._t = t
-    p._diff_cache = None
     return p
 
 
@@ -228,11 +227,10 @@ class _TermsView(_MappingABC):
 class Poly:
     """Sparse multivariate polynomial over the rationals."""
 
-    __slots__ = ("nvars", "_num", "_den", "_t", "_diff_cache")
+    __slots__ = ("nvars", "_num", "_den", "_t")
 
     def __init__(self, nvars: int, terms: Mapping[Exponents, Fraction] | None = None):
         self.nvars = nvars
-        self._diff_cache: dict[int, Poly] | None = None
         self._num, self._den, self._t = 0, 1, {}
         if not terms:
             return
@@ -493,16 +491,9 @@ class Poly:
     # -- calculus -----------------------------------------------------
 
     def diff(self, index: int) -> Poly:
-        """Partial derivative with respect to coordinate ``index`` (0-based).
-        Results are memoized; values are immutable so sharing is safe."""
+        """Partial derivative with respect to coordinate ``index`` (0-based)."""
         if not 0 <= index < self.nvars:
             raise ShapeError(f"coordinate index {index} out of range")
-        cache = self._diff_cache
-        if cache is None:
-            cache = self._diff_cache = {}
-        hit = cache.get(index)
-        if hit is not None:
-            return hit
         layout = _layout(self.nvars)
         shift = layout.shifts[index]
         unit = layout.units[index]
@@ -512,9 +503,7 @@ class Poly:
             e = (k >> shift) & _FIELD_MASK
             if e:
                 out[k - unit] = c * e
-        p = _primitive(self.nvars, self._num, self._den, out) if out else Poly(self.nvars)
-        cache[index] = p
-        return p
+        return _primitive(self.nvars, self._num, self._den, out) if out else Poly(self.nvars)
 
     def eval_at(self, coords: Sequence[Fraction]) -> Fraction:
         if len(coords) != self.nvars:

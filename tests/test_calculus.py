@@ -668,7 +668,8 @@ def test_memoized_derivatives_of_the_magic_suite_are_fresh_values(monkeypatch):
         for idx in itertools.product(range(2), repeat=3) if rng.random() < 0.5
     })
     # conn is admissible for this algebroid, whose two kinds differ, so a
-    # memo that ignored the kind would be seen
+    # memo the derivatives read (the brackets and frame brackets, keyed by
+    # the algebroid) that ignored the kind would be seen
     A = bracket_from_connection(make_example("courant_standard", n=1).algebroid, conn)
     ctx = GeometryContext(A, conn)
     assert ctx.algebroid("modified").gamma != ctx.algebroid("projected").gamma
@@ -696,3 +697,20 @@ def test_memoized_derivatives_of_the_magic_suite_are_fresh_values(monkeypatch):
             want = fresh[name](*args)
             assert (value.degree, set(value.comp)) == (want.degree, set(want.comp))
             assert all(value.comp[idx].equals(want.comp[idx]) for idx in want.comp)
+
+
+@pytest.mark.parametrize("suite", [
+    check_magic_and_derivations,
+    check_cartan_structure,
+    check_bianchi_differential,
+    check_square_laws,
+])
+def test_each_anchor_jet_is_computed_at_most_once_per_call(suite, monkeypatch):
+    # twisted fixture 105: the anchor is not constant, so jets have entries
+    fx = random_anticommutable(105, dim=2, rank=3, twist=True)
+    A = fx.algebroid
+    # the recorded arguments hold each section and form, so ids stay unique
+    jets = record_calls(monkeypatch, connection_module, "anchor_jet")
+    assert suite(A, fx.connection).passed
+    assert jets and any(x for _, x in jets)
+    assert len({id(x) for _, x in jets}) == len(jets)

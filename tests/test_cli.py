@@ -345,6 +345,13 @@ def test_malformed_json_argument_exit_2(args, halfplane_doc, capsys):
             2,
             id="deep-parentheses",
         ),
+        pytest.param(
+            {"dimension": 1, "rank": 1, "coordinates": ["x1"], "anchor": [["1"]],
+             "connection": [{"idx": [1, 1, 1], "val": "x1"},
+                            {"idx": [1, 1, 1], "val": "0"}]},
+            2,
+            id="repeated-index",
+        ),
     ],
 )
 def test_edge_documents_exit_without_traceback(obj, code, tmp_path, capsys):

@@ -317,7 +317,6 @@ def test_every_projector_site_raises_the_one_error():
         "algebroid has no locality projector": [
             lambda: A.proj_at(0, 0),
             lambda: project_section(A, u),
-            lambda: apply_locality(A, [one], u, u, projected=True),
         ],
         "no locality projector present": [lambda: check_locality_projector(A)],
     }

@@ -80,6 +80,20 @@ def test_rejects_out_of_range_index():
         document_from_obj(obj)
 
 
+@pytest.mark.parametrize("values", [("x1", "0"), ("0", "x1")])
+def test_rejects_an_index_given_twice(values):
+    # either order is refused: a later "0" must not leave "x1" standing
+    obj = {
+        "dimension": 1,
+        "rank": 1,
+        "coordinates": ["x1"],
+        "anchor": [["1"]],
+        "gamma": [{"idx": [1, 1, 1], "val": val} for val in values],
+    }
+    with pytest.raises(DocumentError, match="given twice"):
+        document_from_obj(obj)
+
+
 @pytest.mark.parametrize("block", ["gamma", "L", "anchor", "P", "metric", "connection"])
 def test_rejects_a_block_that_is_not_a_list(block):
     obj = {

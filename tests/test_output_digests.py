@@ -1,7 +1,9 @@
-"""The output-digest script sees a change to the emitted text."""
+"""The output-digest script sees a change to the emitted text, and this
+tree prints the digests checked in beside this file."""
 
 import importlib.util
 import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -11,6 +13,9 @@ from algebroids.documents import AlgebroidDocument
 from algebroids.fixtures import random_anticommutable, random_constant_metric
 
 SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "output_digests.py"
+# One ``name sha256`` line per output.  A change meant to alter outputs
+# regenerates this file with ``python3 tools/output_digests.py``.
+EXPECTED = Path(__file__).resolve().parent / "output_digests.txt"
 
 
 def load_script(monkeypatch):
@@ -40,3 +45,15 @@ def test_a_planted_text_change_changes_the_document_digests(monkeypatch, tmp_pat
     assert planted.keys() == plain.keys()
     assert planted["cli/fixture-0/compute-levicivita"] != plain["cli/fixture-0/compute-levicivita"]
     assert planted["cli/fixture-0/check-all"] != plain["cli/fixture-0/check-all"]
+
+
+def test_every_output_matches_its_checked_in_digest():
+    run = subprocess.run(
+        [sys.executable, "-B", str(SCRIPT)], capture_output=True, text=True, timeout=600
+    )
+    assert run.returncode == 0, run.stderr
+    got = dict(line.split() for line in run.stdout.splitlines())
+    want = dict(line.split() for line in EXPECTED.read_text().splitlines())
+    differing = sorted(name for name in got.keys() | want.keys() if got.get(name) != want.get(name))
+    assert not differing, f"outputs differ from {EXPECTED.name}: {differing}"
+    assert list(got) == list(want)
