@@ -50,9 +50,12 @@ class SolutionSpace:
         return len(self.kernel_basis)
 
     def member(self, weights: list) -> Connection:
-        """particular + sum_i weights_i * basis_i as a connection."""
+        """particular + sum_i weights_i * basis_i as a connection; missing
+        weights are zero, and more weights than ``dim`` raise ``ShapeError``."""
         if self.particular is None:
             raise ShapeError("no members: system is infeasible")
+        if len(weights) > self.dim:
+            raise ShapeError(f"{len(weights)} weights for {self.dim} kernel vectors")
         coeff = self.particular.coeff
         for w, basis in zip(weights, self.kernel_basis):
             if w:

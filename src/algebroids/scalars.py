@@ -54,7 +54,7 @@ Every running sum of scalars in the package is taken this way, by an
 order its formula writes them; ``tests/test_accumulator.py`` guards the
 tree.  The exceptions, each with its reason: ``AlgebroidData.frame_derive``
 (routed, ``cli_check``'s median job went from 31.3 to 32.7 ms, slower in 8
-of 10 alternating pairs), the Bareiss loops of ``linalg.solve_affine``
+of 10 alternating pairs), the Bareiss loops of ``linalg._eliminate``
 (Poly arithmetic), the solver rows of ``levicivita._add_term``
 (coefficient maps whose text a test pins) and the ``EForm.add`` chains of
 ``calculus.check_bianchi_differential`` (their key order is the order of a

@@ -211,7 +211,7 @@ ROUTED = (
 # and the accumulator's own rational fallback.
 SEQUENTIAL = {
     "core.AlgebroidData.frame_derive",
-    "linalg.solve_affine",
+    "linalg._eliminate",
     "scalars.Poly.divide_exact",
     "scalars.Accumulator.add_product",
 }

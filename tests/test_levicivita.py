@@ -162,6 +162,16 @@ def test_torsion_free_members_admissible():
         assert check_admissible(A, m).passed
 
 
+def test_member_refuses_more_weights_than_kernel_vectors():
+    # zip dropped the weights past dim, so [1, 0, 7, 9] gave the member of
+    # [1, 0]; fewer weights than dim still mean zeros
+    space = solve_torsion_free(make_example("courant_standard", n=1).algebroid)
+    assert space.dim == 2
+    assert space.member([1]).coeff == space.member([1, 0]).coeff
+    with pytest.raises(ShapeError, match="4 weights for 2 kernel vectors"):
+        space.member([1, 0, 7, 9])
+
+
 def test_admissible_connection_without_a_torsion_free_one():
     """Not anti-commutable implies no torsion-free connection, but not the
     converse: this rank-2, dim-1 algebroid with zero anchor has an

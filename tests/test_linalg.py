@@ -17,11 +17,10 @@ from algebroids import (
     parse_scalar,
     scalar_to_text,
 )
-from algebroids.fixtures import random_anticommutable
+from algebroids.fixtures import random_anticommutable, random_frame_change
 from algebroids.levicivita import solve_torsion_free
 from algebroids.linalg import (
     LinearSolution,
-    _clear_row,
     _poly_quality,
     invert_matrix,
     kernel_basis,
@@ -332,6 +331,27 @@ def regular_augmented(draw):
     return [[s(draw(cell)) for _ in range(n + 1)] for _ in range(n + 1)]
 
 
+def _cleared(coeffs, rhs):
+    """A row and its right side multiplied through by their distinct
+    denominators, in order of appearance, each entry skipping its own."""
+    items = [(c, v) for c, v in coeffs.items() if not v.is_zero()]
+    dens = []
+    for value in [v for _, v in items] + [rhs]:
+        if not value.den.is_one() and not any(d == value.den for d in dens):
+            dens.append(value.den)
+
+    def cleared(value):
+        poly, skipped = value.num, False
+        for d in dens:
+            if not skipped and d == value.den:
+                skipped = True
+            else:
+                poly = poly * d
+        return poly
+
+    return {c: cleared(v) for c, v in items}, cleared(rhs)
+
+
 def _plain_forward(rows, nvars, pivots=None):
     """Forward elimination as first written, the reference for the shortcuts
     of ``solve_affine``: every pivot search rebuilds the key of every entry,
@@ -339,7 +359,7 @@ def _plain_forward(rows, nvars, pivots=None):
     Returns the rows left when no entry remains to pivot on, and appends
     each (column, coefficients, right side) pivot row to ``pivots``."""
     zero = Poly.zero(nvars)
-    work = [_clear_row(coeffs, rhs, nvars) for coeffs, rhs in rows]
+    work = [_cleared(coeffs, rhs) for coeffs, rhs in rows]
     work = [(c, r) for c, r in work if c or not r.is_zero()]
     prev = Poly.one(nvars)
     while True:
@@ -488,6 +508,86 @@ def test_solve_affine_matches_the_eager_loop(system):
     assert _forms(sol.particular) == _forms(eager.particular)
     assert [_forms(v) for v in sol.kernel_basis] == [_forms(v) for v in eager.kernel_basis]
     assert _forms([sol.witness]) == _forms([eager.witness])
+
+
+def _per_column_inverse(m):
+    """The inverse as column j = the solution of M x = e_j, one whole
+    elimination per column, each by the eager reference; None when M is
+    singular."""
+    nvars, size = m[0][0].nvars, len(m)
+    coeffs = [{j: v for j, v in enumerate(row) if not v.is_zero()} for row in m]
+    columns = []
+    for j in range(size):
+        rhs = [Scalar.one(nvars) if i == j else Scalar.zero(nvars) for i in range(size)]
+        solution = _eager_solve(list(zip(coeffs, rhs)), size, nvars)
+        if solution.status != "unique":
+            return None
+        columns.append(solution.particular)
+    return [list(row) for row in zip(*columns)]
+
+
+def _assert_inverse_is_the_per_column_one(m):
+    want = _per_column_inverse(m)
+    if want is None:
+        with pytest.raises(SingularMatrixError):
+            invert_matrix(m)
+        return
+    assert [_forms(row) for row in invert_matrix(m)] == [_forms(row) for row in want]
+
+
+def test_frame_inverses_match_the_per_column_solves():
+    for seed in range(120):
+        A = random_anticommutable(seed, dim=1 + seed % 2, rank=2 + seed % 3).algebroid
+        frame = random_frame_change(random.Random(seed), A)
+        _assert_inverse_is_the_per_column_one([list(row) for row in frame.matrix])
+
+
+@st.composite
+def rational_matrices(draw):
+    n = draw(st.integers(1, 3))
+    cell = st.one_of(st.just(ZERO), entries())
+    return [[draw(cell) for _ in range(n)] for _ in range(n)]
+
+
+@seed(2021)
+@given(rational_matrices())
+@settings(max_examples=60, deadline=None, database=None)
+def test_rational_inverses_match_the_per_column_solves(m):
+    _assert_inverse_is_the_per_column_one(m)
+
+
+def _pivot_count(monkeypatch) -> list:
+    # the elimination asks for the ratio of each new pivot to the last one
+    # exactly once per pivot
+    calls = []
+    constant_ratio = Poly.constant_ratio
+
+    def counting(self, other):
+        calls.append(self)
+        return constant_ratio(self, other)
+
+    monkeypatch.setattr(Poly, "constant_ratio", counting)
+    return calls
+
+
+def test_an_inversion_eliminates_once(monkeypatch):
+    A = random_anticommutable(4, dim=2, rank=4).algebroid
+    m = [list(row) for row in random_frame_change(random.Random(4), A).matrix]
+    calls = _pivot_count(monkeypatch)
+    invert_matrix(m)
+    assert len(calls) == 4  # one elimination per column took 16
+
+
+def test_a_dependency_left_to_the_last_pivot_is_singular(monkeypatch):
+    # the last row is x1 * row 0 + row 1 + x2 * row 2: it keeps an entry in
+    # the unknowns until the third pivot, and then reads 0 = c
+    rows = [["1", "x1", "0", "x2"], ["0", "1", "x2", "1"], ["x1", "0", "1", "2"]]
+    m = [[s(t) for t in row] for row in rows]
+    m.append([s("x1") * a + b + s("x2") * c for a, b, c in zip(*m)])
+    calls = _pivot_count(monkeypatch)
+    with pytest.raises(SingularMatrixError):
+        invert_matrix(m)
+    assert len(calls) == 3
 
 
 # sha256 of _space_text for the solution of the fixture below, as returned

@@ -12,6 +12,9 @@ imported from TREE's ``src`` and the inputs from TREE's ``bench``:
   ``check --suite all --seed 11 --samples 4``, ``check --suite bianchi
   --format table`` and ``compute`` of every target, each run's standard
   output, standard error and exit code;
+- ``frame-change`` of each ``cli_check`` document by the leading block of
+  one fixed unit lower-triangular polynomial matrix, the path on which
+  ``FrameChange.of`` inverts a frame;
 - ``check --suite all --seed 11 --samples 4`` on two standard Courant
   documents, where the projected and modified brackets differ (no
   workload document has such brackets);
@@ -46,6 +49,8 @@ COMPUTE_TARGETS = (
     "torsion", "projected-torsion", "curvature", "nonmetricity", "levicivita",
     "decomposition",
 )
+# a document of rank r is changed by the leading r x r block
+FRAME = (("1", "0", "0"), ("x1", "1", "0"), ("2", "1 + x1^2", "1"))
 _PARAMS = json.dumps({
     "rank": 2,
     "metric": [{"idx": [1, 1], "val": "1 + x1^2"}, {"idx": [2, 2], "val": "1"}],
@@ -96,6 +101,18 @@ def cli_digests(documents: dict[str, str]) -> dict[str, str]:
     return out
 
 
+def frame_digests(documents: dict[str, str], ranks: dict[str, int]) -> dict[str, str]:
+    """The ``frame-change`` run on each document, keyed by name."""
+    out = {}
+    for name, path in documents.items():
+        r = ranks[name]
+        matrix = json.dumps([list(row[:r]) for row in FRAME[:r]])
+        out[f"cli/{name}/frame-change"] = run_cli(
+            ["frame-change", path, "--matrix", matrix]
+        )
+    return out
+
+
 def courant_documents(algebroids):
     """The standard Courant algebroid of dimension n = 1, 2 with the member
     of weights k % 3 - 1 of its torsion-free space and no metric."""
@@ -133,11 +150,13 @@ def tree_digests(tree: Path) -> dict[str, str]:
     with tempfile.TemporaryDirectory() as workdir:
         os.chdir(workdir)
         digests = workload_digests(workloads, ".")
-        documents = {}
+        documents, ranks = {}, {}
         for name, document in workloads.cli_documents():
             documents[name] = f"{name}.json"
+            ranks[name] = document.algebroid.rank
             algebroids.dump_document(document, documents[name])
         digests.update(cli_digests(documents))
+        digests.update(frame_digests(documents, ranks))
         label, args = CHECKS[0]
         for name, document in courant_documents(algebroids):
             algebroids.dump_document(document, f"{name}.json")
