@@ -1,7 +1,5 @@
-"""Batch front end: check identity suites, compute derived tensors, emit
-catalog examples and frame changes.
-
-Each subcommand takes only the flags it reads:
+"""Batch front end: argparse and dispatch for the identity suites, derived
+tensors, catalog examples and frame changes.
 
     check INPUT [--suite S] [--solve {torsion-free,koszul}]
                 [--seed N] [--samples N] [--degree N] [--format F]
@@ -9,15 +7,15 @@ Each subcommand takes only the flags it reads:
     example KIND [--n N] [--p P] [--matrix M] [--h H] [--params JSON]
     frame-change INPUT --matrix M
 
-and every subcommand takes ``--budget N`` and ``-o PATH``.  The identity
-suites that need a connection and a locality projector run from one
-table, ``GATED``, in report order.
+Each subcommand takes only these flags, ``--budget N`` and ``-o PATH``.
+Documents and JSON flag values are read by ``documents``, not here.  The
+identity suites that need a connection and a locality projector run from
+``GATED`` in report order, and each compute target from ``COMPUTE``.
 
 Exit codes: 0 all checks pass; 1 at least one identity fails; 2 input or
 parse error; 3 a requested solve is infeasible; 4 term budget exceeded.
 ``--budget`` (at least 1) applies to one run and is restored when ``main``
-returns.
-Reports stream line-delimited JSON (or an aligned table) in a
+returns.  Reports stream line-delimited JSON (or an aligned table) in a
 deterministic order, so identical inputs and seeds give byte-identical
 output.
 """
@@ -51,12 +49,11 @@ from .connection import (
 from .core import FrameChange, check_locality_projector, classify
 from .documents import (
     AlgebroidDocument,
-    _parse_entries,
-    _parse_matrix,
-    document_to_obj,
     dump_document,
+    example_to_obj,
     load_document,
-    parse_metric,
+    read_example_params,
+    read_frame,
     sparse_to_obj,
 )
 from .errors import AdmissibilityError, AlgebroidError, BudgetError, DocumentError
@@ -67,9 +64,8 @@ from .levicivita import (
     solve_koszul,
     solve_torsion_free,
 )
-from .parsing import parse_scalar
 from .reports import CheckReport
-from .scalars import scalar_to_text, set_term_budget
+from .scalars import DEFAULT_TERM_BUDGET, scalar_to_text, set_term_budget
 
 EXIT_OK = 0
 EXIT_IDENTITY_FAILED = 1
@@ -95,16 +91,6 @@ GATED = (
 SUITES = (
     "all", "classify", "admissible", *dict.fromkeys(g[0] for g in GATED), "levicivita"
 )
-
-# compute target -> the document blocks it needs, checked in this order
-COMPUTE_NEEDS = {
-    "torsion": ("connection",),
-    "projected-torsion": ("connection", "locality projector"),
-    "curvature": ("connection", "locality projector"),
-    "nonmetricity": ("connection", "metric"),
-    "levicivita": ("metric",),
-    "decomposition": ("connection", "metric"),
-}
 
 
 class _Emitter:
@@ -230,117 +216,57 @@ def cmd_check(args: argparse.Namespace) -> int:
     return EXIT_INFEASIBLE if space.status == "infeasible" else code
 
 
+def _decomposition(A, conn, metric) -> dict:
+    lc, contortion, disformation, rep = decompose_connection(A, conn, metric)
+    return {
+        "result": "decomposition",
+        "levicivita": sparse_to_obj(lc.coeff, A.coords),
+        "torsion_part": sparse_to_obj(contortion, A.coords),
+        "nonmetricity_part": sparse_to_obj(disformation, A.coords),
+        "reconstruction_pass": rep.passed,
+    }
+
+
+def _tensor(target: str, tensor):
+    """The compute function of a target whose result is tensor(A, conn, metric)."""
+    return lambda A, c, g: {
+        "result": target, "components": sparse_to_obj(tensor(A, c, g), A.coords)
+    }
+
+
+# compute target -> (the document blocks it needs, checked in this order,
+# and the report object of (A, connection, metric))
+COMPUTE = {
+    "torsion": (("connection",), _tensor("torsion", lambda A, c, g: torsion(A, c, "modified"))),
+    "projected-torsion": (("connection", "locality projector"),
+                          _tensor("projected-torsion", lambda A, c, g: torsion(A, c, "projected"))),
+    "curvature": (("connection", "locality projector"),
+                  _tensor("curvature", lambda A, c, g: curvature(A, c))),
+    "nonmetricity": (("connection", "metric"), _tensor("nonmetricity", non_metricity)),
+    "levicivita": (("metric",),
+                   lambda A, c, g: _space_obj("levicivita-solution", solve_koszul(A, g), A.coords)),
+    "decomposition": (("connection", "metric"), _decomposition),
+}
+
+
 def cmd_compute(args: argparse.Namespace) -> int:
     emitter = _Emitter(args)
     doc = load_document(args.input)
     A = doc.algebroid
-    names = A.coords
-    target = args.target
-    conn, metric = doc.connection, doc.metric
-    blocks = {"connection": conn, "locality projector": A.proj, "metric": metric}
-    for need in COMPUTE_NEEDS[target]:
+    needs, compute = COMPUTE[args.target]
+    blocks = {"connection": doc.connection, "locality projector": A.proj, "metric": doc.metric}
+    for need in needs:
         if blocks[need] is None:
-            raise DocumentError(f"{target} needs a {need} block")
-    if target == "levicivita":
-        space = solve_koszul(A, metric)
-        emitter.emit(_space_obj("levicivita-solution", space, names))
-        emitter.flush()
-        return EXIT_INFEASIBLE if space.status == "infeasible" else EXIT_OK
-    if target == "decomposition":
-        lc, contortion, disformation, rep = decompose_connection(A, conn, metric)
-        emitter.emit(
-            {
-                "result": "decomposition",
-                "levicivita": sparse_to_obj(lc.coeff, names),
-                "torsion_part": sparse_to_obj(contortion, names),
-                "nonmetricity_part": sparse_to_obj(disformation, names),
-                "reconstruction_pass": rep.passed,
-            }
-        )
-        return emitter.flush()
-    if target == "torsion":
-        arr = torsion(A, conn, "modified")
-    elif target == "projected-torsion":
-        arr = torsion(A, conn, "projected")
-    elif target == "curvature":
-        arr = curvature(A, conn)
-    else:
-        arr = non_metricity(A, conn, metric)
-    emitter.emit({"result": target, "components": sparse_to_obj(arr, names)})
-    return emitter.flush()
-
-
-def _json_arg(text: str, what: str):
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"invalid JSON for {what}: {exc}") from exc
-
-
-def _matrix_arg(text: str, names, size: int):
-    raw = _json_arg(text, "--matrix")
-    if raw is None:
-        raise DocumentError("--matrix must be a JSON list of lists")
-    return _parse_matrix(raw, names, size, size, "--matrix")
+            raise DocumentError(f"{args.target} needs a {need} block")
+    obj = compute(A, doc.connection, doc.metric)
+    emitter.emit(obj)
+    code = emitter.flush()
+    return EXIT_INFEASIBLE if obj.get("status") == "infeasible" else code
 
 
 def cmd_example(args: argparse.Namespace) -> int:
-    kind = args.kind
-    params: dict = {}
-    names = tuple(f"x{i + 1}" for i in range(args.n)) if args.n else ()
-    if kind in ("tangent_lie", "courant_standard"):
-        params = {"n": args.n}
-    elif kind == "higher_courant":
-        params = {"n": args.n, "p": args.p}
-    elif kind == "twisted_frame_lie":
-        if not args.matrix:
-            raise DocumentError("twisted_frame_lie needs --matrix")
-        params = {"n": args.n, "frame": _matrix_arg(args.matrix, names, args.n)}
-    elif kind == "courant_h_twisted":
-        if not args.h:
-            raise DocumentError("courant_h_twisted needs --h")
-        h = _parse_entries(_json_arg(args.h, "h"), names, 3, args.n, "h")
-        params = {"n": args.n, "h": h}
-    else:  # metric_algebroid, conformal_courant
-        if not args.params:
-            raise DocumentError(f"{kind} needs --params JSON")
-        raw = _json_arg(args.params, "--params")
-        if not isinstance(raw, dict) or not isinstance(raw.get("rank"), int) or (
-            not isinstance(raw.get("metric"), list)
-        ):
-            raise DocumentError("--params must hold an integer rank and a metric list")
-        r = raw["rank"]
-        metric = parse_metric(raw["metric"], names, r)
-        gamma_antisym = _parse_entries(
-            raw.get("gamma_antisym", []), names, 3, r, "gamma_antisym"
-        )
-        params = {"n": args.n, "gamma_antisym": gamma_antisym, "metric": metric}
-        if kind == "conformal_courant":
-            theta = raw.get("theta", [])
-            if not isinstance(theta, list):
-                raise DocumentError(f"theta must be a list, got {theta!r}")
-            params["theta"] = tuple(parse_scalar(str(t), names) for t in theta)
-    bundle = make_example(kind, **params)
-    doc = AlgebroidDocument(
-        algebroid=bundle.algebroid, metric=bundle.metric, connection=None
-    )
-    obj = document_to_obj(doc)
-    if bundle.higher_metric is not None:
-        obj["higher_metric"] = {
-            "p": bundle.higher_metric.p,
-            "entries": [
-                {
-                    "idx": [a + 1, b + 1],
-                    "I": [k + 1 for k in I],
-                    "val": scalar_to_text(v, bundle.algebroid.coords),
-                }
-                for (a, b, I), v in sorted(bundle.higher_metric.comp.items())
-            ],
-        }
-    if bundle.theta is not None:
-        obj["theta"] = [
-            scalar_to_text(t, bundle.algebroid.coords) for t in bundle.theta
-        ]
+    params = read_example_params(args.kind, args.n, args.p, args.matrix, args.h, args.params)
+    obj = example_to_obj(make_example(args.kind, **params))
     _write(json.dumps(obj, indent=2) + "\n", args.output)
     return EXIT_OK
 
@@ -348,7 +274,7 @@ def cmd_example(args: argparse.Namespace) -> int:
 def cmd_frame_change(args: argparse.Namespace) -> int:
     doc = load_document(args.input)
     A = doc.algebroid
-    F = FrameChange.of(_matrix_arg(args.matrix, A.coords, A.rank))
+    F = FrameChange.of(read_frame(args.matrix, A.coords, A.rank))
     conn = doc.connection.coeff if doc.connection else None
     metric = doc.metric.g if doc.metric else None
     A2, conn2, metric2 = change_frame(A, F, conn, metric)
@@ -397,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_compute = sub.add_parser("compute", help="emit one derived tensor")
     p_compute.add_argument("input")
-    p_compute.add_argument("target", choices=tuple(COMPUTE_NEEDS))
+    p_compute.add_argument("target", choices=tuple(COMPUTE))
     p_compute.set_defaults(func=cmd_compute)
 
     p_example = sub.add_parser("example", help="emit a catalog entry as a document")
@@ -417,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (p_check, p_compute):
         p.add_argument("--format", choices=("json", "table"), default="json")
     for p in (p_check, p_compute, p_example, p_frame):
-        p.add_argument("--budget", type=_int_at_least(1), default=100_000)
+        p.add_argument("--budget", type=_int_at_least(1), default=DEFAULT_TERM_BUDGET)
         p.add_argument("-o", "--output", default=None)
     return parser
 

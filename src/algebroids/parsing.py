@@ -7,12 +7,14 @@
     rational := int ("/" uint)?
     coordname:= declared coordinate identifier
 
-Whitespace is insignificant.  The optional leading sign covers rational
-literals whose sign is attached to the integer part.  "/" between two
-numeric literals and "/" as field division denote the same exact quotient,
-so both are handled by scalar division.  Parentheses nest at most
-``MAX_DEPTH`` deep, so a deeply nested input is a ParseError rather than a
-RecursionError.
+An int is a run of the decimal digits ``int`` reads (``str.isdecimal``)
+within the int-string limit; a name (``is_name``) is a letter or "_" then
+letters, digits and "_".  Whitespace is insignificant.  The optional
+leading sign covers rational literals whose sign is attached to the
+integer part.  "/" between two numeric literals and "/" as field division
+denote the same exact quotient, so both are handled by scalar division.
+Parentheses nest at most ``MAX_DEPTH`` deep, so a deeply nested input is
+a ParseError rather than a RecursionError.
 """
 
 from __future__ import annotations
@@ -26,42 +28,58 @@ _OPS = set("+-*/^()")
 MAX_DEPTH = 100
 
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.tokens: list[tuple[str, str, int]] = []  # (kind, value, offset)
-        self._scan()
-        self.index = 0
+def _run_end(text: str, i: int, accepts) -> int:
+    """The end of the run of characters from i that accepts takes."""
+    while i < len(text) and accepts(text[i]):
+        i += 1
+    return i
 
-    def _scan(self) -> None:
-        text = self.text
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch in _OPS:
-                self.tokens.append(("op", ch, i))
-                i += 1
-                continue
-            if ch.isdigit():
-                j = i
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                self.tokens.append(("int", text[i:j], i))
-                i = j
-                continue
-            if ch.isalpha() or ch == "_":
-                j = i
-                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                self.tokens.append(("name", text[i:j], i))
-                i = j
-                continue
+
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The (kind, value, offset) tokens of text, closed by an "end" token."""
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in _OPS:
+            kind, j = "op", i + 1
+        elif ch.isdecimal():
+            kind, j = "int", _run_end(text, i, str.isdecimal)
+        elif ch.isalpha() or ch == "_":
+            kind, j = "name", _run_end(text, i, lambda c: c.isalnum() or c == "_")
+        else:
             raise ParseError(f"unexpected character {ch!r}", i)
-        self.tokens.append(("end", "", len(text)))
+        tokens.append((kind, text[i:j], i))
+        i = j
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+def _literal(text: str, pos: int) -> int:
+    try:
+        return int(text)
+    except ValueError:  # longer than the int-string limit
+        raise ParseError(f"integer literal of {len(text)} digits is too long", pos) from None
+
+
+def is_name(text: str) -> bool:
+    """Whether text is one name token of the grammar."""
+    try:
+        return _tokenize(text)[0] == ("name", text, 0)
+    except ParseError:
+        return False
+
+
+class _Parser:
+    def __init__(self, text: str, names: Sequence[str]):
+        self.tokens = _tokenize(text)
+        self.index = 0
+        self.names = list(names)
+        self.nvars = len(self.names)
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.index]
@@ -72,34 +90,26 @@ class _Tokenizer:
             self.index += 1
         return tok
 
-
-class _Parser:
-    def __init__(self, text: str, names: Sequence[str]):
-        self.toks = _Tokenizer(text)
-        self.names = list(names)
-        self.nvars = len(self.names)
-        self.depth = 0
-
     def parse(self) -> Scalar:
         value = self._expr()
-        kind, text, pos = self.toks.peek()
+        kind, text, pos = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected trailing input {text!r}", pos)
         return value
 
     def _expr(self) -> Scalar:
-        kind, text, _ = self.toks.peek()
+        kind, text, _ = self.peek()
         negate = False
         if kind == "op" and text in "+-":
-            self.toks.advance()
+            self.advance()
             negate = text == "-"
         value = self._term()
         if negate:
             value = -value
         while True:
-            kind, text, _ = self.toks.peek()
+            kind, text, _ = self.peek()
             if kind == "op" and text in "+-":
-                self.toks.advance()
+                self.advance()
                 rhs = self._term()
                 value = value - rhs if text == "-" else value + rhs
             else:
@@ -108,9 +118,9 @@ class _Parser:
     def _term(self) -> Scalar:
         value = self._factor()
         while True:
-            kind, text, pos = self.toks.peek()
+            kind, text, pos = self.peek()
             if kind == "op" and text in "*/":
-                self.toks.advance()
+                self.advance()
                 rhs = self._factor()
                 if text == "*":
                     value = value * rhs
@@ -123,20 +133,20 @@ class _Parser:
 
     def _factor(self) -> Scalar:
         value = self._base()
-        kind, text, _ = self.toks.peek()
+        kind, text, _ = self.peek()
         if kind == "op" and text == "^":
-            self.toks.advance()
-            kind, text, pos = self.toks.peek()
+            self.advance()
+            kind, text, pos = self.peek()
             if kind != "int":
                 raise ParseError("expected integer exponent after '^'", pos)
-            self.toks.advance()
-            value = value ** int(text)
+            self.advance()
+            value = value ** _literal(text, pos)
         return value
 
     def _base(self) -> Scalar:
-        kind, text, pos = self.toks.advance()
+        kind, text, pos = self.advance()
         if kind == "int":
-            return Scalar.constant(self.nvars, int(text))
+            return Scalar.constant(self.nvars, _literal(text, pos))
         if kind == "name":
             try:
                 index = self.names.index(text)
@@ -149,7 +159,7 @@ class _Parser:
             self.depth += 1
             value = self._expr()
             self.depth -= 1
-            kind, text, pos = self.toks.advance()
+            kind, text, pos = self.advance()
             if not (kind == "op" and text == ")"):
                 raise ParseError("expected ')'", pos)
             return value

@@ -86,8 +86,8 @@ Exponents = tuple[int, ...]
 # Abort threshold on the term count of any constructed scalar: its
 # numerator's terms, plus its denominator's when that is not 1.  Guards
 # against fraction-field swell in elimination.
-_DEFAULT_TERM_BUDGET = 100_000
-_term_budget = _DEFAULT_TERM_BUDGET
+DEFAULT_TERM_BUDGET = 100_000
+_term_budget = DEFAULT_TERM_BUDGET
 
 
 def set_term_budget(limit: int) -> int:

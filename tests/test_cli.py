@@ -365,6 +365,82 @@ def test_edge_documents_exit_without_traceback(obj, code, tmp_path, capsys):
         assert len(out.out.splitlines()) == 13
 
 
+def assert_one_error_line(code, err):
+    assert code == 2
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
+# str.isdigit accepts the first two, int() refuses them; the third is
+# longer than the int-string limit
+UNREADABLE = ["²", "①", "1" * 5000]
+
+
+@pytest.mark.parametrize("text", UNREADABLE, ids=["superscript", "circled", "long"])
+@pytest.mark.parametrize("command", ["check", "example", "frame-change"])
+def test_unreadable_literals_exit_2(command, text, halfplane_doc, tmp_path, capsys):
+    if command == "check":
+        path = tmp_path / "doc.json"
+        obj = {"dimension": 1, "rank": 1, "coordinates": ["x1"], "anchor": [[f"x1 + {text}"]]}
+        path.write_text(json.dumps(obj))
+        argv = ["check", str(path)]
+    elif command == "example":
+        params = {"rank": 1, "metric": [{"idx": [1, 1], "val": text}]}
+        argv = ["example", "metric_algebroid", "--params", json.dumps(params)]
+    else:
+        argv = ["frame-change", halfplane_doc, "--matrix", json.dumps([[text, "0"], ["0", "1"]])]
+    assert_one_error_line(cli_main(argv), capsys.readouterr().err)
+
+
+# a valid rank-2 document on one coordinate, and fields that used to be
+# read as something else than they say
+DOC = {"dimension": 1, "rank": 2, "coordinates": ["x1"], "anchor": [["1", "0"]]}
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"gamma": [{"idx": [1.7, 1, 1], "val": "x1"}]},
+        {"gamma": [{"idx": [True, 1, 1], "val": "x1"}]},
+        {"gamma": [{"idx": ["2", 1, 1], "val": "x1"}]},
+        {"gamma": [{"idx": "121", "val": "x1"}]},
+        {"metric": [{"idx": {"1": 0, "2": 0}, "val": "1"}, {"idx": {"2": 0, "1": 0}, "val": "1"}]},
+        {"dimension": 1.9},
+        {"rank": True, "anchor": [["1"]]},
+        {"dimension": 2, "coordinates": "x1", "anchor": [["1", "0"], ["0", "1"]]},
+        {"dimension": 2, "coordinates": ["x1", "x1"], "anchor": [["1", "0"], ["0", "1"]]},
+        {"coordinates": ["x-1"]},
+    ],
+    ids=["float-index", "true-index", "string-entry", "string-index", "object-index",
+         "float-dimension", "true-rank", "string-coordinates", "repeated-coordinate",
+         "non-name-coordinate"],
+)
+def test_reinterpreted_document_fields_exit_2(fields, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({**DOC, **fields}))
+    assert_one_error_line(cli_main(["check", str(path)]), capsys.readouterr().err)
+
+
+def test_params_rank_must_be_an_integer(capsys):
+    params = {"rank": True, "metric": [{"idx": [1, 1], "val": "1"}]}
+    code = cli_main(["example", "metric_algebroid", "--params", json.dumps(params)])
+    assert_one_error_line(code, capsys.readouterr().err)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [b"[" * 100_000, b'{"dimension": ' + b"1" * 5000 + b"}", b"\xff\xfe{}"],
+    ids=["deep", "long-integer", "not-utf-8"],
+)
+def test_unreadable_json_exits_2(text, halfplane_doc, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_bytes(text)
+    assert_one_error_line(cli_main(["check", str(path)]), capsys.readouterr().err)
+    if text.isascii():
+        argv = ["frame-change", halfplane_doc, "--matrix", text.decode()]
+        assert_one_error_line(cli_main(argv), capsys.readouterr().err)
+
+
 def test_readme_commands_parse():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]

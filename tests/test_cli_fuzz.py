@@ -19,13 +19,14 @@ import pytest
 
 from algebroids import make_example
 from algebroids.catalog import ExampleKind
-from algebroids.cli import COMPUTE_NEEDS, SUITES
+from algebroids.cli import COMPUTE, SUITES
 from algebroids.cli import main as cli_main
 from algebroids.documents import AlgebroidDocument, document_to_obj
 from algebroids.fixtures import random_anticommutable, random_constant_metric
 
 # expressions over x1, x2 (x2 is undeclared in dimension 1), small enough
-# to stay cheap, or short raw text for the parser
+# to stay cheap, or short raw text for the parser, with a digit that
+# str.isdigit accepts and int() refuses
 EXPR = st.one_of(
     st.recursive(
         st.sampled_from(("x1", "x2", "0", "1", "-2", "1/2")),
@@ -37,12 +38,15 @@ EXPR = st.one_of(
         ),
         max_leaves=4,
     ),
-    st.text(alphabet="x12+-*/^()0 ", max_size=8),
+    st.text(alphabet="x12+-*/^()0² ", max_size=8),
 )
 JUNK = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(-2, 4),
+    # a float or a digit string where an integer belongs
+    st.floats(-2, 4),
+    st.sampled_from(("1", "2", "121")),
     EXPR,
     st.just({}),
     st.lists(EXPR, max_size=3),
@@ -114,9 +118,9 @@ def argvs(draw, path: str, obj: dict) -> list[str]:
         blocks = {"connection": "connection" in obj, "metric": "metric" in obj,
                   "locality projector": "P" in obj}
         # mostly a target whose blocks the document has
-        targets = [t for t, needs in COMPUTE_NEEDS.items() if all(blocks[b] for b in needs)]
+        targets = [t for t, (needs, _) in COMPUTE.items() if all(blocks[b] for b in needs)]
         if not targets or not draw(LIKELY):
-            targets = list(COMPUTE_NEEDS)
+            targets = list(COMPUTE)
         argv = ["compute", path, draw(st.sampled_from(targets))]
     elif command == "example":
         n = draw(st.integers(1, 3))
@@ -176,7 +180,7 @@ def perturbed(draw, obj: dict) -> dict:
         item = value[i]
         if isinstance(item, dict):  # sparse entry
             if draw(st.booleans()):
-                item["idx"] = draw(st.lists(st.integers(-1, 4), max_size=5))
+                item["idx"] = draw(st.one_of(st.lists(st.integers(-1, 4), max_size=5), JUNK))
             else:
                 item["val"] = draw(EXPR)
         elif isinstance(item, list) and item:  # matrix row

@@ -12,7 +12,13 @@ from algebroids import (
     load_document,
     make_example,
 )
-from algebroids.documents import AlgebroidDocument, document_from_obj, document_to_obj
+from algebroids.documents import (
+    AlgebroidDocument,
+    document_from_obj,
+    document_to_obj,
+    read_example_params,
+    read_json,
+)
 
 from conftest import scal
 
@@ -117,3 +123,78 @@ def test_rejects_bad_json_file(tmp_path):
     path.write_text("{ not json")
     with pytest.raises(DocumentError):
         load_document(str(path))
+
+
+def one_coordinate(**fields):
+    """A valid rank-2 document on one coordinate with fields replaced."""
+    return {"dimension": 1, "rank": 2, "coordinates": ["x1"], "anchor": [["1", "0"]], **fields}
+
+
+@pytest.mark.parametrize("entry", [1.7, True, "2", 2.0])
+def test_index_entries_are_json_integers(entry):
+    with pytest.raises(DocumentError, match="integer"):
+        document_from_obj(one_coordinate(gamma=[{"idx": [entry, 1, 1], "val": "x1"}]))
+
+
+@pytest.mark.parametrize("idx", ["121", {"1": 0, "2": 0, "3": 0}, 5, None])
+def test_an_index_is_a_list(idx):
+    with pytest.raises(DocumentError):
+        document_from_obj(one_coordinate(gamma=[{"idx": idx, "val": "x1"}]))
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{"dimension": 1.9}, {"dimension": True}, {"dimension": "1"}, {"rank": 2.0},
+     {"rank": False, "anchor": [[]]}, {"dimension": -1, "coordinates": []},
+     {"dimension": 0, "coordinates": [], "anchor": [], "rank": -1}],
+)
+def test_sizes_are_non_negative_json_integers(fields):
+    with pytest.raises(DocumentError, match="integer"):
+        document_from_obj(one_coordinate(**fields))
+
+
+@pytest.mark.parametrize(
+    "coordinates", ["x1", ["x1", "x1"], ["x-1"], ["1"], [" x1"], [1], None],
+)
+def test_coordinates_are_distinct_names(coordinates):
+    obj = one_coordinate(coordinates=coordinates)
+    if isinstance(coordinates, list) and len(coordinates) == 2:
+        obj.update(dimension=2, anchor=[["1", "0"], ["0", "1"]])
+    with pytest.raises(DocumentError, match="coordinates"):
+        document_from_obj(obj)
+
+
+def test_names_beyond_ascii_still_read():
+    obj = one_coordinate(coordinates=["θ_1"], anchor=[["θ_1^2", "٣"]])
+    A = document_from_obj(obj).algebroid
+    assert A.coords == ("θ_1",)
+    assert A.anchor[0][1].equals(scal("3", A.coords))
+
+
+@pytest.mark.parametrize(
+    "text", ["[" * 100_000, '{"dimension": ' + "1" * 5000 + "}", "{ not json"],
+)
+def test_unreadable_json_text_is_a_document_error(text):
+    with pytest.raises(DocumentError, match="invalid JSON for --params"):
+        read_json(text, "for --params")
+
+
+def test_rejects_a_file_that_is_not_utf_8(tmp_path):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b'{"coordinates": ["\xe9"]}')
+    with pytest.raises(DocumentError, match="cannot read"):
+        load_document(str(path))
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        ({"rank": True, "metric": []}, "integer"),
+        ({"rank": 1.0, "metric": []}, "integer"),
+        ({"rank": 1}, "metric"),
+        ([1], "object"),
+    ],
+)
+def test_family_parameters_are_read_strictly(params, message):
+    with pytest.raises(DocumentError, match=message):
+        read_example_params("metric_algebroid", 1, 2, None, None, json.dumps(params))

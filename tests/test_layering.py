@@ -111,3 +111,36 @@ def test_relative_imports_have_a_topological_order():
 def test_calculus_compares_algebroids_only_where_the_formula_differs():
     tree = ast.parse((PACKAGE / "calculus.py").read_text(encoding="utf-8"))
     assert identity_comparisons(tree) <= IDENTITY_COMPARISONS
+
+
+def outside_reads(tree: ast.Module) -> set[str]:
+    """Underscore names imported from ``documents``, and calls of
+    ``json.loads`` or ``parse_scalar`` however they were imported."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "documents":
+            found |= {f"documents.{a.name}" for a in node.names if a.name.startswith("_")}
+        if isinstance(node, ast.ImportFrom) and node.module in ("json", "parsing"):
+            found |= {a.name for a in node.names if a.name in ("loads", "parse_scalar")}
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in ("loads", "parse_scalar"):
+                found.add(name)
+    return found
+
+
+def test_the_guard_finds_outside_reads():
+    assert outside_reads(ast.parse("from .documents import _parse_matrix, read_frame")) == {
+        "documents._parse_matrix"
+    }
+    assert outside_reads(ast.parse("import json\njson.loads(text)\n")) == {"loads"}
+    assert outside_reads(ast.parse("from .parsing import parse_scalar\n")) == {"parse_scalar"}
+    assert outside_reads(ast.parse("from json import loads as read\n")) == {"loads"}
+    assert outside_reads(ast.parse("import json\njson.dumps(obj)\n")) == set()
+
+
+def test_cli_reads_no_outside_value_itself():
+    # every rule for reading documents and flag values is owned by documents
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    assert outside_reads(tree) == set()

@@ -65,6 +65,31 @@ def test_parse_division_by_zero_polynomial():
         s("1/(x1 - x1)")
 
 
+@pytest.mark.parametrize(
+    "text, position",
+    [("²", 0), ("x1 + ²", 5), ("1²", 1), ("①*x2", 0), ("x1^²", 3)],
+    ids=["superscript", "after-a-sum", "after-a-digit", "circled", "exponent"],
+)
+def test_parse_refuses_digits_that_int_cannot_read(text, position):
+    # str.isdigit accepts these characters, int() does not
+    with pytest.raises(ParseError) as err:
+        s(text)
+    assert err.value.position == position
+
+
+@pytest.mark.parametrize(
+    "text, position", [("1" * 5000, 0), ("x1^" + "2" * 5000, 3)], ids=["literal", "exponent"]
+)
+def test_parse_refuses_a_literal_past_the_int_string_limit(text, position):
+    with pytest.raises(ParseError) as err:
+        s(text)
+    assert err.value.position == position
+
+
+def test_parse_reads_every_decimal_digit_int_reads():
+    assert s("٣*x1 + ٢/۴").equals(s("3*x1 + 1/2"))
+
+
 # -- arithmetic ------------------------------------------------------------
 
 

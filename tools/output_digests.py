@@ -18,7 +18,9 @@ imported from TREE's ``src`` and the inputs from TREE's ``bench``:
 - ``check --suite all --seed 11 --samples 4`` on two standard Courant
   documents, where the projected and modified brackets differ (no
   workload document has such brackets);
-- ``example`` of every catalog kind.
+- ``example`` of every catalog kind;
+- ``ERRORS``: malformed documents and flag values, each run's exit code
+  (2), standard output and error message.
 
 Prints one ``name sha256`` line per output.  Two trees give the same
 outputs when ``diff`` finds no difference between their lines:
@@ -68,6 +70,57 @@ EXAMPLES = (
     ("metric_algebroid", ("--params", _PARAMS)),
     ("higher_courant", ("--n", "3", "--p", "2")),
     ("conformal_courant", ("--params", _PARAMS)),
+)
+
+# a valid rank-2 document on one coordinate with every block
+BASE = {
+    "dimension": 1, "rank": 2, "coordinates": ["x1"], "anchor": [["1", "0"]],
+    "gamma": [{"idx": [2, 1, 1], "val": "x1"}], "L": [], "P": [["0", "0"], ["0", "1"]],
+    "metric": [{"idx": [1, 1], "val": "1"}, {"idx": [2, 2], "val": "1 + x1^2"}],
+    "connection": [{"idx": [1, 1, 2], "val": "x1"}],
+}
+DOC = "DOC"  # stands for the document's path in a command line
+# (name, the text of the document or the BASE fields it replaces, with None
+# for a field left out, and the command line)
+ERRORS = (
+    ("parse-position", {"anchor": [["x1 +", "0"]]}, ("check", DOC)),
+    ("unknown-name", {"metric": [{"idx": [1, 1], "val": "y1"}]}, ("check", DOC)),
+    ("trailing-input", {"anchor": [["x1 x1", "0"]]}, ("check", DOC)),
+    ("bad-character", {"gamma": [{"idx": [1, 1, 2], "val": "x1 $ 2"}]}, ("check", DOC)),
+    ("divide-by-zero", {"P": [["1/(x1 - x1)", "0"], ["0", "1"]]}, ("check", DOC)),
+    ("missing-exponent", {"connection": [{"idx": [1, 1, 1], "val": "x1^"}]}, ("check", DOC)),
+    ("index-twice", {"gamma": [{"idx": [2, 1, 1], "val": "x1"}] * 2}, ("check", DOC)),
+    ("index-out-of-range", {"connection": [{"idx": [1, 3, 1], "val": "1"}]}, ("check", DOC)),
+    ("index-arity", {"L": [{"idx": [1, 1, 1], "val": "1"}]}, ("check", DOC)),
+    ("entry-without-val", {"metric": [{"idx": [1, 1]}]}, ("check", DOC)),
+    ("block-not-a-list", {"L": 5}, ("check", DOC)),
+    ("no-anchor", {"anchor": None}, ("check", DOC)),
+    ("anchor-shape", {"anchor": [["1"]]}, ("check", DOC)),
+    ("anchor-not-rows", {"anchor": ["1", "0"]}, ("check", DOC)),
+    ("coordinate-count", {"dimension": 2}, ("check", DOC)),
+    ("no-rank", {"rank": None}, ("check", DOC)),
+    ("invalid-json", '{"dimension": 1,', ("check", DOC)),
+    ("root-not-object", "[]", ("check", DOC)),
+    ("missing-file", "", ("check", "missing.json")),
+    ("koszul-without-metric", {"metric": None}, ("check", DOC, "--solve", "koszul")),
+    ("curvature-without-projector", {"P": None}, ("compute", DOC, "curvature")),
+    ("torsion-without-connection", {"connection": None}, ("compute", DOC, "torsion")),
+    ("singular-matrix", {}, ("frame-change", DOC, "--matrix", '[["1", "x1"], ["1", "x1"]]')),
+    ("matrix-json", {}, ("frame-change", DOC, "--matrix", '[["1", "0"], ["0"')),
+    ("matrix-size", {}, ("frame-change", DOC, "--matrix", '[["1"]]')),
+    ("degenerate-params", "", ("example", "metric_algebroid", "--params",
+                               json.dumps({"rank": 2, "metric": [{"idx": [1, 1], "val": "x1"}]}))),
+    ("params-json", "", ("example", "conformal_courant", "--params", "{rank: 2}")),
+    ("theta-not-a-list", "", ("example", "conformal_courant", "--params",
+                              json.dumps({"rank": 1, "metric": [{"idx": [1, 1], "val": "1"}],
+                                          "theta": 5}))),
+    ("no-frame", "", ("example", "twisted_frame_lie")),
+    ("frame-not-rows", "", ("example", "twisted_frame_lie", "--matrix", '["1", "0"]')),
+    ("no-twist", "", ("example", "courant_h_twisted", "--n", "3")),
+    ("twist-not-closed", "", ("example", "courant_h_twisted", "--n", "4", "--h",
+                              json.dumps([{"idx": [1, 2, 3], "val": "x4"}]))),
+    ("budget-0", {}, ("compute", DOC, "torsion", "--budget", "0")),
+    ("negative-samples", {}, ("check", DOC, "--samples", "-1")),
 )
 
 
@@ -123,6 +176,19 @@ def courant_documents(algebroids):
         yield f"courant-{n}", algebroids.AlgebroidDocument(A, None, conn)
 
 
+def error_digests() -> dict[str, str]:
+    """The runs of ``ERRORS``, keyed by name."""
+    out = {}
+    for name, document, argv in ERRORS:
+        if not isinstance(document, str):
+            fields = {**BASE, **document}
+            document = json.dumps({k: v for k, v in fields.items() if v is not None})
+        path = f"error-{name}.json"
+        Path(path).write_text(document, encoding="utf-8")
+        out[f"error/{name}"] = run_cli([path if arg == DOC else arg for arg in argv])
+    return out
+
+
 def example_digests() -> dict[str, str]:
     return {f"example/{kind}": run_cli(["example", kind, *args]) for kind, args in EXAMPLES}
 
@@ -162,6 +228,7 @@ def tree_digests(tree: Path) -> dict[str, str]:
             algebroids.dump_document(document, f"{name}.json")
             digests[f"cli/{name}/{label}"] = run_cli(["check", f"{name}.json", *args])
         digests.update(example_digests())
+        digests.update(error_digests())
     return digests
 
 
