@@ -54,8 +54,7 @@ from .core import (
     Section,
     SparseArray,
     _sort_with_sign,
-    accumulators,
-    contract_sections,
+    contraction_terms,
     interior_product,
     sparse_sum,
     wedge,
@@ -65,12 +64,12 @@ from .fixtures import random_scalar
 from .reports import CheckReport, report_from_residuals
 from .scalars import Accumulator, Scalar
 
-def _require_admissible(ctx: GeometryContext) -> None:
+def _require_admissible(ctx: GeometryContext, identity: str) -> None:
+    """The gate of a public entry: refuses the check named identity when the
+    connection is not admissible.  Nothing below an entry gates again."""
     report = ctx.admissibility()
     if not report.passed:
-        raise AdmissibilityError(
-            "connection is not admissible", residuals=report.residuals
-        )
+        raise AdmissibilityError(identity, report.residuals)
 
 
 def exterior_derivative_raw(
@@ -134,12 +133,13 @@ def e_exterior_derivative(
     alternating sum is not antisymmetric and does not define a form.  On
     scalars both kinds reduce to the coboundary."""
     ctx = GeometryContext(A, conn)
-    return _e_exterior(ctx, ctx.algebroid(kind), omega)
+    B = ctx.algebroid(kind)
+    _require_admissible(ctx, "exterior-derivative")
+    return _e_exterior(ctx, B, omega)
 
 
 def _e_exterior(ctx: GeometryContext, B: AlgebroidData, omega: EForm | Scalar) -> EForm:
     form = EForm.from_scalar(B, omega) if isinstance(omega, Scalar) else omega
-    _require_admissible(ctx)
     return _exterior_form(B, ctx.jet(form), form)
 
 
@@ -252,8 +252,9 @@ def _sample_note(seed: int, samples: int, degree: int) -> str:
 def check_cartan_structure(A: AlgebroidData, conn: Connection) -> CheckReport:
     """Residuals of the first (plain and projected) and second structure
     equations on all frame pairs."""
+    name = "cartan-structure"
     ctx = GeometryContext(A, conn)
-    _require_admissible(ctx)
+    _require_admissible(ctx, name)
     M, P = ctx.algebroid("modified"), ctx.algebroid("projected")
     residuals: dict[tuple, Scalar] = {}
     r = A.rank
@@ -282,7 +283,7 @@ def check_cartan_structure(A: AlgebroidData, conn: Connection) -> CheckReport:
                     residuals[("second", a, b, c, d)] = curv.get(
                         (a, c, d, b), A.zero()
                     ) - rhs.at((c, d))
-    return report_from_residuals("cartan-structure", residuals)
+    return report_from_residuals(name, residuals)
 
 
 def _form_sum(forms: list[EForm]) -> EForm:
@@ -318,13 +319,11 @@ def check_bianchi_algebraic(
     second.  Both forms are evaluated on frame tuples only, so no sections
     are drawn and ``seed``, ``samples`` and ``degree`` are unused.
     """
+    name = "bianchi-algebraic-" + ("projected" if form == "projected" else "general")
     ctx = GeometryContext(A, conn)
-    _require_admissible(ctx)
+    _require_admissible(ctx, name)
     P = ctx.algebroid("projected")
-    if form == "projected":
-        name, B = "bianchi-algebraic-projected", P
-    else:
-        name, B = "bianchi-algebraic-general", ctx.algebroid("modified")
+    B = P if form == "projected" else ctx.algebroid("modified")
     # the residuals use frame tuples only, so they are a value of the pair
     residuals = ctx._pair(("bianchi", id(B)), lambda: _bianchi(ctx, B, P))
     return report_from_residuals(name, residuals, ["evaluated on frame tuples"])
@@ -359,7 +358,7 @@ def _bianchi(ctx: GeometryContext, B: AlgebroidData, P: AlgebroidData) -> dict[t
             complement[(u, v)] = _complement_locality(ctx, B, P, frames[u], frames[v])
         projected_inners, _ = _nested_brackets(ctx, P)
         for (u, v), w in itertools.product(pairs, range(r)):
-            shifted[(u, v, w)] = ctx.frame_brackets(complement[(u, v)], B)[w].add(
+            shifted[(u, v, w)] = ctx.bracket(complement[(u, v)], frames[w], B).add(
                 _complement_locality(ctx, B, P, projected_inners[(u, v)], frames[w])
             )
 
@@ -434,7 +433,7 @@ def _nested_brackets(ctx: GeometryContext, B: AlgebroidData):
         for c in range(r)
     }
     outer = {
-        (b, c, d): ctx.frame_brackets(inners[(b, c)], B)[d]
+        (b, c, d): ctx.bracket(inners[(b, c)], ctx.frames[d], B)
         for (b, c, d) in itertools.product(range(r), repeat=3)
     }
     return inners, outer
@@ -454,8 +453,9 @@ def _complement_locality(
 def check_bianchi_differential(A: AlgebroidData, conn: Connection) -> CheckReport:
     """Differential Bianchi identities in form language, with the explicit
     square-of-the-derivative anomaly terms."""
+    name = "bianchi-differential"
     ctx = GeometryContext(A, conn)
-    _require_admissible(ctx)
+    _require_admissible(ctx, name)
     P = ctx.algebroid("projected")
     r = A.rank
     residuals: dict[tuple, Scalar] = {}
@@ -502,7 +502,7 @@ def check_bianchi_differential(A: AlgebroidData, conn: Connection) -> CheckRepor
             diff = lhs.sub(rhs)
             for idx, v in diff.comp.items():
                 residuals[("second", a, b) + idx] = v
-    return report_from_residuals("bianchi-differential", residuals)
+    return report_from_residuals(name, residuals)
 
 
 def second_covariant(
@@ -520,15 +520,13 @@ def _second_covariant(ctx: GeometryContext, u: Section, v: Section, w: Section) 
 def curvature_apply(
     A: AlgebroidData, curv: SparseArray, u: Section, v: Section, w: Section
 ) -> Section:
-    sums = contract_sections(curv, [u, v, w], accumulators(A))
-    return Section(tuple(acc.value() for acc in sums))
+    return Section.from_sparse(A, sparse_sum(A.dim, contraction_terms(curv, [u, v, w])))
 
 
 def torsion_apply(
     A: AlgebroidData, tor: SparseArray, u: Section, v: Section
 ) -> Section:
-    sums = contract_sections(tor, [u, v], accumulators(A))
-    return Section(tuple(acc.value() for acc in sums))
+    return Section.from_sparse(A, sparse_sum(A.dim, contraction_terms(tor, [u, v])))
 
 
 def check_ricci(
@@ -584,8 +582,9 @@ def check_magic_and_derivations(
     """Cartan magic formulas, the rescaling corollary, the derivation
     commutators, graded Leibniz rules of the exterior derivatives, and,
     gated on a vanishing associator, the derivative-commutation pair."""
+    name = "magic-and-derivations"
     ctx = GeometryContext(A, conn)
-    _require_admissible(ctx)
+    _require_admissible(ctx, name)
     # the algebroid of each bracket kind, keyed by the kind its residuals name
     kinds = {kind: ctx.algebroid(kind) for kind in ("original", "modified", "projected")}
     residuals: dict[tuple, Scalar] = {}
@@ -721,7 +720,7 @@ def check_magic_and_derivations(
             add_form_residuals(kind, [("lie-commutator", (k,), lies[k])])
             if kind == "projected":
                 add_form_residuals(kind, [("d-commute", (k,), d_commutes[k])])
-    return report_from_residuals("magic-and-derivations", residuals, assumptions)
+    return report_from_residuals(name, residuals, assumptions)
 
 
 def check_square_laws(
@@ -737,8 +736,9 @@ def check_square_laws(
     With the alternating-sum convention used here and the standard
     associator, one checks exactly d^2 W (u, v, w) = -W(Assoc(u, v, w)).
     """
+    name = "square-laws"
     ctx = GeometryContext(A, conn)
-    _require_admissible(ctx)
+    _require_admissible(ctx, name)
     P = ctx.algebroid("projected")
     residuals: dict[tuple, Scalar] = {}
     rng = random.Random(seed)
@@ -760,7 +760,7 @@ def check_square_laws(
         if not val.is_zero():
             residuals[("ddomega", k)] = val
     return report_from_residuals(
-        "square-laws",
+        name,
         residuals,
         [
             _sample_note(seed, samples, degree),

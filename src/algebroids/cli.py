@@ -73,20 +73,16 @@ EXIT_INPUT_ERROR = 2
 EXIT_INFEASIBLE = 3
 EXIT_BUDGET = 4
 
-# (suite, identity, check) in report order; each check needs a connection
-# and a locality projector, and gets (A, conn, (seed, samples, degree))
+# (suite, check) in report order; each check needs a connection and a
+# locality projector, and gets (A, conn, (seed, samples, degree))
 GATED = (
-    ("cartan", "cartan-structure", lambda A, c, s: check_cartan_structure(A, c)),
-    ("bianchi", "bianchi-algebraic-projected",
-     lambda A, c, s: check_bianchi_algebraic(A, c, "projected", *s)),
-    ("bianchi", "bianchi-algebraic-general",
-     lambda A, c, s: check_bianchi_algebraic(A, c, "general")),
-    ("bianchi", "bianchi-differential",
-     lambda A, c, s: check_bianchi_differential(A, c)),
-    ("ricci", "ricci", lambda A, c, s: check_ricci(A, c, *s)),
-    ("magic", "magic-and-derivations",
-     lambda A, c, s: check_magic_and_derivations(A, c, *s)),
-    ("magic", "square-laws", lambda A, c, s: check_square_laws(A, c, *s)),
+    ("cartan", lambda A, c, s: check_cartan_structure(A, c)),
+    ("bianchi", lambda A, c, s: check_bianchi_algebraic(A, c, "projected")),
+    ("bianchi", lambda A, c, s: check_bianchi_algebraic(A, c, "general")),
+    ("bianchi", lambda A, c, s: check_bianchi_differential(A, c)),
+    ("ricci", lambda A, c, s: check_ricci(A, c, *s)),
+    ("magic", lambda A, c, s: check_magic_and_derivations(A, c, *s)),
+    ("magic", lambda A, c, s: check_square_laws(A, c, *s)),
 )
 SUITES = (
     "all", "classify", "admissible", *dict.fromkeys(g[0] for g in GATED), "levicivita"
@@ -137,14 +133,14 @@ def _write(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _gated(identity: str, run) -> CheckReport:
-    """The report of run(), or a failed one for identity when the connection
-    is not admissible."""
+def _gated(run) -> CheckReport:
+    """The report of run(), or a failed one for the refused identity when
+    the connection is not admissible."""
     try:
         return run()
     except AdmissibilityError as exc:
         return CheckReport(
-            identity=identity,
+            identity=exc.identity,
             passed=False,
             residuals=list(exc.residuals),
             assumptions=["connection not admissible; identity not evaluated"],
@@ -170,9 +166,9 @@ def _run_suites(
     if conn is not None and want("admissible"):
         emitter.emit_report(check_admissible(A, conn), names)
     if conn is not None and A.proj is not None:
-        for suite, identity, check in GATED:
+        for suite, check in GATED:
             if want(suite):
-                report = _gated(identity, lambda: check(A, conn, sampling))
+                report = _gated(lambda: check(A, conn, sampling))
                 emitter.emit_report(report, names)
     if want("levicivita") and doc.metric is not None:
         space = solve_koszul(A, doc.metric)
@@ -180,10 +176,7 @@ def _run_suites(
         if conn is not None:
             props = check_levicivita_props(A, conn, doc.metric, *sampling)
             emitter.emit_report(props, names)
-            report = _gated(
-                "decomposition-reconstruction",
-                lambda: decompose_connection(A, conn, doc.metric)[3],
-            )
+            report = _gated(lambda: decompose_connection(A, conn, doc.metric)[3])
             emitter.emit_report(report, names)
     return emitter.flush()
 

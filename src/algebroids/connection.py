@@ -135,18 +135,13 @@ class Metric:
     def raised(self, x: SparseArray) -> SparseArray:
         """g^{ad} x_{...d}: the last index of x raised into the first slot,
         keyed (a, ...) in sorted order and summed over increasing d."""
-        rows: dict[tuple, list[tuple[int, Scalar]]] = {}
-        for idx, v in sorted(x.items()):
-            rows.setdefault(idx[:-1], []).append((idx[-1], v))
-        out: SparseArray = {}
-        for a, ginv in enumerate(self.ginv):
-            for head, terms in rows.items():
-                acc = Accumulator(ginv[0].nvars)
-                for d, v in terms:
-                    acc.add_product(ginv[d], v)
-                if not (value := acc.value()).is_zero():
-                    out[(a,) + head] = value
-        return out
+        items = sorted(x.items())
+        return sparse_sum(self.ginv[0][0].nvars, (
+            ((a,) + idx[:-1], ginv[idx[-1]], v, 1)
+            for a, ginv in enumerate(self.ginv)
+            for idx, v in items
+            if not ginv[idx[-1]].is_zero()
+        ))
 
     def inner(self, u: Section, v: Section) -> Scalar:
         return pairing(self.g, u, v)
@@ -377,16 +372,18 @@ class GeometryContext:
     - The pair slot, one per process, keeps the pair store of the last
       pair, reused when A and conn are that pair's objects (``is``) and
       the term budget is the one it was built under: the admissibility
-      report, the algebroids, contractions, torsions and curvature
-      (1,056 of 1,069 admissibility requests repeat).  Without it a pass
-      took about 18% more CPU time.
+      report, the algebroids, contractions, torsions and curvature (169
+      of 195 algebroid, 91 of 104 torsion and 52 of 65 curvature requests
+      repeat; each public entry asks for admissibility once, and 78 of
+      those 91 requests repeat).  Without it a pass took about 30% more
+      CPU time (median of 6 alternating passes).
     - For one public call, in a memo keyed by object ids that holds the
       objects, so the ids stay unique: the anchor jets (3,437 of 4,960),
-      the brackets (438 of 2,182), the covariant derivatives D_x y (372
-      of 1,314, and 1,200 of 1,716 on the Courant n = 2 document of
-      ``tools/output_digests.py``) and the frame brackets [v, X_a] (598
-      of 842).  Each section's or form's anchor jet is computed at most
-      once per call.
+      the brackets (1,386 of 3,130; ``frame_brackets`` reads each [v,
+      X_a] from it) and the covariant derivatives D_x y (372 of 1,314, and
+      1,200 of 1,716 on the Courant n = 2 document of
+      ``tools/output_digests.py``).  Each section's or form's anchor jet
+      is computed at most once per call.
     - In ``check_magic_and_derivations``, each builder's residual forms
       and the commutation pair are memoized per algebroid, so kinds that
       share one algebroid evaluate once (26 of 52 ``derivations``
@@ -462,10 +459,8 @@ class GeometryContext:
         )
 
     def frame_brackets(self, v: Section, B: AlgebroidData) -> list[Section]:
-        """[v, X_a] in B for every frame index a."""
-        return self._cached(
-            (id(v), id(B)), lambda: [self.bracket(v, x, B) for x in self.frames], v, B
-        )
+        """[v, X_a] in B for every frame index a, from the bracket memo."""
+        return [self.bracket(v, x, B) for x in self.frames]
 
     def _admissibility(self) -> CheckReport:
         """The report of ``check_admissible``: the symmetric part of the

@@ -20,13 +20,13 @@ extension of the frame data by the right- and left-Leibniz rules:
 
 Every derivative in it is an entry of the anchor jets rho_d(u^e) and
 rho_d(v^e) (``anchor_jet``), which a caller that brackets one section many
-times passes in.  The last term is ``_locality_correction``, the one
-section-valued contraction with the locality operator; ``apply_locality``
-reuses it with omega_d u^e.  The modified and projected brackets of a
-connection are this same ``bracket`` of other data with the same anchor:
-(W, no L) and (W^, (1 - P) L), W and W^ the modified and projected
-anholonomies (see ``connection.GeometryContext``).  The only P.L loop is
-condition 1 of ``check_locality_projector``.
+times passes in.  The last term is ``_locality_terms``, the one stream of
+the contraction with the locality operator; ``_locality_correction`` sums
+it alone, and ``apply_locality`` with omega_d u^e.  The modified and
+projected brackets of a connection are this same ``bracket`` of other data
+with the same anchor: (W, no L) and (W^, (1 - P) L), W and W^ the modified
+and projected anholonomies (see ``connection.GeometryContext``).  The only
+P.L loop is condition 1 of ``check_locality_projector``.
 
 The chart conventions of the catalog and the fixtures live here too: chart
 coordinates x1 .. xn (``_chart``), the anchor that projects onto the first
@@ -34,8 +34,10 @@ k frame slots (``_projection_anchor``) and the locality projector onto the
 remaining slots (``_slot_projector``).
 
 Sums are taken as the ``scalars`` docstring states, ``sparse_sum`` being
-the keyed form; the bracket keeps one accumulator per component
-(``accumulators``) through its three parts.
+the keyed form.  A contraction is a stream of keyed terms with no zero
+product in it (``contraction_terms``, ``_locality_terms``); the bracket is
+one ``sparse_sum`` of its three streams, keyed by component, and the
+derivative stream holds only the components that a jet holds.
 """
 
 from __future__ import annotations
@@ -184,7 +186,7 @@ class AlgebroidData:
         acc = Accumulator(self.dim)
         for a, ua in enumerate(u.comp):
             w = jet.get((a, e))
-            if w is not None:
+            if w is not None and not ua.is_zero():
                 acc.add_product(ua, w)
         return acc.value()
 
@@ -208,6 +210,12 @@ class Section:
     @classmethod
     def zero(cls, A: AlgebroidData) -> Section:
         return cls(tuple(A.zero() for _ in range(A.rank)))
+
+    @classmethod
+    def from_sparse(cls, A: AlgebroidData, x: dict[int, Scalar]) -> Section:
+        """The section with components x[c], zero where x has no entry."""
+        zero = A.zero()
+        return cls(tuple([x.get(c, zero) for c in range(A.rank)]))
 
     @property
     def rank(self) -> int:
@@ -465,64 +473,58 @@ def bracket(
         raise ShapeError("section rank does not match algebroid")
     du = anchor_jet(A, u) if du is None else du
     dv = anchor_jet(A, v) if dv is None else dv
-    # one sum per component c, taken term by term through all three parts
-    sums = accumulators(A)
-
-    # structure-function term u^a v^b gamma^c_ab
-    contract_sections(A.gamma, [u, v], sums)
-
-    # derivative terms rho(u)(v^c) - rho(v)(u^c); none when both jets are empty
-    if du or dv:
-        for c, acc in enumerate(sums):
-            acc.add(A.jet_derive(u, dv, c))
-            acc.add(A.jet_derive(v, du, c), -1)
-
-    # locality term rho^i_d d_i(u^a) v^b L^{c d}_{a b}
-    return _locality_correction(A, du, v, sums)
+    held_u, held_v = {e for _, e in du}, {e for _, e in dv}
+    derivatives = (  # rho(u)(v^c) - rho(v)(u^c), for the c that a jet holds
+        (c, A.jet_derive(x, jet, c), None, sign)
+        for c in range(A.rank)
+        for x, jet, held, sign in ((u, dv, held_v, 1), (v, du, held_u, -1))
+        if c in held
+    )
+    return Section.from_sparse(A, sparse_sum(A.dim, itertools.chain(
+        contraction_terms(A.gamma, [u, v]),  # u^a v^b gamma^c_ab
+        derivatives,
+        _locality_terms(A, du, v),  # rho^i_d d_i(u^a) v^b L^{c d}_{a b}
+    )))
 
 
-def accumulators(A: AlgebroidData) -> list[Accumulator]:
-    """One empty ``Accumulator`` per frame index: the sums of a section."""
-    return [Accumulator(A.dim) for _ in range(A.rank)]
-
-
-def contract_sections(
-    x: SparseArray, sections: list[Section], sums: list[Accumulator]
-) -> list[Accumulator]:
-    """Adds x[(c, b1, .., bk)] u1^b1 .. uk^bk onto sums[c] for the k given
-    sections, in x's order; each product u1^b1 .. uk^bk is formed once."""
-    products: dict[tuple, Scalar] = {}
+def contraction_terms(x: SparseArray, sections: list[Section]):
+    """The terms (c, u1^b1 .. uk^bk, x[(c, b1, .., bk)], 1) of the
+    contraction of x with the k given sections, in x's order, zero products
+    left out; each product u1^b1 .. uk^bk is formed once."""
+    products: dict[tuple, Scalar | None] = {}  # None for a zero product
     for idx, val in x.items():
-        t = products.get(idx[1:])
-        if t is None:
-            t = sections[0].comp[idx[1]]
-            for u, b in zip(sections[1:], idx[2:]):
-                if t.is_zero():
+        rest = idx[1:]
+        if rest not in products:
+            t = None
+            for u, b in zip(sections, rest):
+                f = u.comp[b]
+                if f.is_zero():
+                    t = None
                     break
-                t = t * u.comp[b]
-            products[idx[1:]] = t
-        sums[idx[0]].add_product(t, val)
-    return sums
+                t = f if t is None else t * f
+            products[rest] = t
+        if (t := products[rest]) is not None:
+            yield idx[0], t, val, 1
+
+
+def _locality_terms(A: AlgebroidData, table: dict[tuple[int, int], Scalar], v: Section):
+    """The terms (c, table[(d, e)] v^b, L^{c d}_{e b}, 1) in L's order, zero
+    products left out; table holds no zero."""
+    for (c, d, e, b), lv in A.loc.items():
+        w = table.get((d, e))
+        if w is not None and not (vb := v.comp[b]).is_zero():
+            yield c, w * vb, lv, 1
 
 
 def _locality_correction(
-    A: AlgebroidData,
-    table: dict[tuple[int, int], Scalar],
-    v: Section,
-    sums: list[Accumulator] | None = None,
+    A: AlgebroidData, table: dict[tuple[int, int], Scalar], v: Section
 ) -> Section:
-    """L^{c d}_{e b} table[(d, e)] v^b X_c summed over d, e and b, added
-    term by term onto the sums of a section when given.  With
+    """L^{c d}_{e b} table[(d, e)] v^b X_c summed over d, e and b.  With
     table[(d, e)] = rho_d(u^e), the anchor jet of u, this is the bracket's
     locality term; with (D_{X_d} u)^e it is the correction L(e^d, D_{X_d}
     u, v) that turns the bracket into the modified one; with omega_d u^e it
     is L(omega, u, v)."""
-    sums = accumulators(A) if sums is None else sums
-    for (c, d, e, b), lv in A.loc.items():
-        w = table.get((d, e))
-        if w is not None:
-            sums[c].add_product(w * v.comp[b], lv)
-    return Section(tuple(acc.value() for acc in sums))
+    return Section.from_sparse(A, sparse_sum(A.dim, _locality_terms(A, table, v)))
 
 
 def coboundary(A: AlgebroidData, f: Scalar) -> EForm:
@@ -536,7 +538,7 @@ def apply_locality(
 ) -> Section:
     """L(omega, u, v)."""
     table = {(d, e): omega_comp[d] * u.comp[e] for (_, d, e, _) in A.loc}
-    return _locality_correction(A, table, v)
+    return _locality_correction(A, sparse_clean(table), v)
 
 
 def project_section(A: AlgebroidData, u: Section) -> Section:

@@ -39,10 +39,12 @@ class SingularMatrixError(AlgebroidError):
 
 class AdmissibilityError(AlgebroidError):
     """An operation that requires an admissible connection received one
-    that is not.  ``residuals`` holds nonzero witness components."""
+    that is not.  ``identity`` names the refused check and ``residuals``
+    holds nonzero witness components."""
 
-    def __init__(self, message: str, residuals=None):
-        super().__init__(message)
+    def __init__(self, identity: str, residuals=None):
+        super().__init__(f"{identity} requires an admissible connection")
+        self.identity = identity
         self.residuals = list(residuals or [])
 
 

@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .calculus import seeded_sections
+from .calculus import _require_admissible, seeded_sections
 from .connection import (
     Connection,
     GeometryContext,
@@ -29,7 +29,7 @@ from .connection import (
     non_metricity,
 )
 from .core import AlgebroidData, SparseArray, sparse_add, sparse_sub
-from .errors import AdmissibilityError, ShapeError
+from .errors import ShapeError
 from .linalg import LinearSolution, solve_affine
 from .reports import CheckReport, report_from_residuals
 from .scalars import Accumulator, Scalar, scalar_to_text
@@ -250,12 +250,9 @@ def decompose_connection(
     Returns (levi_civita_part, torsion_part, nonmetricity_part, report).
     """
     _require_rank(A, conn, metric)
+    name = "decomposition-reconstruction"
     ctx = GeometryContext(A, conn)
-    adm = ctx.admissibility()
-    if not adm.passed:
-        raise AdmissibilityError(
-            "decomposition requires an admissible connection", adm.residuals
-        )
+    _require_admissible(ctx, name)
     modified = ctx.algebroid("modified")
     lc = levicivita_frame(A, modified.gamma, metric)
     tor = ctx.torsion(modified)
@@ -286,9 +283,7 @@ def decompose_connection(
     residual = sparse_sub(conn.coeff, lc.coeff)
     for part in (contortion, disformation):
         residual = sparse_sub(residual, part)
-    report = report_from_residuals(
-        "decomposition-reconstruction", dict(sorted(residual.items()))
-    )
+    report = report_from_residuals(name, dict(sorted(residual.items())))
     return lc, contortion, disformation, report
 
 

@@ -70,7 +70,8 @@ from collections.abc import Mapping as _MappingABC
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd
+from math import gcd, log10
+from sys import get_int_max_str_digits
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -395,6 +396,8 @@ class Poly:
     def __pow__(self, power: int) -> Poly:
         if power < 0:
             raise ValueError("negative power on a polynomial")
+        if self.total_degree() * power > MAX_DEGREE:  # refused before the long squarings
+            raise _degree_error("Poly.__pow__", f"total degree {self.total_degree()} * {power}")
         result = Poly.one(self.nvars)
         base = self
         while power:
@@ -867,11 +870,17 @@ def _term_to_text(exps: Exponents, coeff: Fraction, names: Sequence[str]) -> str
             factors.append(f"{name}^{k}")
     mono = "*".join(factors)
     c = abs(coeff)
-    if not mono:
-        return str(c)
-    if c == 1:
+    if mono and c == 1:
         return mono
-    return f"{c}*{mono}"
+    try:
+        text = str(c)
+    except ValueError:  # a numerator or denominator past the int-string limit
+        digits = int(log10(max(c.numerator, c.denominator))) + 1
+        limit = get_int_max_str_digits()
+        raise BudgetError(
+            f"coefficient of {digits} digits exceeds the int-string limit of {limit} digits"
+        ) from None
+    return f"{text}*{mono}" if mono else text
 
 
 def poly_to_text(p: Poly, names: Sequence[str]) -> str:

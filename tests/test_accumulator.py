@@ -183,7 +183,8 @@ ROUTED = (
     "core.EForm.apply",
     "core.interior_product",
     "core.bracket",
-    "core.contract_sections",
+    "calculus.torsion_apply",
+    "calculus.curvature_apply",
     "core._locality_correction",
     "connection.Metric.raised",
     "connection.pairing",

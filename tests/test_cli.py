@@ -257,6 +257,25 @@ def test_budget_exceeded_exit_4(tmp_path):
     assert "budget" in out.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("compute", "torsion"), ("frame-change", "--matrix", '[["1", "0"], ["0", "1"]]')],
+    ids=["compute", "frame-change"],
+)
+def test_a_coefficient_too_long_to_print_exits_4(argv, tmp_path, capsys):
+    # 3^9100 has 4,342 digits, past the int-string limit of 4,300
+    obj = {
+        "dimension": 1, "rank": 2, "coordinates": ["x1"], "anchor": [["1", "0"]],
+        "connection": [{"idx": [1, 1, 2], "val": "3^9100"}],
+    }
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(obj))
+    code = cli_main([argv[0], str(path), *argv[1:]])
+    out = capsys.readouterr()
+    assert code == 4 and not out.out
+    assert out.err == "error: coefficient of 4342 digits exceeds the int-string limit of 4300 digits\n"
+
+
 def test_budget_restored_after_in_process_run(tmp_path):
     A = make_example("tangent_lie", n=2).algebroid
     names = A.coords

@@ -24,9 +24,11 @@ from algebroids.cli import main as cli_main
 from algebroids.documents import AlgebroidDocument, document_to_obj
 from algebroids.fixtures import random_anticommutable, random_constant_metric
 
+# short raw text for the parser, with a digit that str.isdigit accepts
+# and int() refuses
+RAW = st.text(alphabet="x12+-*/^()0² ", max_size=8)
 # expressions over x1, x2 (x2 is undeclared in dimension 1), small enough
-# to stay cheap, or short raw text for the parser, with a digit that
-# str.isdigit accepts and int() refuses
+# to stay cheap, or raw text
 EXPR = st.one_of(
     st.recursive(
         st.sampled_from(("x1", "x2", "0", "1", "-2", "1/2")),
@@ -38,7 +40,7 @@ EXPR = st.one_of(
         ),
         max_leaves=4,
     ),
-    st.text(alphabet="x12+-*/^()0² ", max_size=8),
+    RAW,
 )
 JUNK = st.one_of(
     st.none(),
@@ -149,16 +151,55 @@ def argvs(draw, path: str, obj: dict) -> list[str]:
     return argv + ["--budget", "100000"]
 
 
+def cells(block) -> list:
+    """(container, key) of every sparse ``val`` and matrix cell of a block."""
+    found = []
+    for item in block if isinstance(block, list) else []:
+        if isinstance(item, dict):
+            found.append((item, "val"))
+        elif isinstance(item, list):
+            found += [(item, k) for k in range(len(item))]
+    return found
+
+
+def indices(block) -> list:
+    """(index list, position) of every entry of the sparse entries' ``idx``."""
+    if not isinstance(block, list):
+        return []
+    return [
+        (item["idx"], k)
+        for item in block
+        if isinstance(item, dict) and isinstance(item.get("idx"), list)
+        for k in range(len(item["idx"]))
+    ]
+
+
 @st.composite
 def perturbed(draw, obj: dict) -> dict:
     """obj with one field dropped, replaced or taken from another fixture,
     or one entry in it changed: made invalid, replaced by a polynomial,
-    or multiplied by a coordinate or a rational constant."""
+    multiplied by a coordinate or a rational constant, one expression
+    replaced by raw text, or one index entry by a float or a digit
+    string."""
     names = obj["coordinates"]
-    key = draw(st.sampled_from(sorted(obj)))
     how = draw(st.sampled_from((
         "drop", "replace", "entry", "swap", "swap", "swap", "shift", "shift", "shift",
+        "raw", "raw", "index",
     )))
+    targets = {"raw": cells, "index": indices}.get(how)
+    if targets is not None:
+        found = [t for key in sorted(obj) for t in targets(obj[key])]
+        if found:
+            where, k = draw(st.sampled_from(found))
+            if how == "raw":
+                # a valid term, so that the parser reaches the "²" and the
+                # raw text after it
+                where[k] = f"{draw(expressions(names))} + ²{draw(RAW)}"
+            else:
+                where[k] = draw(st.one_of(st.floats(-2, 4), st.sampled_from(("1", "2", "121"))))
+            return obj
+        how = "replace"
+    key = draw(st.sampled_from(sorted(obj)))
     value = obj[key]
     if how == "drop":
         del obj[key]

@@ -366,7 +366,7 @@ def test_contraction_equivalence_and_bracket_print_as_the_one_pass_loop(seed):
 # reorders its sums), the contraction map, and the Koszul rows, whose
 # locality terms are rewritten with their sign fix.
 LOCALITY_LOOPS = {
-    "core._locality_correction",
+    "core._locality_terms",
     "core.check_locality_projector",
     "connection.locality_terms",
     "levicivita.koszul_rows",

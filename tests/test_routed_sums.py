@@ -147,7 +147,7 @@ def chain_cartan_structure(A, conn):
     ``EForm.add`` per term form; ``wedge`` is read from ``calculus`` at
     call time, so a planted fault there reaches both versions."""
     ctx = GeometryContext(A, conn)
-    calculus._require_admissible(ctx)
+    calculus._require_admissible(ctx, "cartan-structure")
     M, P = ctx.algebroid("modified"), ctx.algebroid("projected")
     residuals = {}
     r = A.rank

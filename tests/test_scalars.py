@@ -1,6 +1,7 @@
 """Exact field arithmetic, differentiation, evaluation and the grammar."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -378,6 +379,25 @@ def test_exponent_overflow_raises_budget_error():
     assert "16384" in str(err.value)
     with pytest.raises(BudgetError):
         Poly(1, {(2**15,): Fraction(1)})
+
+
+def test_a_power_past_the_exponent_limit_is_refused_before_it_multiplies():
+    start = time.process_time()
+    with pytest.raises(BudgetError) as err:
+        parse_scalar("(1+x1)^40000", ["x1"])
+    assert time.process_time() - start < 1
+    assert "Poly.__pow__" in str(err.value) and "40000" in str(err.value)
+    assert s("(2*x1*x2)^16383").num.total_degree() == 32766
+    with pytest.raises(BudgetError):
+        s("(x1*x2)^16384")
+
+
+def test_a_coefficient_past_the_int_string_limit_prints_as_a_budget_error():
+    with pytest.raises(BudgetError, match="4342 digits"):  # 3^9100
+        scalar_to_text(s("3^9100"), NAMES)
+    with pytest.raises(BudgetError, match="4342 digits"):
+        scalar_to_text(s("x1/3^9100"), NAMES)
+    assert scalar_to_text(s("3^2000*x1"), NAMES).endswith("*x1")
 
 
 @given(wide_polys(), wide_polys().filter(lambda q: not q.is_zero()))

@@ -100,7 +100,7 @@ def output_texts(A, conn) -> list[str]:
     GeometryContext(make_example("tangent_lie", n=1).algebroid, None)  # evict the pair
     texts = [
         json.dumps(check(A, conn, (11, 2, 2)).to_json_obj(A.coords))
-        for _, _, check in GATED
+        for _, check in GATED
     ]
     for value in (torsion(A, conn, "projected"), curvature(A, conn)):
         texts.append(repr([(k, v.num, v.den) for k, v in value.items()]))

@@ -20,7 +20,12 @@ imported from TREE's ``src`` and the inputs from TREE's ``bench``:
   workload document has such brackets);
 - ``example`` of every catalog kind;
 - ``ERRORS``: malformed documents and flag values, each run's exit code
-  (2), standard output and error message.
+  (2), standard output and error message;
+- the failing paths of the ``cli_check`` documents: ``check --suite all``
+  on each of ``broken_documents``, whose identities fail and print their
+  residuals or, with a connection that is no longer admissible, are
+  refused; ``SOLVES``, the two solves in both formats; and one run past
+  the term budget (exit 4).
 
 Prints one ``name sha256`` line per output.  Two trees give the same
 outputs when ``diff`` finds no difference between their lines:
@@ -40,6 +45,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 WORKLOADS = ("identity_batch", "solve", "cli_check")
@@ -51,6 +57,13 @@ COMPUTE_TARGETS = (
     "torsion", "projected-torsion", "curvature", "nonmetricity", "levicivita",
     "decomposition",
 )
+SOLVES = tuple(
+    (f"solve-{kind}-{fmt}", ("--solve", kind, "--format", fmt))
+    for kind in ("torsion-free", "koszul")
+    for fmt in ("json", "table")
+)
+# a check of the first cli_check document that passes the term budget
+OVER_BUDGET = ("--suite", "all", "--budget", "4")
 # a document of rank r is changed by the leading r x r block
 FRAME = (("1", "0", "0"), ("x1", "1", "0"), ("2", "1 + x1^2", "1"))
 _PARAMS = json.dumps({
@@ -176,6 +189,45 @@ def courant_documents(algebroids):
         yield f"courant-{n}", algebroids.AlgebroidDocument(A, None, conn)
 
 
+def broken_documents(algebroids, document):
+    """(label, document) for the document with P the zero matrix; with
+    gamma^1_12 raised and gamma^1_21 lowered by 1, which keeps the connection
+    admissible and, where rho(X_1) is not zero, breaks the anchor's bracket
+    morphism; and, where L is
+    not empty, with the connection coefficient Gamma^e_db of its first
+    entry L^{c d}_{e b} raised by 1: that adds 2 L^{c d}_{e b} to the
+    symmetric part of the locality contraction at (c, b, b), so the
+    connection is no longer admissible."""
+    A, conn = document.algebroid, document.connection
+    zero = [[A.zero()] * A.rank for _ in range(A.rank)]
+    yield "zero-P", replace(document, algebroid=replace(A, proj=zero))
+    gamma = dict(A.gamma)
+    for key, step in (((0, 0, 1), 1), ((0, 1, 0), -1)):
+        gamma[key] = A.gamma_at(*key) + A.const(step)
+    yield "skew-gamma", replace(document, algebroid=replace(A, gamma=gamma))
+    if A.loc and conn is not None:
+        _, d, e, b = next(iter(A.loc))
+        coeff = dict(conn.coeff)
+        coeff[(e, d, b)] = conn.at(e, d, b, A.dim) + A.one()
+        yield "bumped", replace(document, connection=algebroids.Connection.of(A.rank, coeff))
+
+
+def failing_digests(algebroids, documents: dict) -> dict[str, str]:
+    """The runs on the failing paths of each document, keyed by name."""
+    out = {}
+    label, args = CHECKS[0]
+    for name, document in documents.items():
+        for broken, changed in broken_documents(algebroids, document):
+            path = f"{name}-{broken}.json"
+            algebroids.dump_document(changed, path)
+            out[f"cli/{name}/{label}-{broken}"] = run_cli(["check", path, *args])
+        for solve, flags in SOLVES:
+            out[f"cli/{name}/{solve}"] = run_cli(["check", f"{name}.json", *flags])
+    name = next(iter(documents))
+    out[f"cli/{name}/over-budget"] = run_cli(["check", f"{name}.json", *OVER_BUDGET])
+    return out
+
+
 def error_digests() -> dict[str, str]:
     """The runs of ``ERRORS``, keyed by name."""
     out = {}
@@ -216,10 +268,11 @@ def tree_digests(tree: Path) -> dict[str, str]:
     with tempfile.TemporaryDirectory() as workdir:
         os.chdir(workdir)
         digests = workload_digests(workloads, ".")
-        documents, ranks = {}, {}
+        documents, ranks, objects = {}, {}, {}
         for name, document in workloads.cli_documents():
             documents[name] = f"{name}.json"
             ranks[name] = document.algebroid.rank
+            objects[name] = document
             algebroids.dump_document(document, documents[name])
         digests.update(cli_digests(documents))
         digests.update(frame_digests(documents, ranks))
@@ -229,6 +282,7 @@ def tree_digests(tree: Path) -> dict[str, str]:
             digests[f"cli/{name}/{label}"] = run_cli(["check", f"{name}.json", *args])
         digests.update(example_digests())
         digests.update(error_digests())
+        digests.update(failing_digests(algebroids, objects))
     return digests
 
 
