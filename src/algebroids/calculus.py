@@ -28,10 +28,11 @@ algebroids, because their formula differs: the general form of
 ``_bianchi`` adds the C terms, and ``commutation_pair`` builds the
 d-commute forms for the projected derivative only.  The memo policy of
 ``GeometryContext`` says what a call memoizes; the Leibniz and exterior
-derivatives are not memoized.  The algebraic Bianchi check evaluates each
-cyclic term once, and its residuals, which read frame tuples only, are a
-value of the pair keyed by the algebroid.  Sums are taken as the
-``scalars`` docstring states.
+derivatives are not memoized.  The algebraic Bianchi check sums its cyclic
+terms as two keyed arrays, each one ``sparse_sum`` over stored entries in
+the formula's order, and only the rotation orbits that a side holds; its
+residuals read frame tuples only and are a value of the pair keyed by the
+algebroid.  Sums are taken as the ``scalars`` docstring states.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from .core import (
     _sort_with_sign,
     contraction_terms,
     interior_product,
+    sliced,
     sparse_sum,
     wedge,
 )
@@ -109,16 +111,17 @@ def _exterior_component(
         term = None if ss is None else jet.get((idx[i], ss[0]))
         if term is not None:
             acc.add(term, ss[1] if i % 2 == 0 else -ss[1])
-    for i in range(p1):
-        for j in range(i + 1, p1):
-            rest = tuple(idx[k] for k in range(p1) if k != i and k != j)
-            sub = Accumulator(B.dim)
-            for e in range(B.rank):
-                g = B.gamma.get((e, idx[i], idx[j]))
-                if g is not None:
-                    sub.add_product(g, omega.at((e,) + rest))
-            # 0-based (i, j) maps to 1-based (i+1, j+1): sign (-1)^(i+j)
-            acc.add(sub.value(), -1 if (i + j) % 2 == 1 else 1)
+    # one sub-sum per position pair (i, j), over the stored gamma that meet omega
+    subs = sparse_sum(B.dim, (
+        ((i, j), g, w, 1)
+        for i, j in itertools.combinations(range(p1), 2)
+        for e in range(B.rank)
+        if (g := B.gamma.get((e, idx[i], idx[j]))) is not None
+        and not (w := omega.at((e,) + idx[:i] + idx[i + 1 : j] + idx[j + 1 :])).is_zero()
+    ))
+    for (i, j), v in subs.items():
+        # 0-based (i, j) maps to 1-based (i+1, j+1): sign (-1)^(i+j)
+        acc.add(v, -1 if (i + j) % 2 == 1 else 1)
     return acc.value()
 
 
@@ -333,9 +336,9 @@ def _bianchi(ctx: GeometryContext, B: AlgebroidData, P: AlgebroidData) -> dict[t
     """Residuals of both algebraic Bianchi identities with the torsion and
     bracket of B, plus the locality terms of C = [., .]^P - [., .]^B when B
     is not the projected algebroid P, keyed ("first", a, b, c, d) and
-    ("second", a, b, c, d, e').  Each term of the cyclic sums, keyed (u, v,
-    w, a) and (u, v, w, e', a), is evaluated once, and the three triples
-    (b, c, d) of one rotation orbit share their residual."""
+    ("second", a, b, c, d, e').  The cyclic terms, keyed (u, v, w, a) and (u,
+    v, w, e', a), are one keyed sum over stored entries each, and the three
+    triples (b, c, d) of one rotation orbit share their residual."""
     A, conn, frames = ctx.A, ctx.conn, ctx.frames
     r = A.rank
     zero = A.zero()
@@ -345,79 +348,70 @@ def _bianchi(ctx: GeometryContext, B: AlgebroidData, P: AlgebroidData) -> dict[t
     nabla_r = covariant_table(A, conn, ETensor(1, 3, r, A.dim, curv))
     # left[(b, c, d)] = [[X_b, X_c], X_d] and right[(b, c, d)] = [X_b, [X_c, X_d]]
     inners, left = _nested_brackets(ctx, B)
-    right = {
-        (b, c, d): ctx.bracket(frames[b], inners[(c, d)], B)
-        for (b, c, d) in itertools.product(range(r), repeat=3)
-    }
+    right = {key: ctx.bracket(frames[key[0]], inners[key[1:]], B) for key in left}
     # C(X_u, X_v), once per frame pair, and [C(u, v), w]^B + C([u, v]^P, w);
     # none when B is P
     complement, shifted = {}, {}
     if B is not P:
-        pairs = list(itertools.product(range(r), repeat=2))
-        for u, v in pairs:
-            complement[(u, v)] = _complement_locality(ctx, B, P, frames[u], frames[v])
-        projected_inners, _ = _nested_brackets(ctx, P)
-        for (u, v), w in itertools.product(pairs, range(r)):
-            shifted[(u, v, w)] = ctx.bracket(complement[(u, v)], frames[w], B).add(
-                _complement_locality(ctx, B, P, projected_inners[(u, v)], frames[w])
-            )
+        for u, v in itertools.product(range(r), repeat=2):
+            c_uv = complement[(u, v)] = _complement_locality(ctx, B, P, frames[u], frames[v])
+            p_uv = Section(tuple(P.gamma.get((e, u, v), zero) for e in range(r)))
+            for w in range(r):
+                shifted[(u, v, w)] = ctx.bracket(c_uv, frames[w], B).add(
+                    _complement_locality(ctx, B, P, p_uv, frames[w])
+                )
+    t_first, t_middle = sliced(tor, 0), sliced(tor, 1)
+    r_third, g_middle = sliced(curv, 2), sliced(conn.coeff, 1)
 
-    def first(u, v, w, a) -> Scalar:
-        # (D_u T)(v, w) + T(T(u, v), w) + [u, [v, w]] - D_{C(u, v)} w, component a
-        rhs = Accumulator(A.dim, nabla_t.get((u, a, v, w), zero))
+    def components(sections, sign):  # the nonzero components, keyed (*key, a)
+        return ((key + (a,), x, None, sign)
+                for key, s in sections for a, x in enumerate(s.comp) if not x.is_zero())
+
+    def first_terms():
+        # (D_u T)(v, w) + T(T(u, v), w) - D_{C(u, v)} w + [u, [v, w]], keyed (u, v, w, a)
+        yield from (((u, v, w, a), x, None, 1) for (u, a, v, w), x in nabla_t.items())
         for e in range(r):
-            t1 = tor.get((e, u, v))
-            if t1 is not None:
-                t2 = tor.get((a, e, w))
-                if t2 is not None:
-                    rhs.add_product(t1, t2)
-        if complement:
-            rhs.add(ctx.covariant(complement[(u, v)], frames[w]).comp[a], -1)
-        rhs.add(right[(u, v, w)].comp[a])
-        return rhs.value()
+            for (u, v), x in t_first.get(e, ()):
+                yield from (((u, v, w, a), x, y, 1) for (a, w), y in t_middle.get(e, ()))
+        yield from components((((u, v, w), ctx.covariant(s, frames[w]))
+                               for (u, v), s in complement.items() for w in range(r)), -1)
+        yield from components(right.items(), 1)
 
-    def second(u, v, w, e2, a) -> Scalar:
-        # R(u, T(v, w)) e' + D_{[[u, v], w]} e', component a
-        rhs = Accumulator(A.dim)
+    def second_terms():
+        # R(u, T(v, w)) e' + D_{[[u, v], w]} e', then - R(u, C(v, w)) e'
+        # + D_{[C(u, v), w] + C([u, v]^P, w)} e', keyed (u, v, w, e', a)
         for f in range(r):
-            t1 = tor.get((f, v, w))
-            if t1 is not None:
-                t2 = curv.get((a, u, f, e2))
-                if t2 is not None:
-                    rhs.add_product(t1, t2)
-            g = conn.coeff.get((a, f, e2))
-            if g is not None:
-                rhs.add_product(left[(u, v, w)].comp[f], g)
-        if complement:
-            # - R(u, C(v, w)) e' + D_{[C(u, v), w] + C([u, v]^P, w)} e'
-            for f, x in enumerate(complement[(v, w)].comp):
-                t2 = curv.get((a, u, f, e2))
-                if t2 is not None:
-                    rhs.add_product(x, t2, -1)
-            rhs.add(ctx.covariant(shifted[(u, v, w)], frames[e2]).comp[a])
-        return rhs.value()
+            for (v, w), x in t_first.get(f, ()):
+                yield from (((u, v, w, e2, a), x, y, 1) for (a, u, e2), y in r_third.get(f, ()))
+            for key, s in left.items():
+                if not (x := s.comp[f]).is_zero():
+                    yield from ((key + (e2, a), x, y, 1) for (a, e2), y in g_middle.get(f, ()))
+        for (v, w), s in complement.items():
+            for f, x in enumerate(s.comp):
+                if not x.is_zero():
+                    yield from (((u, v, w, e2, a), x, y, -1)
+                                for (a, u, e2), y in r_third.get(f, ()))
+        yield from components((((u, v, w, e2), ctx.covariant(s, frames[e2]))
+                               for (u, v, w), s in shifted.items() for e2 in range(r)), 1)
 
-    identities = (
-        ("first", 4, lambda u, v, w, a: curv.get((a, u, v, w), zero), first),
-        ("second", 5, lambda u, v, w, e2, a: nabla_r.get((u, a, v, w, e2), zero), second),
-    )
     residuals: dict[tuple, Scalar] = {}
-    for label, arity, lhs_term, rhs_term in identities:
+    for label, lhs, terms in (
+        ("first", {(u, v, w, a): x for (a, u, v, w), x in curv.items()}, first_terms()),
+        ("second", {(u, v, w, e, a): x for (u, a, v, w, e), x in nabla_r.items()}, second_terms()),
+    ):
+        rhs = sparse_sum(A.dim, terms)
         found: dict[tuple, Scalar] = {}
-        # the three rotations of (b, c, d) share one cyclic sum, so each
-        # orbit is summed once (b = c = d is one term, three times)
-        for b, c, d in itertools.product(range(r), repeat=3):
-            orbit = [(b, c, d), (c, d, b), (d, b, c)]
-            if orbit[0] != min(orbit):
-                continue
-            for rest in itertools.product(range(r), repeat=arity - 3):
-                terms = {rot: rhs_term(*rot, *rest) for rot in orbit}
-                lhs, rhs = Accumulator(A.dim), Accumulator(A.dim)
-                for rot in orbit:
-                    lhs.add(lhs_term(*rot, *rest))
-                    rhs.add(terms[rot])
-                if not (val := lhs.value() - rhs.value()).is_zero():
-                    found.update((rot + rest, val) for rot in orbit)
+        # each orbit of (b, c, d) under rotation that either side holds is
+        # summed once (b = c = d is one term, three times)
+        orbits = sorted({min(k[:3], k[1:3] + k[:1], k[2:3] + k[:2]) + k[3:] for k in (*lhs, *rhs)})
+        for b, c, d, *rest in orbits:
+            orbit = [(b, c, d, *rest), (c, d, b, *rest), (d, b, c, *rest)]
+            sums = [Accumulator(A.dim), Accumulator(A.dim)]
+            for key in orbit:
+                sums[0].add(lhs.get(key, zero))
+                sums[1].add(rhs.get(key, zero))
+            if not (val := sums[0].value() - sums[1].value()).is_zero():
+                found.update((key, val) for key in orbit)
         for key in sorted(found):  # (b, c, d, [e',] a), reported in key order
             residuals[(label, key[-1]) + key[:-1]] = found[key]
     return residuals
@@ -429,13 +423,10 @@ def _nested_brackets(ctx: GeometryContext, B: AlgebroidData):
     r = B.rank
     inners = {
         (b, c): Section(tuple(B.gamma.get((e, b, c), B.zero()) for e in range(r)))
-        for b in range(r)
-        for c in range(r)
+        for b, c in itertools.product(range(r), repeat=2)
     }
-    outer = {
-        (b, c, d): ctx.bracket(inners[(b, c)], ctx.frames[d], B)
-        for (b, c, d) in itertools.product(range(r), repeat=3)
-    }
+    triples = itertools.product(range(r), repeat=3)
+    outer = {(b, c, d): ctx.bracket(inners[(b, c)], ctx.frames[d], B) for b, c, d in triples}
     return inners, outer
 
 
@@ -466,12 +457,10 @@ def check_bianchi_differential(A: AlgebroidData, conn: Connection) -> CheckRepor
 
     def two_form(entries: SparseArray, head: tuple, tail: tuple = ()) -> EForm:
         # the 2-form with components entries[head + (c, d) + tail], c < d
-        comp = {}
-        for cd in itertools.combinations(range(r), 2):
-            v = entries.get(head + cd + tail)
-            if v is not None and not v.is_zero():
-                comp[cd] = v
-        return EForm(2, r, A.dim, comp)
+        return EForm.from_components(A, 2, {
+            cd: v for cd in itertools.combinations(range(r), 2)
+            if (v := entries.get(head + cd + tail)) is not None
+        })
 
     t_forms = [two_form(tor_hat, (a,)) for a in range(r)]
     r_forms = [[two_form(curv, (a,), (b,)) for b in range(r)] for a in range(r)]
@@ -623,7 +612,7 @@ def check_magic_and_derivations(
                 # magic formula
                 lie = _leibniz(ctx, B, v, omega)
                 d_iv = _e_exterior(ctx, B, contracted[label]) \
-                    if omega.degree >= 1 else EForm.zero(A, 1)
+                    if omega.degree >= 1 else EForm.zero(A, omega.degree)
                 iv_d = interior_product(_e_exterior(ctx, B, omega), v)
                 out.append(("magic", (label, k), lie.sub(d_iv.add(iv_d))))
                 # rescaling corollary

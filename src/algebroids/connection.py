@@ -54,6 +54,7 @@ from .core import (
     apply_locality,
     bracket,
     project_section,
+    sliced,
     sparse_add,
     sparse_clean,
     sparse_sub,
@@ -98,12 +99,9 @@ class Connection:
 
     def omega(self, A: AlgebroidData, a: int, b: int) -> EForm:
         """Connection one-form omega^a_b, components Gamma^a_cb."""
-        comp = {}
-        for c in range(self.rank):
-            v = self.coeff.get((a, c, b))
-            if v is not None and not v.is_zero():
-                comp[(c,)] = v
-        return EForm(1, A.rank, A.dim, comp)
+        return EForm.from_components(A, 1, {
+            (c,): v for c in range(self.rank) if (v := self.coeff.get((a, c, b))) is not None
+        })
 
 
 class Metric:
@@ -290,25 +288,27 @@ def non_metricity(
     scale-covariant compatibility of conformal Courant algebroids)."""
     _require_rank(A, conn, metric)
     r = A.rank
-    out: SparseArray = {}
-    for a in range(r):
-        for b in range(r):
-            for c in range(b, r):
-                acc = Accumulator(A.dim, A.frame_derive(a, metric.at(b, c)))
-                if theta is not None:
-                    acc.add_product(theta[a], metric.at(b, c))
-                for d in range(r):
-                    g1 = conn.coeff.get((d, a, b))
-                    if g1 is not None:
-                        acc.add_product(g1, metric.at(d, c), -1)
-                    g2 = conn.coeff.get((d, a, c))
-                    if g2 is not None:
-                        acc.add_product(metric.at(b, d), g2, -1)
-                if not (value := acc.value()).is_zero():
-                    out[(a, b, c)] = value
-                    if b != c:
-                        out[(a, c, b)] = value
-    return out
+    g = {(b, c): v for b, row in enumerate(metric.g) for c, v in enumerate(row) if not v.is_zero()}
+    upper = [(bc, v) for bc, v in g.items() if bc[0] <= bc[1]]
+    by_first = sliced(conn.coeff, 0)
+
+    def terms():
+        # keyed (a, b, c), b <= c, each key's terms in the order of the formula
+        for a in range(r):
+            yield from (((a, *bc), x, None, 1) for bc, v in upper
+                        if not (x := A.frame_derive(a, v)).is_zero())
+        if theta is not None:
+            for a in range(r):
+                if not theta[a].is_zero():
+                    yield from (((a, *bc), theta[a], v, 1) for bc, v in upper)
+        for d in range(r):
+            for (a, b), x in by_first.get(d, ()):
+                yield from (((a, b, c), x, g[(d, c)], -1) for c in range(b, r) if (d, c) in g)
+            for (a, c), x in by_first.get(d, ()):
+                yield from (((a, b, c), g[(b, d)], x, -1) for b in range(c + 1) if (b, d) in g)
+
+    summed = sorted(sparse_sum(A.dim, terms()).items())
+    return {key: v for (a, b, c), v in summed for key in ((a, b, c), (a, c, b))}
 
 
 def locality_contraction(A: AlgebroidData, conn: Connection) -> SparseArray:
@@ -505,35 +505,26 @@ class GeometryContext:
         return dict(sorted(sparse_sub(skew, B.gamma).items()))
 
     def _curvature(self) -> SparseArray:
+        # R^a_bcd = rho_b(Gamma^a_cd) - rho_c(Gamma^a_bd) + sum_e (Gamma^e_cd Gamma^a_be
+        # - Gamma^e_bd Gamma^a_ce - W^e_bc Gamma^a_ed), W the projected anholonomy
         A, conn = self.A, self.conn
-        anhol = self.algebroid("projected").gamma
-        r = A.rank
-        out: SparseArray = {}
-        for a in range(r):
-            for b in range(r):
-                for c in range(r):
-                    for d in range(r):
-                        acc = Accumulator(A.dim, A.frame_derive(b, conn.at(a, c, d, A.dim)))
-                        acc.add(A.frame_derive(c, conn.at(a, b, d, A.dim)), -1)
-                        for e in range(r):
-                            g_cd = conn.coeff.get((e, c, d))
-                            if g_cd is not None:
-                                t = conn.coeff.get((a, b, e))
-                                if t is not None:
-                                    acc.add_product(g_cd, t)
-                            g_bd = conn.coeff.get((e, b, d))
-                            if g_bd is not None:
-                                t = conn.coeff.get((a, c, e))
-                                if t is not None:
-                                    acc.add_product(g_bd, t, -1)
-                            an = anhol.get((e, b, c))
-                            if an is not None:
-                                t = conn.coeff.get((a, e, d))
-                                if t is not None:
-                                    acc.add_product(an, t, -1)
-                        if not (value := acc.value()).is_zero():
-                            out[(a, b, c, d)] = value
-        return out
+        first, middle, last = (sliced(conn.coeff, k) for k in range(3))
+        anhol = sliced(self.algebroid("projected").gamma, 0)
+        derivs = [((a, b, c, d), x) for (a, c, d), g in conn.coeff.items()
+                  for b in range(A.rank) if not (x := A.frame_derive(b, g)).is_zero()]
+
+        def terms():
+            yield from ((key, x, None, 1) for key, x in derivs)
+            yield from (((a, c, b, d), x, None, -1) for (a, b, c, d), x in derivs)
+            for e in range(A.rank):
+                for (c, d), x in first.get(e, ()):
+                    yield from (((a, b, c, d), x, y, 1) for (a, b), y in last.get(e, ()))
+                for (b, d), x in first.get(e, ()):
+                    yield from (((a, b, c, d), x, y, -1) for (a, c), y in last.get(e, ()))
+                for (b, c), x in anhol.get(e, ()):
+                    yield from (((a, b, c, d), x, y, -1) for (a, d), y in middle.get(e, ()))
+
+        return dict(sorted(sparse_sum(A.dim, terms()).items()))
 
 
 def _same_entries(x: SparseArray, y: SparseArray) -> bool:

@@ -105,6 +105,15 @@ def symmetric_part(x: SparseArray) -> SparseArray:
     return dict(sorted(sparse_add(*upper).items()))
 
 
+def sliced(x: SparseArray, k: int) -> dict[int, list[tuple[tuple, Scalar]]]:
+    """x's nonzero entries grouped by index k, as (other indices, value)."""
+    out: dict[int, list[tuple[tuple, Scalar]]] = {}
+    for idx, v in x.items():
+        if not v.is_zero():
+            out.setdefault(idx[k], []).append((idx[:k] + idx[k + 1 :], v))
+    return out
+
+
 @dataclass(frozen=True)
 class AlgebroidData:
     """A local pre-Leibniz algebroid over one coordinate chart."""

@@ -43,7 +43,8 @@ def mat_vec(m: Matrix, x, nvars: int) -> list[Scalar]:
     for row in m:
         acc = Accumulator(nvars)
         for a, b in zip(row, x):
-            acc.add_product(a, b)
+            if not a.is_zero() and not b.is_zero():
+                acc.add_product(a, b)
         out.append(acc.value())
     return out
 

@@ -16,7 +16,10 @@ borrow-free subtraction, and the graded-lexicographic term order (higher
 total degree first, then the lexicographically larger exponent vector) is
 integer order.  Exponents and total degrees must stay below 2**15; an
 operation that would pass that limit raises ``BudgetError`` rather than
-wrap.  ``Poly.terms`` shows the terms as ``{exponent tuple: Fraction}``.
+wrap.  ``Poly.__pow__`` refuses, before it multiplies, a power whose
+coefficients could pass ``sys.get_int_max_str_digits()`` (0: no limit), and
+the text writer a longer coefficient that a product built.  ``Poly.terms``
+shows the terms as ``{exponent tuple: Fraction}``.
 
 Exact division (``Poly.divide_exact``) divides the integer parts with
 ``divmod``, taking the largest remaining term from a max-heap (Monagan and
@@ -151,6 +154,11 @@ def _layout(nvars: int) -> _Layout:
     if layout is None:
         layout = _LAYOUTS[nvars] = _Layout(nvars)
     return layout
+
+
+def _digits_error(digits: int) -> BudgetError:
+    return BudgetError(f"coefficient of {digits} digits exceeds the int-string limit"
+                       f" of {get_int_max_str_digits()} digits")
 
 
 def _degree_error(operation: str, what: str) -> BudgetError:
@@ -398,6 +406,10 @@ class Poly:
             raise ValueError("negative power on a polynomial")
         if self.total_degree() * power > MAX_DEGREE:  # refused before the long squarings
             raise _degree_error("Poly.__pow__", f"total degree {self.total_degree()} * {power}")
+        # a bound on the digits of every coefficient, exact for a constant
+        bound = max(abs(self._num) * sum(map(abs, self._t.values())), self._den)
+        if 0 < get_int_max_str_digits() < (digits := int(power * log10(bound)) + 1):
+            raise _digits_error(digits)
         result = Poly.one(self.nvars)
         base = self
         while power:
@@ -875,11 +887,7 @@ def _term_to_text(exps: Exponents, coeff: Fraction, names: Sequence[str]) -> str
     try:
         text = str(c)
     except ValueError:  # a numerator or denominator past the int-string limit
-        digits = int(log10(max(c.numerator, c.denominator))) + 1
-        limit = get_int_max_str_digits()
-        raise BudgetError(
-            f"coefficient of {digits} digits exceeds the int-string limit of {limit} digits"
-        ) from None
+        raise _digits_error(int(log10(max(c.numerator, c.denominator))) + 1) from None
     return f"{text}*{mono}" if mono else text
 
 

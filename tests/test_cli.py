@@ -5,6 +5,7 @@ import random
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -276,6 +277,21 @@ def test_a_coefficient_too_long_to_print_exits_4(argv, tmp_path, capsys):
     assert out.err == "error: coefficient of 4342 digits exceeds the int-string limit of 4300 digits\n"
 
 
+def test_a_power_past_the_int_string_limit_exits_4_at_once(tmp_path, capsys):
+    # 2^99999999 has 30,103,000 digits: refused before it is multiplied out
+    obj = {"dimension": 1, "rank": 1, "coordinates": ["x1"], "anchor": [["2^99999999"]]}
+    path = tmp_path / "power.json"
+    path.write_text(json.dumps(obj))
+    start = time.process_time()
+    code = cli_main(["check", str(path), "--suite", "all"])
+    assert time.process_time() - start < 1
+    out = capsys.readouterr()
+    assert code == 4 and not out.out
+    assert out.err == (
+        "error: coefficient of 30103000 digits exceeds the int-string limit of 4300 digits\n"
+    )
+
+
 def test_budget_restored_after_in_process_run(tmp_path):
     A = make_example("tangent_lie", n=2).algebroid
     names = A.coords
@@ -359,6 +375,12 @@ def test_malformed_json_argument_exit_2(args, halfplane_doc, capsys):
             id="rank-0-metric",
         ),
         pytest.param(
+            {"dimension": 1, "rank": 0, "coordinates": ["x1"], "anchor": [[]],
+             "P": [], "connection": []},
+            0,
+            id="rank-0",
+        ),
+        pytest.param(
             {"dimension": 1, "rank": 1, "coordinates": ["x1"],
              "anchor": [["(" * 250 + "x1" + ")" * 250]]},
             2,
@@ -380,8 +402,9 @@ def test_edge_documents_exit_without_traceback(obj, code, tmp_path, capsys):
     out = capsys.readouterr()
     assert "Traceback" not in out.err
     if code == 0:
-        # the sampled suites draw constant sections on a point
-        assert len(out.out.splitlines()) == 13
+        # the sampled suites draw constant sections on a point, or none on
+        # rank 0; the three Levi-Civita lines need a metric
+        assert len(out.out.splitlines()) == (13 if "metric" in obj else 10)
 
 
 def assert_one_error_line(code, err):

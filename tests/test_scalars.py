@@ -1,6 +1,7 @@
 """Exact field arithmetic, differentiation, evaluation and the grammar."""
 
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -387,9 +388,29 @@ def test_a_power_past_the_exponent_limit_is_refused_before_it_multiplies():
         parse_scalar("(1+x1)^40000", ["x1"])
     assert time.process_time() - start < 1
     assert "Poly.__pow__" in str(err.value) and "40000" in str(err.value)
-    assert s("(2*x1*x2)^16383").num.total_degree() == 32766
+    assert s("(x1*x2)^16383").num.total_degree() == 32766
     with pytest.raises(BudgetError):
         s("(x1*x2)^16384")
+
+
+@pytest.mark.parametrize("text", ["2^99999999", "(2^99999999)^3", "((2^9999999)^99)^9"])
+def test_a_power_past_the_int_string_limit_is_refused_before_it_multiplies(text):
+    start = time.process_time()
+    with pytest.raises(BudgetError, match="digits exceeds the int-string limit of 4300 digits"):
+        parse_scalar(text, ["x1"])
+    assert time.process_time() - start < 1
+
+
+def test_the_power_bound_is_exact_for_a_constant_and_off_without_a_limit():
+    with pytest.raises(BudgetError, match="coefficient of 4301 digits"):
+        s("10^4300")
+    assert len(str(s("10^4299").num.terms[(0, 0)])) == 4300
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # no limit
+    try:
+        assert s("3^9100").num.terms[(0, 0)] == 3**9100
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_a_coefficient_past_the_int_string_limit_prints_as_a_budget_error():
@@ -398,6 +419,9 @@ def test_a_coefficient_past_the_int_string_limit_prints_as_a_budget_error():
     with pytest.raises(BudgetError, match="4342 digits"):
         scalar_to_text(s("x1/3^9100"), NAMES)
     assert scalar_to_text(s("3^2000*x1"), NAMES).endswith("*x1")
+    # a product within the power bound: the writer itself refuses it
+    with pytest.raises(BudgetError, match="4342 digits"):
+        scalar_to_text(s("3^4550*3^4550"), NAMES)
 
 
 @given(wide_polys(), wide_polys().filter(lambda q: not q.is_zero()))
