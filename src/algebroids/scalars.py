@@ -17,8 +17,9 @@ total degree first, then the lexicographically larger exponent vector) is
 integer order.  Exponents and total degrees must stay below 2**15; an
 operation that would pass that limit raises ``BudgetError`` rather than
 wrap.  ``Poly.__pow__`` refuses, before it multiplies, a power whose
-coefficients could pass ``sys.get_int_max_str_digits()`` (0: no limit), and
-the text writer a longer coefficient that a product built.  ``Poly.terms``
+coefficients could pass ``sys.get_int_max_str_digits()`` (0: no limit; the
+bound is exact for a constant and an upper bound otherwise), and the text
+writer a longer coefficient that a product built.  ``Poly.terms``
 shows the terms as ``{exponent tuple: Fraction}``.
 
 Exact division (``Poly.divide_exact``) divides the integer parts with
@@ -156,9 +157,9 @@ def _layout(nvars: int) -> _Layout:
     return layout
 
 
-def _digits_error(digits: int) -> BudgetError:
-    return BudgetError(f"coefficient of {digits} digits exceeds the int-string limit"
-                       f" of {get_int_max_str_digits()} digits")
+def _digits_error(digits: int, exact: bool = True) -> BudgetError:
+    return BudgetError(f"coefficient of {'' if exact else 'up to '}{digits} digits exceeds"
+                       f" the int-string limit of {get_int_max_str_digits()} digits")
 
 
 def _degree_error(operation: str, what: str) -> BudgetError:
@@ -409,7 +410,7 @@ class Poly:
         # a bound on the digits of every coefficient, exact for a constant
         bound = max(abs(self._num) * sum(map(abs, self._t.values())), self._den)
         if 0 < get_int_max_str_digits() < (digits := int(power * log10(bound)) + 1):
-            raise _digits_error(digits)
+            raise _digits_error(digits, exact=self.total_degree() == 0)
         result = Poly.one(self.nvars)
         base = self
         while power:

@@ -65,7 +65,7 @@ def g(acc, t, a, b, r):
         acc.add(t[(a, b)])
     if acc is not None:
         yield (a, b), 1, None, 1
-    return dict[tuple, int], (a, b) + (c,), a - b
+    return dict[tuple, int], (a, b) + (c,), a - b, t[:a] + t[a + 1 :], (b,) + t[:a] + t[c:]
 """
 
 
@@ -107,7 +107,11 @@ def test_each_operator_mutates_its_sites(mutants):
             for _, lines in applied(mutants, operator)
         ]
 
-    assert changed("plus-minus") == [["    return (dict[tuple, int], (a, b) + (c,), a + b)"]]
+    # sums of numbers only: tuples and slices concatenate
+    assert changed("plus-minus") == [
+        ["    return (dict[tuple, int], (a, b) + (c,), a + b, t[:a] + t[a + 1:], (b,) + t[:a] + t[c:])"],
+        ["    return (dict[tuple, int], (a, b) + (c,), a - b, t[:a] + t[a - 1:], (b,) + t[:a] + t[c:])"],
+    ]
     assert changed("negate-sign") == [
         ["        acc.add_product(t.get((a, c)), t[c, a], -1)"],
         ["        acc.add(t[a, b], -1)"],

@@ -405,6 +405,9 @@ def test_the_power_bound_is_exact_for_a_constant_and_off_without_a_limit():
     with pytest.raises(BudgetError, match="coefficient of 4301 digits"):
         s("10^4300")
     assert len(str(s("10^4299").num.terms[(0, 0)])) == 4300
+    # for a polynomial the bound 14290 log10 2 is only an upper bound
+    with pytest.raises(BudgetError, match="coefficient of up to 4302 digits"):
+        s("(1+x1)^14290")
     old = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)  # no limit
     try:

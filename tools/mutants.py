@@ -1,13 +1,17 @@
 """A seeded sample of mutants of the functions of ``src/algebroids`` that
 differ from a git revision, each run against the tier-1 tests.
 
-    python3 tools/mutants.py BASE [--count N] [--seed S] [--dry-run]
+    python3 tools/mutants.py BASE [--dry-run]
 
 The changed functions are the top-level functions and methods whose lines
 (nested functions included) meet a hunk of ``git diff -U0 BASE`` on the
 package.  Every mutation site in them is listed, for these operators:
 
-- ``plus-minus``: a binary ``+`` made ``-``, or ``-`` made ``+``;
+- ``plus-minus``: a binary ``+`` made ``-``, or ``-`` made ``+``, where
+  neither operand is a tuple, list or slice or a sum of them (a ``-`` of
+  sequences cannot run, so such a mutant would only crash; one whose
+  operands are sequences held in names is reported ``invalid`` when its
+  first failure is a ``TypeError`` of unsupported operand types);
 - ``negate-sign``: the sign of an ``add`` or ``add_product`` call, or of a
   keyed term (key, x, y, sign) that is yielded or built in a generator,
   negated;
@@ -18,17 +22,17 @@ package.  Every mutation site in them is listed, for these operators:
   statement dropped;
 - ``is-swap``: ``is`` made ``is not``, or ``is not`` made ``is``.
 
-``--count`` sites (default 20) are drawn with ``random.Random(--seed)``.
+``COUNT`` (20) sites are drawn with ``random.Random(SEED)`` (seed 0).
 The checkout's files are copied once to a temporary directory outside
 the checkout; each mutant replaces one module there by the ``ast.unparse``
 text of its mutated tree, and the tier-1 tests run on the copy with
 ``-x``, once on the unmutated copy, which must pass, and once per mutant.
-One line per mutant: ``killed``, ``survived`` or ``timeout``,
-the function, the operator, the line and the mutated code.  A survivor is
-either a gap in the tests or an equivalent mutant; which one is for the
-reader to decide.  ``--dry-run`` prints the changed functions and the
-sample without running anything.  Writes nothing in the checkout; a run
-takes about a minute per surviving mutant.
+One line per mutant: ``killed``, ``survived``, ``invalid`` or ``timeout``
+(after ``TIMEOUT`` seconds), the function, the operator, the line and the
+mutated code.  A survivor is either a gap in the tests or an equivalent
+mutant; which one is for the reader to decide.  ``--dry-run`` prints the
+changed functions and the sample without running anything.  Writes
+nothing in the checkout; a run takes about a minute per surviving mutant.
 """
 
 from __future__ import annotations
@@ -49,6 +53,8 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = "src/algebroids"
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 SUMS = ("add", "add_product")
+COUNT, SEED = 20, 0
+TIMEOUT = 900  # seconds per test run; a passing run takes about a minute
 HUNK = re.compile(r"^@@ -\d+(?:,\d+)? \+(\d+)(?:,(\d+))? @@")
 
 
@@ -127,14 +133,22 @@ def _key(node, parent) -> bool:
     )
 
 
+def _sequence(node) -> bool:
+    """A tuple, list or slice, or a ``+`` of them."""
+    return (
+        isinstance(node, (ast.Tuple, ast.List, ast.ListComp))
+        or isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Slice)
+        or isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+        and (_sequence(node.left) or _sequence(node.right))
+    )
+
+
 def sites(node: ast.AST):
     """(operator, walk position, detail) of every mutation site under node,
     in ``ast.walk`` order."""
     parents = {child: up for up in ast.walk(node) for child in ast.iter_child_nodes(up)}
     for k, child in enumerate(ast.walk(node)):
-        if isinstance(child, ast.BinOp) and isinstance(child.op, (ast.Add, ast.Sub)) and not any(
-            isinstance(x, (ast.Tuple, ast.List, ast.ListComp)) for x in (child.left, child.right)
-        ):  # a + or - of numbers: sequences concatenate, and a - of them cannot run
+        if isinstance(child, ast.BinOp) and isinstance(child.op, (ast.Add, ast.Sub)) and not _sequence(child):
             yield "plus-minus", k, None
         if _sum_call(child) or _term(child) is not None:
             yield "negate-sign", k, None
@@ -235,24 +249,25 @@ def checkout_files() -> list[str]:
     return [p for p in out.splitlines() if (ROOT / p).is_file()]
 
 
-def run_tests(copy: Path, timeout: float) -> str:
+def run_tests(copy: Path, operator: str | None = None) -> str:
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": str(copy / "src")}
     try:
         run = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
-            cwd=copy, env=env, capture_output=True, timeout=timeout,
+            cwd=copy, env=env, capture_output=True, timeout=TIMEOUT,
         )
     except subprocess.TimeoutExpired:
         return "timeout"
-    return "survived" if run.returncode == 0 else "killed"
+    if run.returncode == 0:
+        return "survived"
+    if operator == "plus-minus" and b"unsupported operand type(s)" in run.stdout:
+        return "invalid"  # the mutated sum cannot run: a crash, not a test
+    return "killed"
 
 
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base", help="the git revision the functions are compared with")
-    parser.add_argument("--count", type=int, default=20)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--timeout", type=float, default=900, help="seconds per mutant")
     parser.add_argument("--dry-run", action="store_true")
     args = parser.parse_args(argv)
     diff = subprocess.run(
@@ -267,14 +282,14 @@ def main(argv: list[str]) -> int:
     mutants = all_mutants(sources, lines)
     changed = sorted({m.function for m in mutants})
     print(f"{len(changed)} changed functions, {len(mutants)} mutation sites: {', '.join(changed)}")
-    chosen = sample(mutants, args.count, args.seed)
+    chosen = sample(mutants, COUNT, SEED)
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         copy = Path(tmp)
         if not args.dry_run:
             for rel in checkout_files():
                 (copy / rel).parent.mkdir(parents=True, exist_ok=True)
                 shutil.copy2(ROOT / rel, copy / rel)
-            if (verdict := run_tests(copy, args.timeout)) != "survived":
+            if (verdict := run_tests(copy)) != "survived":
                 print(f"the unmutated copy did not pass ({verdict}); no mutant run")
                 return 1
         for mutant in chosen:
@@ -282,7 +297,7 @@ def main(argv: list[str]) -> int:
             verdict = "sampled"
             if not args.dry_run:
                 (copy / mutant.path).write_text(text, encoding="utf-8")
-                verdict = run_tests(copy, args.timeout)
+                verdict = run_tests(copy, mutant.operator)
                 (copy / mutant.path).write_text(sources[mutant.path], encoding="utf-8")
             name = Path(mutant.path).name
             print(f"{verdict:8} {mutant.function} {mutant.operator} {name}:{line} {code}", flush=True)
